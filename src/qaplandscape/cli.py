@@ -20,10 +20,22 @@ from typing import Optional, Tuple
 
 from .core import Permutation, QapInstance
 from .decomposition import average_triple, decompose, neighborhood_avg_wave
-from .oracle import neighborhood_avg_brute, population_variance, space_points, variance_triple
+from .oracle import (
+    evaluate_points,
+    moments,
+    neighborhood_avg_brute,
+    space_points,
+    variance_triple,
+)
 from .qaplib import generate_instance, parse_qaplib
 from .spectral import DEFAULT_SAMPLES, analyze_autocorr, random_walk
 from .verification import run_verification
+
+
+# Resource limits on flag values, checked before any instance is built.
+MAX_CAP = 10  # 10! = 3,628,800 enumerated permutations
+MAX_GENERATED_SIZE = 200  # 2 n^2 generated entries
+MAX_STEPS = 1_000_000
 
 
 class CliError(Exception):
@@ -58,6 +70,17 @@ class AnalysisConfig:
                 "exactly one instance source is required: --instance PATH "
                 "or --gen N,SEED,LO,HI (or --n with --seed/--lo/--hi)"
             )
+        if self.fmt == "csv" and self.command != "autocorr":
+            raise CliError("csv output is only defined for walk series (autocorr)")
+        if self.cap > MAX_CAP:
+            raise CliError(f"--cap {self.cap} exceeds the limit {MAX_CAP}")
+        if self.generator is not None and self.generator[0] > MAX_GENERATED_SIZE:
+            raise CliError(
+                f"generated size {self.generator[0]} exceeds the limit "
+                f"{MAX_GENERATED_SIZE}"
+            )
+        if self.steps > MAX_STEPS:
+            raise CliError(f"--steps {self.steps} exceeds the limit {MAX_STEPS}")
 
 
 def _config_from_args(args) -> AnalysisConfig:
@@ -231,7 +254,7 @@ def _cmd_decompose(problem, config: AnalysisConfig) -> int:
     residuals = {"decomposition_sum": residual}
     if config.fmt == "json":
         _emit_json("decompose", problem, results, residuals)
-    elif config.fmt == "text":
+    else:
         print(f"n = {problem.n}, mode = {_mode(problem)}, x = {list(x.mapping)}")
         print(f"f(x)       = {_fmt(f)}")
         print(f"c1(x)      = {_fmt(t.c1)}")
@@ -239,8 +262,6 @@ def _cmd_decompose(problem, config: AnalysisConfig) -> int:
         print(f"c3(x)      = {_fmt(t.c3)}")
         print(f"c1+c2+c3   = {_fmt(t.total)}")
         print(f"sum check: residual {_fmt(residual)} ({'OK' if ok else 'FAIL'})")
-    else:
-        raise CliError("csv output is only defined for walk series (autocorr)")
     return 0 if ok else 2
 
 
@@ -255,13 +276,11 @@ def _cmd_avg(problem, config: AnalysisConfig) -> int:
     residuals = {"neighborhood_average": residual}
     if config.fmt == "json":
         _emit_json("avg", problem, results, residuals)
-    elif config.fmt == "text":
+    else:
         print(f"n = {problem.n}, mode = {_mode(problem)}, x = {list(x.mapping)}")
         print(f"wave-equation average : {_fmt(wave)}")
         print(f"brute-force average   : {_fmt(brute)}")
         print(f"residual {_fmt(residual)} ({'OK' if ok else 'FAIL'})")
-    else:
-        raise CliError("csv output is only defined for walk series (autocorr)")
     return 0 if ok else 2
 
 
@@ -287,7 +306,7 @@ def _cmd_verify(problem, config: AnalysisConfig) -> int:
     residuals = {c.name: c.residual for c in claims}
     if config.fmt == "json":
         _emit_json("verify", problem, results, residuals)
-    elif config.fmt == "text":
+    else:
         print(f"n = {problem.n}, mode = {_mode(problem)}, cap = {config.cap}")
         for c in claims:
             if c.skipped:
@@ -303,8 +322,6 @@ def _cmd_verify(problem, config: AnalysisConfig) -> int:
             f"verification: {verdict} "
             f"({len(claims)} claims, {failed} failed, {skipped} skipped)"
         )
-    else:
-        raise CliError("csv output is only defined for walk series (autocorr)")
     return 0 if failed == 0 else 2
 
 
@@ -322,7 +339,9 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
         abs(e - float(t))
         for e, t in zip(report.empirical[1:], report.theoretical[1:])
     ]
-    residual = max(diffs) if diffs else 0.0
+    residual = max(diffs, default=0.0)
+    if any(math.isnan(v) for v in diffs):  # max() drops a NaN that is not first
+        residual = math.nan
     # Estimator standard error scales as 1/sqrt(steps); 0.02 at 1e5 steps.
     tol = 0.02 * math.sqrt(100000 / config.steps)
     ok = residual <= tol
@@ -380,38 +399,16 @@ def _cmd_stats(problem, config: AnalysisConfig) -> int:
     exit_code = 0
     within_cap = problem.n <= config.cap
     if within_cap:
-        c1s, c2s, c3s, fs = [], [], [], []
-        for x in space_points(problem.n):
-            t = decompose(problem, x)
-            c1s.append(t.c1)
-            c2s.append(t.c2)
-            c3s.append(t.c3)
-            fs.append(problem.fitness(x))
-        count = len(fs)
-
-        def mean_of(vals):
-            total = sum(vals)
-            return total / count if isinstance(total, float) \
-                else Fraction(total, count)
-
-        enum_means = {
-            "c1": mean_of(c1s), "c2": mean_of(c2s),
-            "c3": mean_of(c3s), "total": mean_of(fs),
-        }
-        enum_vars = {
-            "c1": population_variance(c1s),
-            "c2": population_variance(c2s),
-            "c3": population_variance(c3s),
-            "total": population_variance(fs),
-        }
-        results["enumerated_means"] = enum_means
-        results["enumerated_variances"] = enum_vars
-        results["count"] = _Count(count)
-        for key, closed in (("c1", a.a1), ("c2", a.a2), ("c3", a.a3),
-                            ("total", a.total)):
-            residuals[f"mean_{key}"] = abs(enum_means[key] - closed)
+        keys = ("c1", "c2", "c3", "total")
+        columns = evaluate_points(problem, space_points(problem.n))
+        stats = [moments(col) for col in columns]
+        results["enumerated_means"] = {k: s[0] for k, s in zip(keys, stats)}
+        results["enumerated_variances"] = {k: s[1] for k, s in zip(keys, stats)}
+        results["count"] = _Count(len(columns[3]))
+        for key, (mean, _), closed in zip(keys, stats, a):
+            residuals[f"mean_{key}"] = abs(mean - closed)
         tol = _sum_tolerance(problem, a.total)
-        if any(v > tol for v in residuals.values()):
+        if any(not v <= tol for v in residuals.values()):
             exit_code = 2
     else:
         vt = variance_triple(problem, cap=0, samples=DEFAULT_SAMPLES, seed=0)
@@ -422,7 +419,7 @@ def _cmd_stats(problem, config: AnalysisConfig) -> int:
 
     if config.fmt == "json":
         _emit_json("stats", problem, results, residuals)
-    elif config.fmt == "text":
+    else:
         print(f"n = {problem.n}, mode = {_mode(problem)}")
         print("closed-form means:")
         print(f"  c1 = {_fmt(a.a1)}")
@@ -442,8 +439,6 @@ def _cmd_stats(problem, config: AnalysisConfig) -> int:
             print(f"sampled variances ({sv['samples']} permutations, seed 0):")
             for key in ("c1", "c2", "c3", "total"):
                 print(f"  {key}: variance ~= {_fmt(sv[key])}")
-    else:
-        raise CliError("csv output is only defined for walk series (autocorr)")
     return exit_code
 
 

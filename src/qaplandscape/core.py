@@ -9,6 +9,7 @@ facilities and locations from 1, so published formulas shift by one.
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 from typing import Iterator, Sequence, Union
@@ -28,21 +29,26 @@ def neighborhood_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def exact_div(value: Scalar, divisor: int) -> Scalar:
-    """Divide, staying exact for int/Fraction values; floats divide as floats."""
-    if isinstance(value, float):
-        return value / divisor
-    return Fraction(value, divisor)
+def div(value: Scalar, divisor: Scalar, exact: bool) -> Scalar:
+    """value / divisor: a Fraction in exact (rational) mode, else a float."""
+    return Fraction(value, divisor) if exact else value / divisor
 
 
 def _entries_are_exact(rows) -> bool:
+    """True when every entry is int or Fraction, False when some are floats.
+
+    Anything else, and any NaN or infinity, is refused.
+    """
+    exact = True
     for row in rows:
         for v in row:
             if isinstance(v, float):
-                return False
-            if not isinstance(v, (int, Fraction)):
+                if not math.isfinite(v):
+                    raise ValueError(f"matrix entries must be finite, got {v!r}")
+                exact = False
+            elif not isinstance(v, (int, Fraction)):
                 raise ValueError(f"matrix entries must be numbers, got {v!r}")
-    return True
+    return exact
 
 
 class Permutation:
@@ -55,7 +61,8 @@ class Permutation:
         n = len(m)
         if n < MIN_SIZE:
             raise ValueError(f"need at least {MIN_SIZE} elements, got {n}")
-        if any(not isinstance(v, int) for v in m) or sorted(m) != list(range(n)):
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in m) \
+                or sorted(m) != list(range(n)):
             raise ValueError(f"not a bijection on 0..{n - 1}: {list(m)!r}")
         self.mapping = m
 
@@ -231,8 +238,8 @@ class GeneralTensor:
             for plane in block:
                 if len(plane) != n or any(len(row) != n for row in plane):
                     raise ValueError("tensor is not n x n x n x n")
-        exact = all(
-            _entries_are_exact(plane) for block in t for plane in block
+        exact = _entries_are_exact(
+            row for block in t for plane in block for row in plane
         )
         if not exact:
             t = tuple(
@@ -255,11 +262,20 @@ class GeneralTensor:
                 f"dense tensor storage is limited to n <= {MAX_TENSOR_SIZE}, "
                 f"got {inst.n}"
             )
-        psi = [
-            [[[rij * wpq for wpq in wrow] for wrow in inst.w] for rij in rrow]
+        # The instance's entries are already validated; an overflow of their
+        # products to inf stays in the tensor for the checks that use it.
+        t = object.__new__(cls)
+        t.n = inst.n
+        t.psi = tuple(
+            tuple(
+                tuple(tuple(rij * wpq for wpq in wrow) for wrow in inst.w)
+                for rij in rrow
+            )
             for rrow in inst.r
-        ]
-        return cls(psi)
+        )
+        t.exact = inst.exact
+        t._sums = None
+        return t
 
     def __repr__(self) -> str:
         mode = "rational" if self.exact else "float"

@@ -30,7 +30,7 @@ from .core import (
     Permutation,
     QapInstance,
     Scalar,
-    exact_div,
+    div,
     neighborhood_size,
 )
 
@@ -213,8 +213,7 @@ def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar
                                 acc += v * gamma
                             else:
                                 acc += v * zeta
-    den = weight_denominator(kind, n)
-    value = exact_div(acc, den) if tensor.exact else acc / den
+    value = div(acc, weight_denominator(kind, n), tensor.exact)
     if m == 3:
         value = value + sum(psi[i][i][xm[i]][xm[i]] for i in range(n))
     return value
@@ -283,7 +282,7 @@ def _value_from_totals(inst: QapInstance, m: int, totals) -> Scalar:
     den = weight_denominator(kind, n)
     if m == 3:
         num = num + den * totals[5]
-    return exact_div(num, den) if inst.exact else num / den
+    return div(num, den, inst.exact)
 
 
 def component_value_fast(inst: QapInstance, m: int, x: Permutation) -> Scalar:
@@ -380,18 +379,13 @@ def component_average(problem: Problem, m: int) -> Scalar:
     """
     _check_component(m)
     n = problem.n
+    exact = problem.exact
     off, diag = _coefficient_sums(problem)
-    if isinstance(off, float) or isinstance(diag, float):
-        if m == 1:
-            return -off / (2 * n)
-        if m == 2:
-            return off * (n - 3) / (2 * (n - 2) * (n - 1))
-        return off / (n * (n - 2)) + diag / n
     if m == 1:
-        return exact_div(-off, 2 * n)
+        return div(-off, 2 * n, exact)
     if m == 2:
-        return exact_div(off * (n - 3), 2 * (n - 2) * (n - 1))
-    return exact_div(off, n * (n - 2)) + exact_div(diag, n)
+        return div(off * (n - 3), 2 * (n - 2) * (n - 1), exact)
+    return div(off, n * (n - 2), exact) + div(diag, n, exact)
 
 
 def average_triple(problem: Problem) -> AverageTriple:
@@ -410,33 +404,19 @@ def wave_predict_component(problem: Problem, m: int, x: Permutation) -> Scalar:
     c = component_value(problem, m, x)
     a = component_average(problem, m)
     k = characteristic_constant(OmegaKind(m), n)
-    d = neighborhood_size(n)
-    if isinstance(c, float) or isinstance(a, float):
-        return c + (k / d) * (a - c)
-    return c + Fraction(k, d) * (a - c)
+    return c + div(k, neighborhood_size(n), problem.exact) * (a - c)
 
 
 def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
     """Mean objective value over the swap neighbors of x, via the three
-    per-component wave equations.
-
-    Equals f(x) + 4/(n-1) (mean1 - c1) + 4/n (mean2 - c2)
-    + 2/(n-1) (mean3 - c3); the coefficients are k_m / d reduced.
+    per-component wave equations: f(x) + sum_m (k_m / d) (mean_m - c_m(x)).
     """
     n = problem.n
-    f = problem.fitness(x)
+    d = neighborhood_size(n)
+    value = problem.fitness(x)
     t = decompose(problem, x)
     a = average_triple(problem)
-    if not problem.exact:
-        return (
-            f
-            + 4.0 / (n - 1) * (a.a1 - t.c1)
-            + 4.0 / n * (a.a2 - t.c2)
-            + 2.0 / (n - 1) * (a.a3 - t.c3)
-        )
-    return (
-        f
-        + Fraction(4, n - 1) * (a.a1 - t.c1)
-        + Fraction(4, n) * (a.a2 - t.c2)
-        + Fraction(2, n - 1) * (a.a3 - t.c3)
-    )
+    for m in (1, 2, 3):
+        k = characteristic_constant(OmegaKind(m), n)
+        value = value + div(k, d, problem.exact) * (a[m - 1] - t[m - 1])
+    return value

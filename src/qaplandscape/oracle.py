@@ -13,9 +13,9 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
 
-from .core import Permutation, Scalar, neighborhood_size
+from .core import Permutation, Scalar, div, neighborhood_size
 from .decomposition import Problem, decompose
 
 # 8! = 40320 points; anything larger must opt in explicitly.
@@ -58,10 +58,20 @@ class ComponentVariances(NamedTuple):
     total: Scalar
 
 
-def _mean_of(total: Scalar, count: int) -> Scalar:
-    if isinstance(total, float):
-        return total / count
-    return Fraction(total, count)
+def _exact(values) -> bool:
+    # evalfn results carry no mode flag, so the oracles read it off the values.
+    return not any(isinstance(v, float) for v in values)
+
+
+def moments(values) -> Tuple[Scalar, Scalar]:
+    """Mean and population variance of a non-empty value sequence: exact for
+    int/Fraction values, accumulated with math.fsum when any is a float."""
+    count = len(values)
+    if not _exact(values):
+        mean = math.fsum(values) / count
+        return mean, math.fsum((v - mean) ** 2 for v in values) / count
+    mean = Fraction(sum(values), count)
+    return mean, Fraction(sum(v * v for v in values), count) - mean * mean
 
 
 def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
@@ -69,7 +79,7 @@ def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
     total = 0
     for y in x.neighbors():
         total = total + evalfn(y)
-    return _mean_of(total, neighborhood_size(x.n))
+    return div(total, neighborhood_size(x.n), _exact((total,)))
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -91,16 +101,7 @@ def enumerate_space(
     """Exact mean and population variance of evalfn over all n! points."""
     _check_cap(n, cap)
     values = [evalfn(x) for x in space_points(n)]
-    count = len(values)
-    if any(isinstance(v, float) for v in values):
-        mean = math.fsum(values) / count
-        variance = math.fsum((v - mean) ** 2 for v in values) / count
-        return SpaceStats(mean, variance, count)
-    total = sum(values)
-    total_sq = sum(v * v for v in values)
-    mean = _mean_of(total, count)
-    variance = _mean_of(total_sq, count) - mean * mean
-    return SpaceStats(mean, variance, count)
+    return SpaceStats(*moments(values), len(values))
 
 
 def check_elementary(
@@ -118,17 +119,12 @@ def check_elementary(
     _check_cap(n, cap)
     points = list(space_points(n))
     value_of = {x.mapping: evalfn(x) for x in points}
-    d = neighborhood_size(n)
-
-    averages = []
-    for x in points:
-        total = 0
-        for y in x.neighbors():
-            total = total + value_of[y.mapping]
-        averages.append(_mean_of(total, d))
-
+    averages = [
+        neighborhood_avg_brute(lambda y: value_of[y.mapping], x) for x in points
+    ]
     values = [value_of[x.mapping] for x in points]
-    floaty = any(isinstance(v, float) for v in values)
+    exact = _exact(values)
+    d = neighborhood_size(n)
     count = len(points)
     s_x = sum(values)
     s_xx = sum(v * v for v in values)
@@ -141,12 +137,8 @@ def check_elementary(
         residual = max(abs(g - v) for v, g in zip(values, averages))
         return ElementarityReport(True, None, residual, None, constant=True)
 
-    if floaty:
-        a = (count * s_xy - s_x * s_y) / denom
-        b = (s_y - a * s_x) / count
-    else:
-        a = Fraction(count * s_xy - s_x * s_y, denom)
-        b = _mean_of(s_y - a * s_x, count)
+    a = div(count * s_xy - s_x * s_y, denom, exact)
+    b = div(s_y - a * s_x, count, exact)
 
     max_residual = 0
     worst = points[0]
@@ -156,25 +148,33 @@ def check_elementary(
             max_residual = residual
             worst = x
 
-    if floaty:
+    if exact:
+        elementary = max_residual == 0
+    else:
         scale = max(1.0, max(abs(v) for v in values))
         elementary = max_residual <= float_tolerance * scale
-    else:
-        elementary = max_residual == 0
     fitted_k = d * (1 - a) if elementary else None
     return ElementarityReport(elementary, fitted_k, max_residual, worst)
 
 
 def population_variance(values) -> Scalar:
     """Population variance of a value sequence (exact for int/Fraction)."""
-    count = len(values)
-    if any(isinstance(v, float) for v in values):
-        mean = math.fsum(values) / count
-        return math.fsum((v - mean) ** 2 for v in values) / count
-    total = sum(values)
-    total_sq = sum(v * v for v in values)
-    mean = _mean_of(total, count)
-    return _mean_of(total_sq, count) - mean * mean
+    return moments(values)[1]
+
+
+def evaluate_points(
+    problem: Problem, points: Iterable[Permutation]
+) -> Tuple[List[Scalar], List[Scalar], List[Scalar], List[Scalar]]:
+    """Columns (c1, c2, c3, f) of the components and the objective, one
+    entry per point, in the order the points come."""
+    c1s, c2s, c3s, fs = [], [], [], []
+    for x in points:
+        t = decompose(problem, x)
+        c1s.append(t.c1)
+        c2s.append(t.c2)
+        c3s.append(t.c3)
+        fs.append(problem.fitness(x))
+    return c1s, c2s, c3s, fs
 
 
 def variance_triple(
@@ -201,16 +201,6 @@ def variance_triple(
         rng = random.Random(seed)
         points = (Permutation.random(n, rng) for _ in range(samples))
 
-    c1s, c2s, c3s, fs = [], [], [], []
-    for x in points:
-        t = decompose(problem, x)
-        c1s.append(t.c1)
-        c2s.append(t.c2)
-        c3s.append(t.c3)
-        fs.append(problem.fitness(x))
     return ComponentVariances(
-        population_variance(c1s),
-        population_variance(c2s),
-        population_variance(c3s),
-        population_variance(fs),
+        *(population_variance(col) for col in evaluate_points(problem, points))
     )

@@ -8,6 +8,7 @@ files in the wild disagree, so parsing can be flipped.
 
 from __future__ import annotations
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -30,9 +31,12 @@ def _parse_number(token: str, offset: int):
     if _INT.match(token):
         return int(token)
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ParseError(f"non-numeric token {token!r}", offset) from None
+    if not math.isfinite(value):
+        raise ParseError(f"non-finite entry {token!r}", offset)
+    return value
 
 
 def parse_qaplib(text: str, flow_first: bool = False) -> QapInstance:

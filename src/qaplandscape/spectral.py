@@ -22,12 +22,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .core import Permutation, Scalar, neighborhood_size
+from .core import Permutation, Scalar, div, neighborhood_size
 from .decomposition import OmegaKind, Problem, characteristic_constant
 from .oracle import DEFAULT_ENUMERATION_CAP, variance_triple
 
@@ -145,22 +144,29 @@ def component_weights(
         raise ValueError("objective has zero variance; weights are undefined")
     if variance_source == "exact" and problem.exact:
         assert total == vt.total, "component variances must add to Var(f)"
-    if isinstance(total, float):
-        return (vt.c1 / total, vt.c2 / total, vt.c3 / total)
-    return (
-        Fraction(vt.c1) / total,
-        Fraction(vt.c2) / total,
-        Fraction(vt.c3) / total,
-    )
+    return tuple(div(v, total, problem.exact) for v in (vt.c1, vt.c2, vt.c3))
 
 
 def decay_rates(n: int, exact: bool = True) -> Tuple[Scalar, Scalar, Scalar]:
     """Per-step retention factors 1 - k_m/d of the three components."""
     d = neighborhood_size(n)
     ks = [characteristic_constant(OmegaKind(m), n) for m in (1, 2, 3)]
-    if exact:
-        return tuple(1 - Fraction(k, d) for k in ks)
-    return tuple(1.0 - k / d for k in ks)
+    return tuple(1 - div(k, d, exact) for k in ks)
+
+
+def _predicted_autocorr(weights, n: int, exact: bool, max_lag: int) -> List[Scalar]:
+    lams = decay_rates(n, exact=exact)
+    return [
+        sum(wv * lam**s for wv, lam in zip(weights, lams))
+        for s in range(max_lag + 1)
+    ]
+
+
+def _coefficient(weights, n: int, exact: bool) -> CoefficientBounds:
+    ks = [characteristic_constant(OmegaKind(m), n) for m in (1, 2, 3)]
+    d = neighborhood_size(n)
+    rate = sum(div(wv * k, d, exact) for wv, k in zip(weights, ks))
+    return CoefficientBounds(1 / rate, div(n - 1, 4, exact), div(n - 1, 2, exact))
 
 
 def theoretical_autocorr(
@@ -176,12 +182,7 @@ def theoretical_autocorr(
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     weights = component_weights(problem, variance_source, cap, samples, seed)
-    exact = not any(isinstance(wv, float) for wv in weights)
-    lams = decay_rates(problem.n, exact=exact)
-    out = []
-    for s in range(max_lag + 1):
-        out.append(sum(wv * lam**s for wv, lam in zip(weights, lams)))
-    return out
+    return _predicted_autocorr(weights, problem.n, problem.exact, max_lag)
 
 
 def autocorr_coefficient(
@@ -193,15 +194,8 @@ def autocorr_coefficient(
 ) -> CoefficientBounds:
     """Ruggedness coefficient xi = 1/(1 - r(1)) with its guaranteed bounds
     ((n-1)/4, (n-1)/2)."""
-    n = problem.n
     weights = component_weights(problem, variance_source, cap, samples, seed)
-    d = neighborhood_size(n)
-    ks = [characteristic_constant(OmegaKind(m), n) for m in (1, 2, 3)]
-    if any(isinstance(wv, float) for wv in weights):
-        rate = sum(wv * k / d for wv, k in zip(weights, ks))
-        return CoefficientBounds(1.0 / rate, (n - 1) / 4.0, (n - 1) / 2.0)
-    rate = sum(wv * Fraction(k, d) for wv, k in zip(weights, ks))
-    return CoefficientBounds(1 / rate, Fraction(n - 1, 4), Fraction(n - 1, 2))
+    return _coefficient(weights, problem.n, problem.exact)
 
 
 def analyze_autocorr(
@@ -219,14 +213,11 @@ def analyze_autocorr(
         variance_source = "exact" if problem.n <= cap else "sampled"
     series = random_walk(problem, steps, walk_seed, x0=x0)
     empirical = empirical_autocorr(series, max_lag)
-    theoretical = theoretical_autocorr(
-        problem, max_lag, variance_source, cap=cap, samples=samples
-    )
     weights = component_weights(problem, variance_source, cap=cap, samples=samples)
-    coeff = autocorr_coefficient(problem, variance_source, cap=cap, samples=samples)
+    coeff = _coefficient(weights, problem.n, problem.exact)
     report = AutocorrReport(
         empirical=empirical,
-        theoretical=theoretical,
+        theoretical=_predicted_autocorr(weights, problem.n, problem.exact, max_lag),
         weights=weights,
         coefficient=coeff.xi,
         bounds=(coeff.lo, coeff.hi),

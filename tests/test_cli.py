@@ -1,11 +1,13 @@
 import json
+import math
 from fractions import Fraction
 
 import pytest
 
-from qaplandscape import decomposition
+from qaplandscape import cli, decomposition
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaKind, OmegaParams
+from qaplandscape.spectral import AutocorrReport
 
 SAMPLE = "3\n0 1 2\n1 0 3\n2 3 0\n0 5 5\n5 0 5\n5 5 0\n"
 
@@ -61,6 +63,29 @@ class TestInstanceLoading:
             "--perm", "0,1,2", "--mode", "rational",
         )
         assert code == 1 and "rational mode" in err
+
+    def test_nan_entry_rejected_with_offset(self, capsys, tmp_path):
+        path = tmp_path / "nan.dat"
+        path.write_text("3\nnan 1 1 1 1 1 1 1 1\n1 2 3 4 5 6 7 8 9\n")
+        code, out, err = run(capsys, "verify", "--instance", str(path))
+        assert code == 1 and out == ""
+        assert "non-finite" in err and "byte offset 2" in err
+
+    @pytest.mark.parametrize("argv,limit", [
+        (["stats", "--gen", "5,1,0,9", "--cap", "12"], "limit 10"),
+        (["stats", "--gen", "100000,0,0,9"], "limit 200"),
+        (["stats", "--n", "100000"], "limit 200"),
+        (["autocorr", "--gen", "5,1,0,9", "--steps", "10000000"], "limit 1000000"),
+    ])
+    def test_resource_limits(self, capsys, monkeypatch, argv, limit):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built past a resource limit")
+
+        monkeypatch.setattr(cli, "generate_instance", refuse)
+        monkeypatch.setattr(cli, "parse_qaplib", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert limit in err
 
     def test_parse_error_surfaces_offset(self, capsys, tmp_path):
         path = tmp_path / "bad.dat"
@@ -204,6 +229,50 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "4", "--seed", "1")
         assert code == 2
         assert "FAIL" in out
+
+
+class TestFailClosed:
+    @pytest.fixture
+    def overflow_file(self, tmp_path):
+        # Finite entries whose products overflow to inf, and whose sums of
+        # products then give NaN.
+        path = tmp_path / "overflow.dat"
+        row = " ".join(["1e200"] * 4)
+        path.write_text("4\n" + "\n".join([row] * 8) + "\n")
+        return str(path)
+
+    def test_verify_fails_on_overflow(self, capsys, overflow_file):
+        code, out, _ = run(capsys, "verify", "--instance", overflow_file)
+        assert code == 2
+        assert "verification: FAIL" in out
+        for line in out.splitlines():
+            if "(tol inf)" in line or "residual nan" in line:
+                assert line.endswith("]") and "FAIL" in line
+
+    def test_stats_fails_on_overflow(self, capsys, overflow_file):
+        code, _, _ = run(capsys, "stats", "--instance", overflow_file)
+        assert code == 2
+
+    def test_autocorr_nan_at_later_lag_fails(self, capsys, monkeypatch):
+        def fake(problem, steps, walk_seed, max_lag, **kwargs):
+            _, series = real(problem, steps, walk_seed, max_lag, **kwargs)
+            report = AutocorrReport(
+                empirical=[1.0, 0.5, math.nan],
+                theoretical=[1, Fraction(1, 2), Fraction(1, 4)],
+                weights=(Fraction(1, 3),) * 3,
+                coefficient=Fraction(1),
+                bounds=(Fraction(1), Fraction(2)),
+            )
+            return report, series
+
+        real = cli.analyze_autocorr
+        monkeypatch.setattr(cli, "analyze_autocorr", fake)
+        code, out, _ = run(
+            capsys, "autocorr", "--gen", "5,3,0,9",
+            "--steps", "200", "--max-lag", "2",
+        )
+        assert code == 2
+        assert "nan" in out and "FAIL" in out
 
 
 class TestAutocorr:

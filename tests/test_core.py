@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -22,6 +23,10 @@ class TestPermutation:
             Permutation([0, 0, 1])
         with pytest.raises(ValueError, match="not a bijection"):
             Permutation([0, 1, 3])
+
+    def test_rejects_bool_entries(self):
+        with pytest.raises(ValueError, match="not a bijection"):
+            Permutation([True, False, 2])
 
     def test_identity_and_call(self):
         x = Permutation.identity(4)
@@ -117,6 +122,17 @@ class TestQapInstance:
         floaty = QapInstance([[1.0, 2, 3]] * 3, [[4, 5, 6]] * 3)
         assert not floaty.exact
         assert all(isinstance(v, float) for row in floaty.w for v in row)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            QapInstance([[1, 2, 3], [4, bad, 6], [7, 8, 9]], [[1] * 3] * 3)
+        with pytest.raises(ValueError, match="finite"):
+            QapInstance([[1.5] * 3] * 3, [[1, 2, 3]] * 2 + [[1, 2, bad]])
+        psi = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+        psi[2][1][0][2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            GeneralTensor(psi)
 
     def test_as_float(self):
         inst = seeded_instance(4, 1)

@@ -18,7 +18,7 @@ from qaplandscape import (
     variance_triple,
     weight_denominator,
 )
-from qaplandscape.oracle import population_variance, space_points
+from qaplandscape.oracle import moments, population_variance, space_points
 from conftest import all_perms, seeded_instance, single_entry_tensor
 
 
@@ -207,6 +207,15 @@ class TestCrossChecks:
         inst = seeded_instance(n, 2)
         stats = enumerate_space(inst.fitness, n)
         assert stats.mean == average_triple(inst).total
+
+    def test_moments_exact_and_float(self):
+        mean, variance = moments([1, 2, 4])
+        assert (mean, variance) == (Fraction(7, 3), Fraction(14, 9))
+        assert isinstance(mean, Fraction) and isinstance(variance, Fraction)
+        # fsum: a plain left-to-right sum loses the first 1.0 and gives 0.25.
+        mean, variance = moments([1e16, 1.0, -1e16, 1.0])
+        assert mean == 0.5
+        assert isinstance(variance, float)
 
     def test_population_variance_helper(self):
         assert population_variance([1, 1, 1]) == 0

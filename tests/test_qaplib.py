@@ -47,6 +47,13 @@ class TestParse:
             parse_qaplib(text)
         assert info.value.offset == text.index("zap")
 
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "infinity", "1e400"])
+    def test_non_finite_token_names_offset(self, token):
+        text = f"3\n0 1 2\n1 {token} 3\n2 3 0\n0 5 5\n5 0 5\n5 5 0\n"
+        with pytest.raises(ParseError, match="non-finite") as info:
+            parse_qaplib(text)
+        assert info.value.offset == text.index(token)
+
     def test_non_numeric_size(self):
         with pytest.raises(ParseError, match="integer size"):
             parse_qaplib("x\n1 2 3\n")

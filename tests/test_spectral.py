@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from qaplandscape import spectral
 from qaplandscape import (
     GeneralTensor,
     OmegaKind,
@@ -294,3 +295,18 @@ class TestAnalyzeAutocorr:
         report, _ = analyze_autocorr(inst, steps=300, walk_seed=4, max_lag=2,
                                      samples=200)
         assert sum(report.weights) == pytest.approx(1.0)
+
+    def test_weights_computed_once(self, monkeypatch):
+        calls = []
+        original = spectral.variance_triple
+        monkeypatch.setattr(
+            spectral, "variance_triple",
+            lambda *a, **k: calls.append(1) or original(*a, **k),
+        )
+        inst = seeded_instance(5, 8)
+        report, _ = analyze_autocorr(inst, steps=400, walk_seed=4, max_lag=3)
+        assert len(calls) == 1
+        assert report.weights == component_weights(inst)
+        assert report.theoretical == theoretical_autocorr(inst, 3)
+        coeff = autocorr_coefficient(inst)
+        assert (report.coefficient, report.bounds) == (coeff.xi, (coeff.lo, coeff.hi))
