@@ -19,16 +19,15 @@ from pathlib import Path
 from typing import Optional, Tuple
 
 from .core import Permutation, QapInstance
-from .decomposition import average_triple, decompose, neighborhood_avg_wave
-from .oracle import (
-    evaluate_points,
-    moments,
-    neighborhood_avg_brute,
-    space_points,
-    variance_triple,
+from .decomposition import (
+    average_triple,
+    component_variances,
+    decompose,
+    neighborhood_avg_wave,
 )
+from .oracle import evaluate_points, moments, neighborhood_avg_brute, space_points
 from .qaplib import generate_instance, parse_qaplib
-from .spectral import DEFAULT_SAMPLES, analyze_autocorr, random_walk
+from .spectral import analyze_autocorr, random_walk
 from .verification import run_verification
 
 
@@ -330,10 +329,8 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
         series = random_walk(problem, config.steps, config.walk_seed)
         sys.stdout.write(series.to_csv())
         return 0
-    source = "exact" if problem.n <= config.cap else "sampled"
     report, series = analyze_autocorr(
-        problem, config.steps, config.walk_seed, config.max_lag,
-        variance_source=source, cap=config.cap, samples=DEFAULT_SAMPLES,
+        problem, config.steps, config.walk_seed, config.max_lag
     )
     diffs = [
         abs(e - float(t))
@@ -351,7 +348,7 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
         "steps": _Count(series.steps),
         "walk_seed": _Count(series.seed),
         "start": series.start,
-        "variance_source": source,
+        "variance_source": "exact",
         "weights": list(report.weights),
         "empirical": report.empirical,
         "theoretical": list(report.theoretical),
@@ -371,7 +368,7 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
         )
         w1, w2, w3 = report.weights
         print(
-            f"variance weights ({source}): W1 = {_fmt(w1)}, "
+            f"variance weights (exact): W1 = {_fmt(w1)}, "
             f"W2 = {_fmt(w2)}, W3 = {_fmt(w3)}"
         )
         print(" lag  empirical     predicted")
@@ -389,17 +386,19 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
 
 
 def _cmd_stats(problem, config: AnalysisConfig) -> int:
+    keys = ("c1", "c2", "c3", "total")
     a = average_triple(problem)
+    v = component_variances(problem)
     results = {
-        "closed_form_means": {
-            "c1": a.a1, "c2": a.a2, "c3": a.a3, "total": a.total,
-        }
+        "closed_form_means": dict(zip(keys, a)),
+        "closed_form_variances": dict(zip(keys, v)),
     }
     residuals: dict = {}
-    exit_code = 0
+    # Fails closed: an overflowed closed form is never a result.
+    finite = problem.exact or all(math.isfinite(x) for x in (*a, *v))
+    exit_code = 0 if finite else 2
     within_cap = problem.n <= config.cap
     if within_cap:
-        keys = ("c1", "c2", "c3", "total")
         columns = evaluate_points(problem, space_points(problem.n))
         stats = [moments(col) for col in columns]
         results["enumerated_means"] = {k: s[0] for k, s in zip(keys, stats)}
@@ -407,38 +406,35 @@ def _cmd_stats(problem, config: AnalysisConfig) -> int:
         results["count"] = _Count(len(columns[3]))
         for key, (mean, _), closed in zip(keys, stats, a):
             residuals[f"mean_{key}"] = abs(mean - closed)
-        tol = _sum_tolerance(problem, a.total)
-        if any(not v <= tol for v in residuals.values()):
+        for key, (_, var), closed in zip(keys, stats, v):
+            residuals[f"var_{key}"] = abs(var - closed)
+        mean_tol = _sum_tolerance(problem, a.total)
+        var_tol = _sum_tolerance(problem, v.total)
+        if not (all(residuals[f"mean_{k}"] <= mean_tol for k in keys)
+                and all(residuals[f"var_{k}"] <= var_tol for k in keys)):
             exit_code = 2
-    else:
-        vt = variance_triple(problem, cap=0, samples=DEFAULT_SAMPLES, seed=0)
-        results["sampled_variances"] = {
-            "c1": vt.c1, "c2": vt.c2, "c3": vt.c3, "total": vt.total,
-            "samples": _Count(DEFAULT_SAMPLES),
-        }
 
     if config.fmt == "json":
         _emit_json("stats", problem, results, residuals)
     else:
         print(f"n = {problem.n}, mode = {_mode(problem)}")
-        print("closed-form means:")
-        print(f"  c1 = {_fmt(a.a1)}")
-        print(f"  c2 = {_fmt(a.a2)}")
-        print(f"  c3 = {_fmt(a.a3)}")
-        print(f"  f  = {_fmt(a.total)}")
+        for label, triple in (("means", a), ("variances", v)):
+            print(f"closed-form {label}:")
+            print(f"  c1 = {_fmt(triple[0])}")
+            print(f"  c2 = {_fmt(triple[1])}")
+            print(f"  c3 = {_fmt(triple[2])}")
+            print(f"  f  = {_fmt(triple[3])}")
         if within_cap:
             print(f"enumerated over {results['count']} permutations:")
-            for key in ("c1", "c2", "c3", "total"):
+            for key in keys:
                 print(
                     f"  {key}: mean = {_fmt(results['enumerated_means'][key])}, "
                     f"variance = {_fmt(results['enumerated_variances'][key])}, "
                     f"mean residual = {_fmt(residuals['mean_' + key])}"
                 )
-        else:
-            sv = results["sampled_variances"]
-            print(f"sampled variances ({sv['samples']} permutations, seed 0):")
-            for key in ("c1", "c2", "c3", "total"):
-                print(f"  {key}: variance ~= {_fmt(sv[key])}")
+            print("variance residuals: " + ", ".join(
+                f"{key} = {_fmt(residuals['var_' + key])}" for key in keys
+            ))
     return exit_code
 
 

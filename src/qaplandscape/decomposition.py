@@ -15,6 +15,11 @@ Coefficients with i = j but p != q (or i != j, p = q) are structurally
 zero for every bijection and belong to neither the off-diagonal nor the
 diagonal sum; they are skipped.
 
+Over uniform permutations each component minus its mean is one isotypic
+part of f under the symmetric group: c1 the (n-2,1,1) part, c2 the (n-2,2)
+part and c3 the (n-1,1) part. The component variances follow in closed form
+from Schur orthogonality (see component_variances).
+
 All functions are pure; callers may parallelize across permutations.
 """
 
@@ -85,6 +90,17 @@ def weight_denominator(kind: OmegaKind, n: int) -> int:
     if kind is OmegaKind.OMEGA2:
         return 2 * (n - 2)
     return n * (n - 2)
+
+
+def irrep_dimension(kind: OmegaKind, n: int) -> int:
+    """Dimension of the irreducible representation carrying c_m minus its
+    mean: (n-1)(n-2)/2, n(n-3)/2, n-1 for the partitions (n-2,1,1),
+    (n-2,2), (n-1,1). The second is 0 at n = 3, where c2 vanishes."""
+    if kind is OmegaKind.OMEGA1:
+        return (n - 1) * (n - 2) // 2
+    if kind is OmegaKind.OMEGA2:
+        return n * (n - 3) // 2
+    return n - 1
 
 
 def omega_mean(kind: OmegaKind, n: int) -> Scalar:
@@ -420,3 +436,177 @@ def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
         k = characteristic_constant(OmegaKind(m), n)
         value = value + div(k, d, problem.exact) * (a[m - 1] - t[m - 1])
     return value
+
+
+class ComponentVariances(NamedTuple):
+    """Population variances of the three components and of the objective."""
+
+    c1: Scalar
+    c2: Scalar
+    c3: Scalar
+    total: Scalar
+
+
+# Projections of a function on ordered pairs i != j, given as an n x n array
+# whose diagonal is ignored, onto its (n-2,1,1) and (n-2,2) isotypic parts,
+# scaled so that integer entries stay integers.
+
+def _project_211(m, n: int):
+    """2n times: the antisymmetric part a minus (R_i - R_j)/n, where R holds
+    the row sums of a."""
+    rng = range(n)
+    anti = [[m[i][j] - m[j][i] if j != i else 0 for j in rng] for i in rng]
+    rows = [sum(row) for row in anti]
+    return [
+        [n * anti[i][j] - rows[i] + rows[j] if j != i else 0 for j in rng]
+        for i in rng
+    ]
+
+
+def _project_22(m, n: int):
+    """4(n-1)(n-2) times: the symmetric part s minus v_i + v_j, where
+    v_i = (S_i - V)/(n-2), S holds the row sums of s and V = sum S/(2(n-1))."""
+    rng = range(n)
+    sym = [[m[i][j] + m[j][i] if j != i else 0 for j in rng] for i in rng]
+    rows = [sum(row) for row in sym]
+    total = sum(rows)
+    v = [2 * (n - 1) * s - total for s in rows]
+    c = 2 * (n - 1) * (n - 2)
+    return [
+        [c * sym[i][j] - v[i] - v[j] if j != i else 0 for j in rng]
+        for i in rng
+    ]
+
+
+def _sum_sq(m) -> Scalar:
+    return sum(v * v for row in m for v in row)
+
+
+def _schur_variance(norm_sq: Scalar, scale: int, kind: OmegaKind, n: int,
+                    exact: bool) -> Scalar:
+    """Variance of a multiplicity-one isotypic part: the squared norms of
+    both projected sides over the irreducible dimension. norm_sq carries the
+    projections' scale on each side, hence scale**4."""
+    dim = irrep_dimension(kind, n)
+    if dim == 0:
+        return div(0, 1, exact)
+    return div(norm_sq, scale**4 * dim, exact)
+
+
+def _first_order_variance(b, n: int, exact: bool) -> Scalar:
+    """Variance of c3(x) = sum_i b[i][x(i)] / (n(n-2)) plus a constant:
+    the squared norm of the double-centred b over n-1, scaled back."""
+    rows = [sum(row) for row in b]
+    cols = [sum(col) for col in zip(*b)]
+    total = sum(rows)
+    nn = n * n
+    sq = sum(
+        (nn * b[i][p] - n * rows[i] - n * cols[p] + total) ** 2
+        for i in range(n)
+        for p in range(n)
+    )
+    scale = weight_denominator(OmegaKind.OMEGA3, n)
+    return div(sq, nn * nn * scale * scale * irrep_dimension(OmegaKind.OMEGA3, n),
+               exact)
+
+
+def _c3_coefficients(t1, t2, t3, t4, diag, n: int):
+    """n(n-2) times the first-order coefficients of c3. The kind-3 value is
+    (n-1)([x(i)=p] + [x(j)=q]) + [x(i)=q] + [x(j)=p] - 1, so position i and
+    target p collect (n-1)(t1 + t2) + t3 + t4, where t1..t4 sum the
+    off-diagonal coefficients having i and p in the roles (first, first),
+    (second, second), (first, second) and (second, first)."""
+    c = weight_denominator(OmegaKind.OMEGA3, n)
+    return [
+        [
+            (n - 1) * (t1[i][p] + t2[i][p]) + t3[i][p] + t4[i][p] + c * diag[i][p]
+            for p in range(n)
+        ]
+        for i in range(n)
+    ]
+
+
+def _qap_variances(inst: QapInstance):
+    n = inst.n
+    r, w = inst.r, inst.w
+    ro_r, co_r = inst._row_off_r, inst._col_off_r
+    ro_w = [s - d for s, d in zip(inst._row_w, inst._w_diag)]
+    co_w = [s - d for s, d in zip(inst._col_w, inst._w_diag)]
+    rng = range(n)
+    b = _c3_coefficients(
+        [[a * e for e in ro_w] for a in ro_r],
+        [[a * e for e in co_w] for a in co_r],
+        [[a * e for e in co_w] for a in ro_r],
+        [[a * e for e in ro_w] for a in co_r],
+        [[r[i][i] * w[p][p] for p in rng] for i in rng],
+        n,
+    )
+    n211 = _sum_sq(_project_211(r, n)) * _sum_sq(_project_211(w, n))
+    n22 = _sum_sq(_project_22(r, n)) * _sum_sq(_project_22(w, n))
+    return n211, n22, b
+
+
+def _tensor_variances(tensor: GeneralTensor):
+    n = tensor.n
+    psi = tensor.psi
+    rng = range(n)
+    t1, t2, t3, t4 = ([[0] * n for _ in rng] for _ in range(4))
+    # Project the position side of every target-pair column, then the
+    # target side of every position-pair row of the result.
+    left211, left22 = {}, {}
+    for p in rng:
+        for q in rng:
+            if q == p:
+                continue
+            col = [[psi[i][j][p][q] for j in rng] for i in rng]
+            left211[p, q] = _project_211(col, n)
+            left22[p, q] = _project_22(col, n)
+            for i in rng:
+                for j in rng:
+                    if j != i:
+                        v = col[i][j]
+                        t1[i][p] += v
+                        t2[j][q] += v
+                        t3[i][q] += v
+                        t4[j][p] += v
+    n211 = n22 = 0
+    for i in rng:
+        for j in rng:
+            if j == i:
+                continue
+            row211 = [[left211[p, q][i][j] if q != p else 0 for q in rng] for p in rng]
+            row22 = [[left22[p, q][i][j] if q != p else 0 for q in rng] for p in rng]
+            n211 += _sum_sq(_project_211(row211, n))
+            n22 += _sum_sq(_project_22(row22, n))
+    diag = [[psi[i][i][p][p] for p in rng] for i in rng]
+    return n211, n22, _c3_coefficients(t1, t2, t3, t4, diag, n)
+
+
+def component_variances(problem: Problem) -> ComponentVariances:
+    """Population variances of c1, c2, c3 and f over all n! permutations,
+    in closed form: O(n^2) for a QapInstance, O(n^4) for a GeneralTensor.
+
+    The off-diagonal part of f is a matrix coefficient <r, rho(x) w> of the
+    permutation action on ordered pairs (for a tensor, <Psi, rho(x)> with
+    the n(n-1) x n(n-1) coefficient matrix Psi). Its (n-2,1,1) and (n-2,2)
+    parts occur once each, so by Schur orthogonality
+    Var(c_m) = |Pi r|^2 |Pi w|^2 / d_m (for a tensor |Pi Psi Pi|^2 / d_m),
+    with d_1 = (n-1)(n-2)/2 and d_2 = n(n-3)/2. c3 is first order,
+    sum_i A[i][x(i)] plus a constant, and Var(c3) = |double-centred A|^2/(n-1).
+    The parts are orthogonal, so the three variances add up to Var(f).
+    Exact in rational mode.
+    """
+    if isinstance(problem, QapInstance):
+        n211, n22, b = _qap_variances(problem)
+    elif isinstance(problem, GeneralTensor):
+        n211, n22, b = _tensor_variances(problem)
+    else:
+        raise TypeError(
+            f"expected QapInstance or GeneralTensor, got {type(problem)!r}"
+        )
+    n = problem.n
+    exact = problem.exact
+    v1 = _schur_variance(n211, 2 * n, OmegaKind.OMEGA1, n, exact)
+    v2 = _schur_variance(n22, 4 * (n - 1) * (n - 2), OmegaKind.OMEGA2, n, exact)
+    v3 = _first_order_variance(b, n, exact)
+    return ComponentVariances(v1, v2, v3, v1 + v2 + v3)

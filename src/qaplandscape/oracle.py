@@ -9,14 +9,13 @@ lexicographic order, so float-mode reductions are deterministic.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from typing import Callable, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .core import Permutation, Scalar, div, neighborhood_size
-from .decomposition import Problem, decompose
+from .decomposition import ComponentVariances, Problem, decompose  # re-exported
 
 # 8! = 40320 points; anything larger must opt in explicitly.
 DEFAULT_ENUMERATION_CAP = 8
@@ -47,15 +46,6 @@ class ElementarityReport:
     max_residual: Scalar
     worst_point: Optional[Permutation]
     constant: bool = False
-
-
-class ComponentVariances(NamedTuple):
-    """Population variances of the three components and of the objective."""
-
-    c1: Scalar
-    c2: Scalar
-    c3: Scalar
-    total: Scalar
 
 
 def _exact(values) -> bool:
@@ -144,7 +134,7 @@ def check_elementary(
     worst = points[0]
     for x, v, g in zip(points, values, averages):
         residual = abs(g - (a * v + b))
-        if residual > max_residual:
+        if residual > max_residual or residual != residual:  # keep a NaN
             max_residual = residual
             worst = x
 
@@ -152,7 +142,8 @@ def check_elementary(
         elementary = max_residual == 0
     else:
         scale = max(1.0, max(abs(v) for v in values))
-        elementary = max_residual <= float_tolerance * scale
+        # Fails closed: a NaN residual or an infinite tolerance never fits.
+        elementary = max_residual <= float_tolerance * scale < math.inf
     fitted_k = d * (1 - a) if elementary else None
     return ElementarityReport(elementary, fitted_k, max_residual, worst)
 
@@ -178,29 +169,13 @@ def evaluate_points(
 
 
 def variance_triple(
-    problem: Problem,
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    samples: Optional[int] = None,
-    seed: int = 0,
+    problem: Problem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ComponentVariances:
-    """Population variances of the three components and of the objective.
-
-    Exact (full enumeration) when n is within the cap. Beyond the cap a
-    sample size must be given; the sample is drawn from a generator seeded
-    with the given seed, so results replay.
-    """
-    n = problem.n
-    if n <= cap:
-        points = space_points(n)
-    else:
-        if samples is None:
-            raise ValueError(
-                f"n={n} exceeds the enumeration cap {cap}; "
-                "pass a sample count to estimate variances"
-            )
-        rng = random.Random(seed)
-        points = (Permutation.random(n, rng) for _ in range(samples))
-
-    return ComponentVariances(
-        *(population_variance(col) for col in evaluate_points(problem, points))
-    )
+    """Population variances of the three components and of the objective by
+    full enumeration of all n! permutations: the brute-force oracle for
+    decomposition.component_variances."""
+    _check_cap(problem.n, cap)
+    return ComponentVariances(*(
+        population_variance(col)
+        for col in evaluate_points(problem, space_points(problem.n))
+    ))

@@ -3,19 +3,20 @@ and the theoretical prediction assembled from the decomposition.
 
 Model: along a uniform random swap walk the lag-s autocorrelation of the
 objective is r(s) = sum_m W_m (1 - k_m/d)^s, a variance-weighted mixture of
-the per-component geometric decays, with W_m = Var(c_m) / Var(f). The decay
-rates reduce to 1 - 4/(n-1), 1 - 4/n and 1 - 2/(n-1). The ruggedness
-coefficient is defined here as xi = 1/(1 - r(1)) = 1/(sum_m W_m k_m/d);
-since every k_m/d lies in [2/(n-1), 4/(n-1)] this forces
-(n-1)/4 <= xi <= (n-1)/2 for every instance with positive variance.
-Competing definitions of the coefficient exist (for example a fitted
-exponential correlation length); this module commits to the 1/(1 - r(1))
-form and validates it against walks and small-n enumeration.
+the per-component geometric decays, with W_m = Var(c_m) / Var(f) (the
+mixture form of P. F. Stadler, "Landscapes and their correlation
+functions", J. Math. Chem. 20, 1996). The decay rates reduce to
+1 - 4/(n-1), 1 - 4/n and 1 - 2/(n-1). The ruggedness coefficient is defined
+here as xi = 1/(1 - r(1)) = 1/(sum_m W_m k_m/d); since every k_m/d lies in
+[2/(n-1), 4/(n-1)] this forces (n-1)/4 <= xi <= (n-1)/2 for every instance
+with positive variance. Competing definitions of the coefficient exist (for
+example a fitted exponential correlation length); this module commits to
+the 1/(1 - r(1)) form and validates it against walks and small-n
+enumeration.
 
-When variances come from a sample instead of full enumeration, the weights
-are normalized by the sum of the three component variances so that they
-always add to one; under enumeration that sum provably equals Var(f) and
-the normalization is a no-op (asserted).
+The variances come from decomposition.component_variances, a closed form
+in the instance data, so the weights, r(s) and xi are exact (in rational
+mode) at every n.
 """
 
 from __future__ import annotations
@@ -27,10 +28,12 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import Permutation, Scalar, div, neighborhood_size
-from .decomposition import OmegaKind, Problem, characteristic_constant
-from .oracle import DEFAULT_ENUMERATION_CAP, variance_triple
-
-DEFAULT_SAMPLES = 2000
+from .decomposition import (
+    OmegaKind,
+    Problem,
+    characteristic_constant,
+    component_variances,
+)
 
 
 @dataclass(frozen=True)
@@ -125,26 +128,13 @@ def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
     return out
 
 
-def component_weights(
-    problem: Problem,
-    variance_source: str = "exact",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> Tuple[Scalar, Scalar, Scalar]:
-    """Variance shares (W1, W2, W3) of the three components, summing to 1."""
-    if variance_source == "exact":
-        vt = variance_triple(problem, cap=cap)
-    elif variance_source == "sampled":
-        vt = variance_triple(problem, cap=0, samples=samples, seed=seed)
-    else:
-        raise ValueError(f"variance_source must be exact or sampled, got {variance_source!r}")
-    total = vt.c1 + vt.c2 + vt.c3
-    if total == 0:
+def component_weights(problem: Problem) -> Tuple[Scalar, Scalar, Scalar]:
+    """Variance shares W_m = Var(c_m) / Var(f) of the three components,
+    which add up to 1."""
+    vt = component_variances(problem)
+    if vt.total == 0:
         raise ValueError("objective has zero variance; weights are undefined")
-    if variance_source == "exact" and problem.exact:
-        assert total == vt.total, "component variances must add to Var(f)"
-    return tuple(div(v, total, problem.exact) for v in (vt.c1, vt.c2, vt.c3))
+    return tuple(div(v, vt.total, problem.exact) for v in (vt.c1, vt.c2, vt.c3))
 
 
 def decay_rates(n: int, exact: bool = True) -> Tuple[Scalar, Scalar, Scalar]:
@@ -169,33 +159,19 @@ def _coefficient(weights, n: int, exact: bool) -> CoefficientBounds:
     return CoefficientBounds(1 / rate, div(n - 1, 4, exact), div(n - 1, 2, exact))
 
 
-def theoretical_autocorr(
-    problem: Problem,
-    max_lag: int,
-    variance_source: str = "exact",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> List[Scalar]:
+def theoretical_autocorr(problem: Problem, max_lag: int) -> List[Scalar]:
     """Predicted walk autocorrelation r(s) = sum_m W_m (1 - k_m/d)^s
     for s = 0..max_lag."""
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
-    weights = component_weights(problem, variance_source, cap, samples, seed)
+    weights = component_weights(problem)
     return _predicted_autocorr(weights, problem.n, problem.exact, max_lag)
 
 
-def autocorr_coefficient(
-    problem: Problem,
-    variance_source: str = "exact",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    samples: int = DEFAULT_SAMPLES,
-    seed: int = 0,
-) -> CoefficientBounds:
+def autocorr_coefficient(problem: Problem) -> CoefficientBounds:
     """Ruggedness coefficient xi = 1/(1 - r(1)) with its guaranteed bounds
     ((n-1)/4, (n-1)/2)."""
-    weights = component_weights(problem, variance_source, cap, samples, seed)
-    return _coefficient(weights, problem.n, problem.exact)
+    return _coefficient(component_weights(problem), problem.n, problem.exact)
 
 
 def analyze_autocorr(
@@ -203,17 +179,12 @@ def analyze_autocorr(
     steps: int,
     walk_seed: int,
     max_lag: int,
-    variance_source: str = "auto",
-    cap: int = DEFAULT_ENUMERATION_CAP,
-    samples: int = DEFAULT_SAMPLES,
     x0: Optional[Permutation] = None,
 ) -> Tuple[AutocorrReport, WalkSeries]:
     """Run a walk and assemble the empirical-vs-theoretical report."""
-    if variance_source == "auto":
-        variance_source = "exact" if problem.n <= cap else "sampled"
     series = random_walk(problem, steps, walk_seed, x0=x0)
     empirical = empirical_autocorr(series, max_lag)
-    weights = component_weights(problem, variance_source, cap=cap, samples=samples)
+    weights = component_weights(problem)
     coeff = _coefficient(weights, problem.n, problem.exact)
     report = AutocorrReport(
         empirical=empirical,

@@ -24,6 +24,7 @@ from .decomposition import (
     component_value,
     component_value_fast,
     component_value_ref,
+    component_variances,
     neighborhood_avg_wave,
     omega,
     omega_mean,
@@ -55,11 +56,12 @@ class ClaimResult:
 
 
 class _Residual:
-    """Tracks the worst absolute deviation and the magnitude scale seen."""
+    """Tracks the worst absolute deviation and the magnitude scale seen,
+    starting from the given scale."""
 
-    def __init__(self) -> None:
+    def __init__(self, scale: Scalar = 1) -> None:
         self.max: Scalar = 0
-        self.scale: Scalar = 1
+        self.scale: Scalar = scale
 
     def add(self, got: Scalar, want: Scalar) -> None:
         diff = abs(got - want)
@@ -91,6 +93,21 @@ def _pair_index_tuples(n: int):
         for q in range(n)
         if q != p
     ]
+
+
+def _pair_index_tuple(index: int, n: int):
+    """The entry at `index` of _pair_index_tuples(n), without building it."""
+    index, q = divmod(index, n - 1)
+    index, p = divmod(index, n)
+    i, j = divmod(index, n - 1)
+    return i, j + (j >= i), p, q + (q >= p)
+
+
+def _sample_pair_index_tuples(rng: random.Random, n: int, k: int):
+    """rng.sample of k index tuples, drawing exactly what sampling the full
+    list would draw, in O(k) memory."""
+    count = n * n * (n - 1) * (n - 1)
+    return [_pair_index_tuple(t, n) for t in rng.sample(range(count), min(k, count))]
 
 
 def run_verification(
@@ -162,13 +179,20 @@ def run_verification(
             res = _Residual()
             res.add(mean, component_average(problem, m))
             results.append(res.result(f"closed_form_mean_{m}", exact, base_detail))
+        # Scaled by Var(f): a component's variance may be tiny beside it.
+        closed = component_variances(problem)
+        for m, var in zip((1, 2, 3), (var1, var2, var3)):
+            res = _Residual(scale=max(1, abs(var_f)))
+            res.add(var, closed[m - 1])
+            results.append(res.result(f"closed_form_variance_{m}", exact, base_detail))
         res = _Residual()
         res.add(var1 + var2 + var3, var_f)
         results.append(res.result("variance_orthogonality", exact, base_detail))
     else:
         why = f"n={n} beyond enumeration cap {cap}"
-        for m in (1, 2, 3):
-            results.append(_skipped(f"closed_form_mean_{m}", why))
+        for claim in ("closed_form_mean", "closed_form_variance"):
+            for m in (1, 2, 3):
+                results.append(_skipped(f"{claim}_{m}", why))
         results.append(_skipped("variance_orthogonality", why))
 
     # Fast product-form evaluator against the direct reference evaluator.
@@ -191,13 +215,12 @@ def run_verification(
         )
 
     # Closed-form neighbor sums of the five-case family vs literal sums.
-    pool = _pair_index_tuples(n)
     if n <= 4:
-        case_tuples = pool
+        case_tuples = _pair_index_tuples(n)
         case_points = points if exhaustive else wave_points
         case_detail = f"all {len(case_tuples)} index tuples, {len(case_points)} permutations"
     else:
-        case_tuples = rng.sample(pool, min(60, len(pool)))
+        case_tuples = _sample_pair_index_tuples(rng, n, 60)
         case_points = rng.sample(points, min(20, len(points)))
         case_detail = f"{len(case_tuples)} sampled index tuples, {len(case_points)} permutations"
     res = _Residual()
@@ -212,7 +235,7 @@ def run_verification(
 
     # Enumerated space means of the five-case family vs their closed forms.
     if n <= 6:
-        mean_tuples = rng.sample(pool, min(10, len(pool)))
+        mean_tuples = _sample_pair_index_tuples(rng, n, 10)
         res = _Residual()
         for kind in OmegaKind:
             for (i, j, p, q) in mean_tuples:

@@ -4,7 +4,13 @@ from fractions import Fraction
 
 import pytest
 
-from qaplandscape import cli, decomposition
+from qaplandscape import (
+    cli,
+    component_variances,
+    component_weights,
+    decomposition,
+    generate_instance,
+)
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaKind, OmegaParams
 from qaplandscape.spectral import AutocorrReport
@@ -230,6 +236,25 @@ class TestVerify:
         assert code == 2
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("kind", list(OmegaKind))
+    def test_perturbed_irrep_dimension_fails(self, capsys, monkeypatch, kind):
+        original = decomposition.irrep_dimension
+        monkeypatch.setattr(
+            decomposition, "irrep_dimension",
+            lambda k, n: original(k, n) + (k is kind),
+        )
+        code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
+        assert code == 2
+        failed = [
+            c["name"] for c in json.loads(out)["results"]["claims"]
+            if not c["skipped"] and not c["passed"]
+        ]
+        assert failed == [f"closed_form_variance_{kind.value}"]
+        code, out, _ = run(capsys, "stats", "--n", "5", "--format", "json")
+        assert code == 2
+        residuals = json.loads(out)["residuals"]
+        assert residuals[f"var_c{kind.value}"] != "0"
+
 
 class TestFailClosed:
     @pytest.fixture
@@ -252,6 +277,13 @@ class TestFailClosed:
     def test_stats_fails_on_overflow(self, capsys, overflow_file):
         code, _, _ = run(capsys, "stats", "--instance", overflow_file)
         assert code == 2
+
+    def test_stats_beyond_cap_fails_on_overflow(self, capsys, overflow_file):
+        code, out, _ = run(
+            capsys, "stats", "--instance", overflow_file, "--cap", "3"
+        )
+        assert code == 2
+        assert "enumerated" not in out
 
     def test_autocorr_nan_at_later_lag_fails(self, capsys, monkeypatch):
         def fake(problem, steps, walk_seed, max_lag, **kwargs):
@@ -318,14 +350,17 @@ class TestAutocorr:
         )
         assert code == 1 and "max_lag" in err
 
-    def test_sampled_source_beyond_cap(self, capsys):
+    def test_exact_source_beyond_cap(self, capsys):
         code, out, _ = run(
             capsys, "autocorr", "--gen", "9,1,0,9",
             "--steps", "3000", "--walk-seed", "2", "--max-lag", "2",
-            "--cap", "6",
+            "--cap", "6", "--format", "json",
         )
         assert code == 0
-        assert "variance weights (sampled)" in out
+        res = json.loads(out)["results"]
+        assert res["variance_source"] == "exact"
+        weights = [Fraction(w) for w in res["weights"]]
+        assert weights == list(component_weights(generate_instance(9, 1, 0, 9)))
 
 
 class TestStats:
@@ -343,7 +378,12 @@ class TestStats:
         )
         assert code == 0
         payload = json.loads(out)
-        assert "sampled_variances" in payload["results"]
+        res = payload["results"]
+        assert "enumerated_variances" not in res
+        closed = component_variances(generate_instance(9, 5, 0, 9))
+        assert res["closed_form_variances"] == {
+            k: str(v) for k, v in zip(("c1", "c2", "c3", "total"), closed)
+        }
         assert payload["residuals"] == {}
 
     def test_closed_form_matches_enumeration(self, capsys):

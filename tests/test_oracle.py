@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from qaplandscape import (
     QapInstance,
     check_elementary,
     component_value,
+    component_variances,
     decompose,
     enumerate_space,
     neighborhood_avg_brute,
@@ -132,6 +134,20 @@ class TestCheckElementary:
         with pytest.raises(ValueError, match="cap"):
             check_elementary(lambda x: 0, 9)
 
+    def test_nan_is_never_elementary(self):
+        report = check_elementary(lambda x: math.nan, 4)
+        assert not report.is_elementary and report.fitted_k is None
+        assert math.isnan(report.max_residual)
+
+    def test_inf_is_never_elementary(self):
+        report = check_elementary(lambda x: math.inf, 4)
+        assert not report.is_elementary
+        # Finite values with one infinite point: the tolerance is infinite.
+        report = check_elementary(
+            lambda x: math.inf if x.mapping[0] == 0 else float(x.mapping[1]), 4
+        )
+        assert not report.is_elementary
+
 
 class TestVarianceTriple:
     def test_zero_instance(self):
@@ -177,14 +193,12 @@ class TestVarianceTriple:
                 )
                 assert cov == 0
 
-    def test_sampled_mode_is_seeded(self):
-        inst = seeded_instance(9, 3)
-        a = variance_triple(inst, cap=8, samples=200, seed=5)
-        b = variance_triple(inst, cap=8, samples=200, seed=5)
-        assert a == b
-        c = variance_triple(inst, cap=8, samples=200, seed=6)
-        assert a != c
-        assert all(v >= 0 for v in a)
+    def test_closed_form_matches_enumeration(self):
+        for seed in (5, 6):
+            inst = seeded_instance(6, seed)
+            vt = variance_triple(inst)
+            assert component_variances(inst) == vt
+            assert all(isinstance(v, Fraction) and v > 0 for v in vt)
 
     def test_cap_without_samples(self):
         inst = seeded_instance(9, 3)

@@ -201,15 +201,12 @@ class TestTheoreticalAutocorr:
         with pytest.raises(ValueError, match="variance"):
             theoretical_autocorr(inst, 3)
 
-    def test_sampled_weights_close_to_exact(self):
+    def test_closed_form_weights_equal_enumeration(self):
         inst = seeded_instance(6, 3)
-        exact = [float(w) for w in component_weights(inst, "exact")]
-        sampled = [
-            float(w)
-            for w in component_weights(inst, "sampled", samples=4000, seed=1)
-        ]
-        for a, b in zip(exact, sampled):
-            assert a == pytest.approx(b, abs=0.05)
+        vt = variance_triple(inst)
+        assert component_weights(inst) == tuple(
+            v / vt.total for v in (vt.c1, vt.c2, vt.c3)
+        )
 
 
 class TestDecayRates:
@@ -235,12 +232,9 @@ class TestDecayRates:
     def test_prediction_monotone_when_rates_nonnegative(self, n):
         assert all(lam >= 0 for lam in decay_rates(n))
         inst = seeded_instance(n, 5)
-        source = "exact" if n <= 8 else "sampled"
-        acf = theoretical_autocorr(inst, 6, variance_source=source,
-                                   samples=500, seed=2)
-        floats = [float(v) for v in acf]
-        assert all(a >= b - 1e-12 for a, b in zip(floats, floats[1:]))
-        assert all(v >= 0 for v in floats)
+        acf = theoretical_autocorr(inst, 6)
+        assert all(a > b for a, b in zip(acf, acf[1:]))
+        assert all(v > 0 for v in acf)
 
 
 class TestCoefficient:
@@ -290,17 +284,17 @@ class TestAnalyzeAutocorr:
         assert report.bounds[0] <= report.coefficient <= report.bounds[1]
         assert series.steps == 400
 
-    def test_sampled_source_beyond_cap(self):
+    def test_exact_weights_beyond_cap(self):
         inst = seeded_instance(9, 8)
-        report, _ = analyze_autocorr(inst, steps=300, walk_seed=4, max_lag=2,
-                                     samples=200)
-        assert sum(report.weights) == pytest.approx(1.0)
+        report, _ = analyze_autocorr(inst, steps=300, walk_seed=4, max_lag=2)
+        assert sum(report.weights) == 1
+        assert all(isinstance(w, Fraction) and w > 0 for w in report.weights)
 
     def test_weights_computed_once(self, monkeypatch):
         calls = []
-        original = spectral.variance_triple
+        original = spectral.component_variances
         monkeypatch.setattr(
-            spectral, "variance_triple",
+            spectral, "component_variances",
             lambda *a, **k: calls.append(1) or original(*a, **k),
         )
         inst = seeded_instance(5, 8)

@@ -1,0 +1,111 @@
+"""Closed-form component variances against full enumeration.
+
+decomposition.component_variances must equal oracle.variance_triple exactly
+in rational mode, for product-form instances and for general tensors, and
+agree to 1e-9 of Var(f) in float mode.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from qaplandscape import (
+    ComponentVariances,
+    GeneralTensor,
+    QapInstance,
+    component_variances,
+    variance_triple,
+)
+from qaplandscape import oracle
+from conftest import seeded_instance, zero_psi
+
+ENTRY = st.integers(min_value=-5, max_value=9)
+
+
+@st.composite
+def qap_instances(draw, min_n=3, max_n=7, entries=ENTRY):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    square = st.lists(
+        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
+    )
+    return QapInstance(draw(square), draw(square))
+
+
+@st.composite
+def sparse_tensors(draw, min_n=3, max_n=6):
+    n = draw(st.integers(min_value=min_n, max_value=max_n))
+    index = st.integers(min_value=0, max_value=n - 1)
+    entries = draw(st.dictionaries(
+        st.tuples(index, index, index, index), ENTRY, min_size=1, max_size=12
+    ))
+    psi = zero_psi(n)
+    for (i, j, p, q), v in entries.items():
+        psi[i][j][p][q] = v
+    return GeneralTensor(psi)
+
+
+@settings(max_examples=40, deadline=None)
+@given(qap_instances())
+def test_qap_closed_form_equals_enumeration(inst):
+    assert component_variances(inst) == variance_triple(inst)
+
+
+@settings(max_examples=25, deadline=None)
+@given(sparse_tensors())
+def test_tensor_closed_form_equals_enumeration(tensor):
+    assert component_variances(tensor) == variance_triple(tensor)
+
+
+@settings(max_examples=25, deadline=None)
+@given(qap_instances(max_n=6, entries=st.integers(-999, 999).map(lambda v: v / 100)))
+def test_float_closed_form_within_tolerance(inst):
+    got = component_variances(inst)
+    want = variance_triple(inst)
+    tol = 1e-9 * max(1.0, abs(want.total))
+    assert all(isinstance(v, float) for v in got)
+    assert all(abs(a - b) <= tol for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("n", range(3, 9))
+def test_exact_for_every_n_on_both_types(n):
+    """n = 3..8; the tensor built from the instance has the same components,
+    so its closed form must match the instance's enumeration too."""
+    rng = random.Random(300 + n)
+    r = [[rng.randint(-5, 9) for _ in range(n)] for _ in range(n)]
+    w = [[rng.randint(-5, 9) for _ in range(n)] for _ in range(n)]
+    inst = QapInstance(r, w)
+    want = variance_triple(inst)
+    assert component_variances(inst) == want
+    assert component_variances(GeneralTensor.from_qap(inst)) == want
+    assert all(isinstance(v, Fraction) for v in want)
+
+
+def test_n3_second_component_vanishes():
+    # Asymmetric around the 3-cycle, so the one-dimensional (1,1,1) part of
+    # both matrices, and hence Var(c1), is nonzero.
+    inst = QapInstance([[0, 1, 2], [0, 0, 3], [0, 0, 0]],
+                       [[1, 5, 0], [0, 2, 0], [0, 7, 3]])
+    got = component_variances(inst)
+    assert got.c2 == 0 and got.c1 > 0 and got.c3 > 0
+    assert got == variance_triple(inst)
+    tensor = GeneralTensor.from_qap(inst)
+    assert component_variances(tensor) == got
+    assert component_variances(inst.as_float()).c2 == 0.0
+
+
+def test_components_add_to_total():
+    got = component_variances(seeded_instance(30, 1))
+    assert got.total == got.c1 + got.c2 + got.c3
+    assert all(isinstance(v, Fraction) and v > 0 for v in got)
+
+
+def test_named_tuple_is_shared_with_the_oracle():
+    assert oracle.ComponentVariances is ComponentVariances
+
+
+def test_rejects_other_types():
+    with pytest.raises(TypeError):
+        component_variances([[1, 2], [3, 4]])
