@@ -13,19 +13,24 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Tuple
 
-from .core import Permutation, QapInstance
+from .core import FLOAT_TOLERANCE, MAX_TENSOR_SIZE, Permutation, QapInstance
 from .decomposition import (
     average_triple,
     component_variances,
     decompose,
     neighborhood_avg_wave,
 )
-from .oracle import evaluate_points, moments, neighborhood_avg_brute, space_points
+from .oracle import (
+    DEFAULT_ENUMERATION_CAP,
+    evaluate_points,
+    moments,
+    neighborhood_avg_brute,
+    space_points,
+)
 from .qaplib import generate_instance, parse_qaplib
 from .spectral import analyze_autocorr, random_walk
 from .verification import run_verification
@@ -46,68 +51,45 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-@dataclass(frozen=True)
-class AnalysisConfig:
-    """One validated invocation: command, instance source, and knobs."""
-
-    command: str
-    instance_path: Optional[str]
-    generator: Optional[Tuple[int, int, int, int]]  # (n, seed, lo, hi)
-    mode: Optional[str]
-    cap: int
-    fmt: str
-    flow_first: bool
-    seed: int
-    perm: Optional[str] = None
-    steps: int = 10000
-    walk_seed: int = 0
-    max_lag: int = 5
-
-    def __post_init__(self):
-        if (self.instance_path is None) == (self.generator is None):
-            raise CliError(
-                "exactly one instance source is required: --instance PATH "
-                "or --gen N,SEED,LO,HI (or --n with --seed/--lo/--hi)"
-            )
-        if self.fmt == "csv" and self.command != "autocorr":
-            raise CliError("csv output is only defined for walk series (autocorr)")
-        if self.cap > MAX_CAP:
-            raise CliError(f"--cap {self.cap} exceeds the limit {MAX_CAP}")
-        if self.generator is not None and self.generator[0] > MAX_GENERATED_SIZE:
-            raise CliError(
-                f"generated size {self.generator[0]} exceeds the limit "
-                f"{MAX_GENERATED_SIZE}"
-            )
-        if self.steps > MAX_STEPS:
-            raise CliError(f"--steps {self.steps} exceeds the limit {MAX_STEPS}")
-
-
-def _config_from_args(args) -> AnalysisConfig:
-    generator = None
+def _check_args(args) -> None:
+    """Refuse invalid usage before any instance is built; sets
+    args.generator to (n, seed, lo, hi) or None."""
+    args.generator = None
     if args.gen is not None:
         parts = args.gen.split(",")
         if len(parts) != 4:
             raise CliError("--gen wants four integers: N,SEED,LO,HI")
         try:
-            generator = tuple(int(x) for x in parts)
+            args.generator = tuple(int(x) for x in parts)
         except ValueError:
             raise CliError(f"--gen wants integers, got {args.gen!r}") from None
     elif args.n is not None:
-        generator = (args.n, args.seed, args.lo, args.hi)
-    return AnalysisConfig(
-        command=args.command,
-        instance_path=args.instance,
-        generator=generator,
-        mode=args.mode,
-        cap=args.cap,
-        fmt=args.fmt,
-        flow_first=args.flow_first,
-        seed=args.seed,
-        perm=getattr(args, "perm", None),
-        steps=getattr(args, "steps", 10000),
-        walk_seed=getattr(args, "walk_seed", 0),
-        max_lag=getattr(args, "max_lag", 5),
-    )
+        args.generator = (args.n, args.seed, args.lo, args.hi)
+    if (args.instance is None) == (args.generator is None):
+        raise CliError(
+            "exactly one instance source is required: --instance PATH "
+            "or --gen N,SEED,LO,HI (or --n with --seed/--lo/--hi)"
+        )
+    if args.fmt == "csv" and args.command != "autocorr":
+        raise CliError("csv output is only defined for walk series (autocorr)")
+    if args.cap > MAX_CAP:
+        raise CliError(f"--cap {args.cap} exceeds the limit {MAX_CAP}")
+    if args.generator is not None:
+        if args.generator[0] > MAX_GENERATED_SIZE:
+            raise CliError(
+                f"generated size {args.generator[0]} exceeds the limit "
+                f"{MAX_GENERATED_SIZE}"
+            )
+        if args.command == "verify":
+            _check_verify_size(args.generator[0])
+    if args.command == "autocorr" and args.steps > MAX_STEPS:
+        raise CliError(f"--steps {args.steps} exceeds the limit {MAX_STEPS}")
+
+
+def _check_verify_size(n: int) -> None:
+    # verify's sampled checks grow as n^4 beyond the enumeration cap.
+    if n > MAX_TENSOR_SIZE:
+        raise CliError(f"verify size {n} exceeds the limit {MAX_TENSOR_SIZE}")
 
 
 def build_parser() -> _Parser:
@@ -126,13 +108,15 @@ def build_parser() -> _Parser:
     src.add_argument("--gen", metavar="N,SEED,LO,HI",
                      help="seeded uniform integer instance")
     src.add_argument("--n", type=int, help="generator shorthand: size")
-    src.add_argument("--seed", type=int, default=0, help="generator shorthand: seed")
+    src.add_argument("--seed", type=int, default=0,
+                     help="generator shorthand: seed; also seeds verify's sampling")
     src.add_argument("--lo", type=int, default=0, help="generator shorthand: low bound")
     src.add_argument("--hi", type=int, default=9, help="generator shorthand: high bound")
     common.add_argument("--mode", choices=["rational", "float"],
                         help="arithmetic mode (default: rational for integer entries)")
-    common.add_argument("--cap", type=int, default=8,
-                        help="enumeration cap on n for exhaustive checks (default 8)")
+    common.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
+                        help="enumeration cap on n for the exhaustive checks of "
+                             "stats and verify (default %(default)s)")
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="text", dest="fmt")
     common.add_argument("--flow-first", action="store_true",
@@ -162,19 +146,19 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _load_problem(config: AnalysisConfig) -> QapInstance:
-    if config.instance_path is not None:
+def _load_problem(args) -> QapInstance:
+    if args.instance is not None:
         try:
-            text = Path(config.instance_path).read_text()
+            text = Path(args.instance).read_text()
         except OSError as exc:
             raise CliError(f"cannot read instance file: {exc}") from None
-        inst = parse_qaplib(text, flow_first=config.flow_first)
+        inst = parse_qaplib(text, flow_first=args.flow_first)
     else:
-        inst = generate_instance(*config.generator)
+        inst = generate_instance(*args.generator)
 
-    if config.mode == "float":
+    if args.mode == "float":
         inst = inst.as_float()
-    elif config.mode == "rational" and not inst.exact:
+    elif args.mode == "rational" and not inst.exact:
         raise CliError("rational mode requires integer entries; this instance has floats")
     return inst
 
@@ -194,12 +178,6 @@ def _parse_perm(text: str, n: int) -> Permutation:
 
 def _mode(problem) -> str:
     return "rational" if problem.exact else "float"
-
-
-def _fmt(v) -> str:
-    if v is None:
-        return "n/a"
-    return str(v)
 
 
 class _Count(int):
@@ -239,11 +217,11 @@ def _sum_tolerance(problem, *values) -> float:
     if problem.exact:
         return 0
     scale = max([1.0] + [abs(float(v)) for v in values])
-    return 1e-9 * scale
+    return FLOAT_TOLERANCE * scale
 
 
-def _cmd_decompose(problem, config: AnalysisConfig) -> int:
-    x = _parse_perm(config.perm, problem.n)
+def _cmd_decompose(problem, args) -> int:
+    x = _parse_perm(args.perm, problem.n)
     f = problem.fitness(x)
     t = decompose(problem, x)
     residual = abs(t.total - f)
@@ -251,21 +229,21 @@ def _cmd_decompose(problem, config: AnalysisConfig) -> int:
     ok = residual <= tol
     results = {"f": f, "c1": t.c1, "c2": t.c2, "c3": t.c3, "total": t.total}
     residuals = {"decomposition_sum": residual}
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json("decompose", problem, results, residuals)
     else:
         print(f"n = {problem.n}, mode = {_mode(problem)}, x = {list(x.mapping)}")
-        print(f"f(x)       = {_fmt(f)}")
-        print(f"c1(x)      = {_fmt(t.c1)}")
-        print(f"c2(x)      = {_fmt(t.c2)}")
-        print(f"c3(x)      = {_fmt(t.c3)}")
-        print(f"c1+c2+c3   = {_fmt(t.total)}")
-        print(f"sum check: residual {_fmt(residual)} ({'OK' if ok else 'FAIL'})")
+        print(f"f(x)       = {f}")
+        print(f"c1(x)      = {t.c1}")
+        print(f"c2(x)      = {t.c2}")
+        print(f"c3(x)      = {t.c3}")
+        print(f"c1+c2+c3   = {t.total}")
+        print(f"sum check: residual {residual} ({'OK' if ok else 'FAIL'})")
     return 0 if ok else 2
 
 
-def _cmd_avg(problem, config: AnalysisConfig) -> int:
-    x = _parse_perm(config.perm, problem.n)
+def _cmd_avg(problem, args) -> int:
+    x = _parse_perm(args.perm, problem.n)
     wave = neighborhood_avg_wave(problem, x)
     brute = neighborhood_avg_brute(problem.fitness, x)
     residual = abs(wave - brute)
@@ -273,48 +251,39 @@ def _cmd_avg(problem, config: AnalysisConfig) -> int:
     ok = residual <= tol
     results = {"wave": wave, "brute": brute}
     residuals = {"neighborhood_average": residual}
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json("avg", problem, results, residuals)
     else:
         print(f"n = {problem.n}, mode = {_mode(problem)}, x = {list(x.mapping)}")
-        print(f"wave-equation average : {_fmt(wave)}")
-        print(f"brute-force average   : {_fmt(brute)}")
-        print(f"residual {_fmt(residual)} ({'OK' if ok else 'FAIL'})")
+        print(f"wave-equation average : {wave}")
+        print(f"brute-force average   : {brute}")
+        print(f"residual {residual} ({'OK' if ok else 'FAIL'})")
     return 0 if ok else 2
 
 
-def _cmd_verify(problem, config: AnalysisConfig) -> int:
-    claims = run_verification(problem, cap=config.cap, seed=config.seed)
+def _cmd_verify(problem, args) -> int:
+    _check_verify_size(problem.n)
+    claims = run_verification(problem, cap=args.cap, seed=args.seed)
     failed = sum(1 for c in claims if not c.skipped and not c.passed)
     skipped = sum(1 for c in claims if c.skipped)
     results = {
-        "claims": [
-            {
-                "name": c.name,
-                "residual": c.residual,
-                "tolerance": c.tolerance,
-                "passed": c.passed,
-                "skipped": c.skipped,
-                "detail": c.detail,
-            }
-            for c in claims
-        ],
+        "claims": [asdict(c) for c in claims],
         "failed": _Count(failed),
         "skipped": _Count(skipped),
     }
     residuals = {c.name: c.residual for c in claims}
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json("verify", problem, results, residuals)
     else:
-        print(f"n = {problem.n}, mode = {_mode(problem)}, cap = {config.cap}")
+        print(f"n = {problem.n}, mode = {_mode(problem)}, cap = {args.cap}")
         for c in claims:
             if c.skipped:
                 print(f"claim {c.name}: SKIP ({c.detail})")
             else:
                 verdict = "PASS" if c.passed else "FAIL"
                 print(
-                    f"claim {c.name}: residual {_fmt(c.residual)} "
-                    f"(tol {_fmt(c.tolerance)}) {verdict}  [{c.detail}]"
+                    f"claim {c.name}: residual {c.residual} "
+                    f"(tol {c.tolerance}) {verdict}  [{c.detail}]"
                 )
         verdict = "PASS" if failed == 0 else "FAIL"
         print(
@@ -324,14 +293,12 @@ def _cmd_verify(problem, config: AnalysisConfig) -> int:
     return 0 if failed == 0 else 2
 
 
-def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
-    if config.fmt == "csv":
-        series = random_walk(problem, config.steps, config.walk_seed)
+def _cmd_autocorr(problem, args) -> int:
+    if args.fmt == "csv":
+        series = random_walk(problem, args.steps, args.walk_seed)
         sys.stdout.write(series.to_csv())
         return 0
-    report, series = analyze_autocorr(
-        problem, config.steps, config.walk_seed, config.max_lag
-    )
+    report, series = analyze_autocorr(problem, args.steps, args.walk_seed, args.max_lag)
     diffs = [
         abs(e - float(t))
         for e, t in zip(report.empirical[1:], report.theoretical[1:])
@@ -340,7 +307,7 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
     if any(math.isnan(v) for v in diffs):  # max() drops a NaN that is not first
         residual = math.nan
     # Estimator standard error scales as 1/sqrt(steps); 0.02 at 1e5 steps.
-    tol = 0.02 * math.sqrt(100000 / config.steps)
+    tol = 0.02 * math.sqrt(100000 / args.steps)
     ok = residual <= tol
     lo, hi = report.bounds
     in_bounds = lo <= report.coefficient <= hi
@@ -356,7 +323,7 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
         "xi_bounds": [lo, hi],
     }
     residuals = {"autocorr_max_abs_diff": residual}
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json("autocorr", problem, results, residuals)
     else:
         print("autocorrelation of the objective along a uniform random swap walk")
@@ -364,28 +331,25 @@ def _cmd_autocorr(problem, config: AnalysisConfig) -> int:
               "for this neighborhood (n-1)/4 <= xi <= (n-1)/2")
         print(
             f"n = {problem.n}, mode = {_mode(problem)}, steps = {series.steps}, "
-            f"walk seed = {series.seed}, max lag = {config.max_lag}"
+            f"walk seed = {series.seed}, max lag = {args.max_lag}"
         )
         w1, w2, w3 = report.weights
-        print(
-            f"variance weights (exact): W1 = {_fmt(w1)}, "
-            f"W2 = {_fmt(w2)}, W3 = {_fmt(w3)}"
-        )
+        print(f"variance weights (exact): W1 = {w1}, W2 = {w2}, W3 = {w3}")
         print(" lag  empirical     predicted")
         for s, (e, t) in enumerate(zip(report.empirical, report.theoretical)):
-            print(f"{s:4d}  {e:+.6f}    {_fmt(t)}")
+            print(f"{s:4d}  {e:+.6f}    {t}")
         print(
-            f"xi = {_fmt(report.coefficient)} in [{_fmt(lo)}, {_fmt(hi)}] "
+            f"xi = {report.coefficient} in [{lo}, {hi}] "
             f"-> {'inside' if in_bounds else 'OUTSIDE'}"
         )
         print(
-            f"max |empirical - predicted| over lags 1..{config.max_lag}: "
+            f"max |empirical - predicted| over lags 1..{args.max_lag}: "
             f"{residual:.6f} (tol {tol:.6f}) {'OK' if ok else 'FAIL'}"
         )
     return 0 if ok and in_bounds else 2
 
 
-def _cmd_stats(problem, config: AnalysisConfig) -> int:
+def _cmd_stats(problem, args) -> int:
     keys = ("c1", "c2", "c3", "total")
     a = average_triple(problem)
     v = component_variances(problem)
@@ -397,7 +361,7 @@ def _cmd_stats(problem, config: AnalysisConfig) -> int:
     # Fails closed: an overflowed closed form is never a result.
     finite = problem.exact or all(math.isfinite(x) for x in (*a, *v))
     exit_code = 0 if finite else 2
-    within_cap = problem.n <= config.cap
+    within_cap = problem.n <= args.cap
     if within_cap:
         columns = evaluate_points(problem, space_points(problem.n))
         stats = [moments(col) for col in columns]
@@ -414,26 +378,26 @@ def _cmd_stats(problem, config: AnalysisConfig) -> int:
                 and all(residuals[f"var_{k}"] <= var_tol for k in keys)):
             exit_code = 2
 
-    if config.fmt == "json":
+    if args.fmt == "json":
         _emit_json("stats", problem, results, residuals)
     else:
         print(f"n = {problem.n}, mode = {_mode(problem)}")
         for label, triple in (("means", a), ("variances", v)):
             print(f"closed-form {label}:")
-            print(f"  c1 = {_fmt(triple[0])}")
-            print(f"  c2 = {_fmt(triple[1])}")
-            print(f"  c3 = {_fmt(triple[2])}")
-            print(f"  f  = {_fmt(triple[3])}")
+            print(f"  c1 = {triple[0]}")
+            print(f"  c2 = {triple[1]}")
+            print(f"  c3 = {triple[2]}")
+            print(f"  f  = {triple[3]}")
         if within_cap:
             print(f"enumerated over {results['count']} permutations:")
             for key in keys:
                 print(
-                    f"  {key}: mean = {_fmt(results['enumerated_means'][key])}, "
-                    f"variance = {_fmt(results['enumerated_variances'][key])}, "
-                    f"mean residual = {_fmt(residuals['mean_' + key])}"
+                    f"  {key}: mean = {results['enumerated_means'][key]}, "
+                    f"variance = {results['enumerated_variances'][key]}, "
+                    f"mean residual = {residuals['mean_' + key]}"
                 )
             print("variance residuals: " + ", ".join(
-                f"{key} = {_fmt(residuals['var_' + key])}" for key in keys
+                f"{key} = {residuals['var_' + key]}" for key in keys
             ))
     return exit_code
 
@@ -449,22 +413,14 @@ _COMMANDS = {
 
 def run_cli(argv) -> int:
     """Parse argv, run one command, and return the process exit code."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        _check_args(args)
+        problem = _load_problem(args)
+        return _COMMANDS[args.command](problem, args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        config = _config_from_args(args)
-        problem = _load_problem(config)
-        return _COMMANDS[config.command](problem, config)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -23,6 +23,10 @@ MIN_SIZE = 3
 # Dense four-index coefficient arrays hold n**4 entries; refuse beyond this.
 MAX_TENSOR_SIZE = 32
 
+# Float-mode checks pass a residual within this fraction of the magnitude
+# of the values compared; rational mode requires exact equality.
+FLOAT_TOLERANCE = 1e-9
+
 
 def neighborhood_size(n: int) -> int:
     """Number of swap neighbors of a permutation of n elements: n(n-1)/2."""
@@ -137,7 +141,7 @@ class QapInstance:
 
     __slots__ = (
         "n", "r", "w", "exact",
-        "_row_off_r", "_col_off_r", "_row_w", "_col_w", "_w_diag",
+        "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
         "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
     )
 
@@ -160,17 +164,18 @@ class QapInstance:
         self.w = wt
         self.exact = exact
 
-        self._row_w = tuple(sum(row) for row in wt)
-        self._col_w = tuple(sum(col) for col in zip(*wt))
-        self._w_diag = tuple(wt[p][p] for p in range(n))
         row_r = [sum(row) for row in rt]
         col_r = [sum(col) for col in zip(*rt)]
+        row_w = [sum(row) for row in wt]
+        col_w = [sum(col) for col in zip(*wt)]
         self._row_off_r = tuple(row_r[i] - rt[i][i] for i in range(n))
         self._col_off_r = tuple(col_r[j] - rt[j][j] for j in range(n))
+        self._row_off_w = tuple(row_w[p] - wt[p][p] for p in range(n))
+        self._col_off_w = tuple(col_w[q] - wt[q][q] for q in range(n))
         self._r_diag_sum = sum(rt[i][i] for i in range(n))
-        self._w_diag_sum = sum(self._w_diag)
+        self._w_diag_sum = sum(wt[p][p] for p in range(n))
         self._off_total_r = sum(row_r) - self._r_diag_sum
-        self._off_total_w = sum(self._row_w) - self._w_diag_sum
+        self._off_total_w = sum(row_w) - self._w_diag_sum
 
     def __eq__(self, other) -> bool:
         return (

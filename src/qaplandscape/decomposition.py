@@ -266,13 +266,12 @@ def _case_totals(inst: QapInstance, x: Permutation):
 
     row_off_r = inst._row_off_r
     col_off_r = inst._col_off_r
-    row_w = inst._row_w
-    col_w = inst._col_w
-    w_diag = inst._w_diag
-    p1 = sum(row_off_r[i] * (row_w[xm[i]] - w_diag[xm[i]]) for i in range(n))
-    p2 = sum(col_off_r[j] * (col_w[xm[j]] - w_diag[xm[j]]) for j in range(n))
-    q1 = sum(row_off_r[i] * (col_w[xm[i]] - w_diag[xm[i]]) for i in range(n))
-    q2 = sum(col_off_r[j] * (row_w[xm[j]] - w_diag[xm[j]]) for j in range(n))
+    row_off_w = inst._row_off_w
+    col_off_w = inst._col_off_w
+    p1 = sum(row_off_r[i] * row_off_w[xm[i]] for i in range(n))
+    p2 = sum(col_off_r[j] * col_off_w[xm[j]] for j in range(n))
+    q1 = sum(row_off_r[i] * col_off_w[xm[i]] for i in range(n))
+    q2 = sum(col_off_r[j] * row_off_w[xm[j]] for j in range(n))
 
     s_alpha = f_same - diag
     s_beta = f_swapped - diag
@@ -530,8 +529,7 @@ def _qap_variances(inst: QapInstance):
     n = inst.n
     r, w = inst.r, inst.w
     ro_r, co_r = inst._row_off_r, inst._col_off_r
-    ro_w = [s - d for s, d in zip(inst._row_w, inst._w_diag)]
-    co_w = [s - d for s, d in zip(inst._col_w, inst._w_diag)]
+    ro_w, co_w = inst._row_off_w, inst._col_off_w
     rng = range(n)
     b = _c3_coefficients(
         [[a * e for e in ro_w] for a in ro_r],

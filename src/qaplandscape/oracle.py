@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .core import Permutation, Scalar, div, neighborhood_size
+from .core import FLOAT_TOLERANCE, Permutation, Scalar, div, neighborhood_size
 from .decomposition import ComponentVariances, Problem, decompose  # re-exported
 
 # 8! = 40320 points; anything larger must opt in explicitly.
@@ -98,13 +98,12 @@ def check_elementary(
     evalfn: EvalFn,
     n: int,
     cap: int = DEFAULT_ENUMERATION_CAP,
-    float_tolerance: float = 1e-9,
 ) -> ElementarityReport:
     """Fit neighbor_mean(x) = a * f(x) + b over all x by least squares.
 
     A function is elementary exactly when the fit leaves zero residual
     everywhere; the characteristic constant is then k = d (1 - a). In float
-    mode "zero" means max residual <= float_tolerance * max(1, max |f|).
+    mode "zero" means max residual <= FLOAT_TOLERANCE * max(1, max |f|).
     """
     _check_cap(n, cap)
     points = list(space_points(n))
@@ -143,7 +142,7 @@ def check_elementary(
     else:
         scale = max(1.0, max(abs(v) for v in values))
         # Fails closed: a NaN residual or an infinite tolerance never fits.
-        elementary = max_residual <= float_tolerance * scale < math.inf
+        elementary = max_residual <= FLOAT_TOLERANCE * scale < math.inf
     fitted_k = d * (1 - a) if elementary else None
     return ElementarityReport(elementary, fitted_k, max_residual, worst)
 

@@ -179,10 +179,10 @@ def analyze_autocorr(
     steps: int,
     walk_seed: int,
     max_lag: int,
-    x0: Optional[Permutation] = None,
 ) -> Tuple[AutocorrReport, WalkSeries]:
-    """Run a walk and assemble the empirical-vs-theoretical report."""
-    series = random_walk(problem, steps, walk_seed, x0=x0)
+    """Run a walk from a random start and assemble the
+    empirical-vs-theoretical report."""
+    series = random_walk(problem, steps, walk_seed)
     empirical = empirical_autocorr(series, max_lag)
     weights = component_weights(problem)
     coeff = _coefficient(weights, problem.n, problem.exact)

@@ -10,6 +10,7 @@ from qaplandscape import (
     component_weights,
     decomposition,
     generate_instance,
+    serialize_qaplib,
 )
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaKind, OmegaParams
@@ -82,6 +83,7 @@ class TestInstanceLoading:
         (["stats", "--gen", "100000,0,0,9"], "limit 200"),
         (["stats", "--n", "100000"], "limit 200"),
         (["autocorr", "--gen", "5,1,0,9", "--steps", "10000000"], "limit 1000000"),
+        (["verify", "--gen", "33,0,0,9"], "limit 32"),
     ])
     def test_resource_limits(self, capsys, monkeypatch, argv, limit):
         def refuse(*args, **kwargs):
@@ -235,6 +237,17 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--n", "4", "--seed", "1")
         assert code == 2
         assert "FAIL" in out
+
+    def test_size_limit_for_instance_file(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("verify ran past its size limit")
+
+        path = tmp_path / "n33.dat"
+        path.write_text(serialize_qaplib(generate_instance(33, 0, 0, 9)))
+        monkeypatch.setattr(cli, "run_verification", refuse)
+        code, out, err = run(capsys, "verify", "--instance", str(path))
+        assert code == 1 and out == ""
+        assert "limit 32" in err
 
     @pytest.mark.parametrize("kind", list(OmegaKind))
     def test_perturbed_irrep_dimension_fails(self, capsys, monkeypatch, kind):
@@ -401,3 +414,10 @@ class TestHelp:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "decompose" in out and "verify" in out
+
+    def test_cap_and_seed_help_name_their_commands(self, capsys):
+        code, out, _ = run(capsys, "stats", "--help")
+        assert code == 0
+        text = " ".join(out.split())
+        assert "exhaustive checks of stats and verify (default 8)" in text
+        assert "also seeds verify's sampling" in text
