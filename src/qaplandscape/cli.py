@@ -37,7 +37,7 @@ from .verification import run_verification
 
 
 # Resource limits on flag values, checked before any instance is built.
-MAX_CAP = 10  # 10! = 3,628,800 enumerated permutations
+MAX_CAP = 9  # 9! = 362,880 enumerated permutations
 MAX_GENERATED_SIZE = 200  # 2 n^2 generated entries
 MAX_STEPS = 1_000_000
 
@@ -116,7 +116,7 @@ def build_parser() -> _Parser:
                         help="arithmetic mode (default: rational for integer entries)")
     common.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,
                         help="enumeration cap on n for the exhaustive checks of "
-                             "stats and verify (default %(default)s)")
+                             f"stats and verify (default %(default)s); at most {MAX_CAP}")
     common.add_argument("--format", choices=["json", "csv", "text"],
                         default="text", dest="fmt")
     common.add_argument("--flow-first", action="store_true",

@@ -1,7 +1,8 @@
 """Permutations, problem instances, and swap-neighborhood primitives.
 
-Everything here is a pure function over immutable values, so instances and
-permutations can be shared freely across threads.
+Everything here is a pure function. Instances and permutations are
+immutable values, so they can be shared freely across threads; `swap_delta`
+also accepts a plain list mapping, which it reads and never changes.
 
 Indices are 0-based throughout. The classical problem statement indexes
 facilities and locations from 1, so published formulas shift by one.
@@ -36,6 +37,16 @@ def neighborhood_size(n: int) -> int:
 def div(value: Scalar, divisor: Scalar, exact: bool) -> Scalar:
     """value / divisor: a Fraction in exact (rational) mode, else a float."""
     return Fraction(value, divisor) if exact else value / divisor
+
+
+def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
+    """Refuse a swap_delta call whose mapping or positions do not fit size n."""
+    if len(mapping) != n:
+        raise ValueError(f"mapping size {len(mapping)} != problem size {n}")
+    if not (0 <= u < n and 0 <= v < n):
+        raise ValueError(f"swap positions must lie in 0..{n - 1}: ({u}, {v})")
+    if u == v:
+        raise ValueError("swap positions must differ")
 
 
 def _entries_are_exact(rows) -> bool:
@@ -213,6 +224,28 @@ class QapInstance:
             total += sum(a * wrow[b] for a, b in zip(ri, xm))
         return total
 
+    def swap_delta(self, mapping: Sequence[int], u: int, v: int) -> Scalar:
+        """fitness(x.swap(u, v)) - fitness(x) for the permutation x with this
+        mapping, in O(n).
+
+        Only the terms with i or j in {u, v} change (Taillard, "Robust taboo
+        search for the quadratic assignment problem", Parallel Computing
+        17, 1991): rows u and v and columns u and v for every other k, plus
+        the 2 x 2 block of the diagonal and the (u, v) cross terms. The
+        mapping must be a bijection; it is read, not changed.
+        """
+        _check_swap(self.n, mapping, u, v)
+        r, w = self.r, self.w
+        a, b = mapping[u], mapping[v]
+        ru, rv, wa, wb = r[u], r[v], w[a], w[b]
+        total = (ru[u] - rv[v]) * (wb[b] - wa[a]) + (ru[v] - rv[u]) * (wb[a] - wa[b])
+        for k, (rk, xk) in enumerate(zip(r, mapping)):
+            if k != u and k != v:
+                wk = w[xk]
+                total += (ru[k] - rv[k]) * (wb[xk] - wa[xk]) \
+                    + (rk[u] - rk[v]) * (wk[b] - wk[a])
+        return total
+
 
 class GeneralTensor:
     """Dense four-index coefficients psi[i][j][p][q] weighting the pair
@@ -295,6 +328,23 @@ class GeneralTensor:
         for block, xi in zip(self.psi, xm):
             for plane, xj in zip(block, xm):
                 total += plane[xi][xj]
+        return total
+
+    def swap_delta(self, mapping: Sequence[int], u: int, v: int) -> Scalar:
+        """fitness(x.swap(u, v)) - fitness(x) for the permutation x with this
+        mapping, in O(n): only the pairs (i, j) with i or j in {u, v} change.
+        The mapping must be a bijection; it is read, not changed."""
+        _check_swap(self.n, mapping, u, v)
+        psi = self.psi
+        a, b = mapping[u], mapping[v]
+        pu, pv = psi[u], psi[v]
+        total = (pu[u][b][b] - pu[u][a][a] + pv[v][a][a] - pv[v][b][b]
+                 + pu[v][b][a] - pu[v][a][b] + pv[u][a][b] - pv[u][b][a])
+        for k, (pk, xk) in enumerate(zip(psi, mapping)):
+            if k != u and k != v:
+                puk, pvk, pku, pkv = pu[k], pv[k], pk[u], pk[v]
+                total += (puk[b][xk] - puk[a][xk] + pvk[a][xk] - pvk[b][xk]
+                          + pku[xk][b] - pku[xk][a] + pkv[xk][a] - pkv[xk][b])
         return total
 
     def coefficient_sums(self):

@@ -79,11 +79,12 @@ class TestInstanceLoading:
         assert "non-finite" in err and "byte offset 2" in err
 
     @pytest.mark.parametrize("argv,limit", [
-        (["stats", "--gen", "5,1,0,9", "--cap", "12"], "limit 10"),
+        (["stats", "--gen", "5,1,0,9", "--cap", "12"], "limit 9"),
         (["stats", "--gen", "100000,0,0,9"], "limit 200"),
         (["stats", "--n", "100000"], "limit 200"),
         (["autocorr", "--gen", "5,1,0,9", "--steps", "10000000"], "limit 1000000"),
         (["verify", "--gen", "33,0,0,9"], "limit 32"),
+        (["verify", "--gen", "5,1,0,9", "--cap", "10"], "limit 9"),
     ])
     def test_resource_limits(self, capsys, monkeypatch, argv, limit):
         def refuse(*args, **kwargs):
@@ -419,5 +420,5 @@ class TestHelp:
         code, out, _ = run(capsys, "stats", "--help")
         assert code == 0
         text = " ".join(out.split())
-        assert "exhaustive checks of stats and verify (default 8)" in text
+        assert "exhaustive checks of stats and verify (default 8); at most 9" in text
         assert "also seeds verify's sampling" in text

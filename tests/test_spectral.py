@@ -22,6 +22,7 @@ from qaplandscape import (
     theoretical_autocorr,
     variance_triple,
 )
+from qaplandscape.qaplib import parse_qaplib
 from conftest import seeded_instance, tensor_with, zero_psi
 
 
@@ -120,6 +121,68 @@ class TestRandomWalk:
             factor += 2.0 * r
         se = math.sqrt(var * factor / total)
         assert abs(mean - closed) <= 3 * se
+
+
+def replayed_fitness(problem, steps, seed):
+    """Full fitness of every point of the walk random_walk takes from a
+    random start, replayed with Permutation.swap from the same seed."""
+    n = problem.n
+    rng = random.Random(seed)
+    x = Permutation.random(n, rng)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    values = [problem.fitness(x)]
+    for _ in range(steps):
+        x = x.swap(*pairs[rng.randrange(len(pairs))])
+        values.append(problem.fitness(x))
+    return values
+
+
+class TestIncrementalWalk:
+    """random_walk adds one swap delta per step to a single full fitness."""
+
+    def test_rational_values_equal_recompute(self):
+        inst = seeded_instance(24, 5, hi=99)
+        series = random_walk(inst, 3000, seed=42)
+        assert list(series.values) == replayed_fitness(inst, 3000, 42)
+        assert all(isinstance(v, int) for v in series.values)
+
+    def test_tensor_walk_equals_instance_walk(self):
+        r = [[Fraction(i * 6 + j - 7, 1 + (i + j) % 3) for j in range(6)]
+             for i in range(6)]
+        w = [[(3 * p + 5 * q) % 11 - 4 for q in range(6)] for p in range(6)]
+        inst = QapInstance(r, w)
+        tensor = GeneralTensor.from_qap(inst)
+        series = random_walk(tensor, 500, seed=9)
+        assert series.values == random_walk(inst, 500, seed=9).values
+        assert list(series.values) == replayed_fitness(tensor, 500, 9)
+
+    def test_float_values_within_tolerance_of_recompute(self):
+        # Instance text with two-decimal entries, as in the float benchmark.
+        rng = random.Random(12)
+        matrices = "\n\n".join(
+            "\n".join(" ".join(f"{rng.uniform(0, 10):.2f}" for _ in range(12))
+                      for _ in range(12))
+            for _ in range(2)
+        )
+        inst = parse_qaplib(f"12\n\n{matrices}\n")
+        assert not inst.exact
+        series = random_walk(inst, 10000, seed=3)
+        for got, want in zip(series.values, replayed_fitness(inst, 10000, 3),
+                             strict=True):
+            assert abs(got - want) <= 1e-9 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("problem", [
+        seeded_instance(7, 2), GeneralTensor.from_qap(seeded_instance(5, 2)),
+    ])
+    def test_fitness_evaluated_once(self, monkeypatch, problem):
+        calls = []
+        cls = type(problem)
+        original = cls.fitness
+        monkeypatch.setattr(
+            cls, "fitness", lambda self, x: calls.append(x) or original(self, x)
+        )
+        series = random_walk(problem, 200, seed=1)
+        assert calls == [series.start]
 
 
 class TestEmpiricalAutocorr:

@@ -10,7 +10,6 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qaplandscape import (
     ComponentVariances,
@@ -20,31 +19,8 @@ from qaplandscape import (
     variance_triple,
 )
 from qaplandscape import oracle
-from conftest import seeded_instance, zero_psi
-
-ENTRY = st.integers(min_value=-5, max_value=9)
-
-
-@st.composite
-def qap_instances(draw, min_n=3, max_n=7, entries=ENTRY):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    square = st.lists(
-        st.lists(entries, min_size=n, max_size=n), min_size=n, max_size=n
-    )
-    return QapInstance(draw(square), draw(square))
-
-
-@st.composite
-def sparse_tensors(draw, min_n=3, max_n=6):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    index = st.integers(min_value=0, max_value=n - 1)
-    entries = draw(st.dictionaries(
-        st.tuples(index, index, index, index), ENTRY, min_size=1, max_size=12
-    ))
-    psi = zero_psi(n)
-    for (i, j, p, q), v in entries.items():
-        psi[i][j][p][q] = v
-    return GeneralTensor(psi)
+from conftest import seeded_instance
+from strategies import DECIMAL_ENTRY, qap_instances, sparse_tensors
 
 
 @settings(max_examples=40, deadline=None)
@@ -60,7 +36,7 @@ def test_tensor_closed_form_equals_enumeration(tensor):
 
 
 @settings(max_examples=25, deadline=None)
-@given(qap_instances(max_n=6, entries=st.integers(-999, 999).map(lambda v: v / 100)))
+@given(qap_instances(max_n=6, entries=DECIMAL_ENTRY))
 def test_float_closed_form_within_tolerance(inst):
     got = component_variances(inst)
     want = variance_triple(inst)
