@@ -113,6 +113,8 @@ def omega_mean(kind: OmegaKind, n: int) -> Scalar:
 
 
 def _check_pair_indices(i: int, j: int, p: int, q: int, n: int) -> None:
+    if 0 <= i < n and 0 <= j < n and 0 <= p < n and 0 <= q < n and i != j and p != q:
+        return
     for name, v in (("i", i), ("j", j), ("p", p), ("q", q)):
         if not (0 <= v < n):
             raise ValueError(f"index {name}={v} out of range 0..{n - 1}")
@@ -130,10 +132,10 @@ def phi_diag(i: int, p: int, x: Permutation) -> int:
     return 1 if x.mapping[i] == p else 0
 
 
-def omega(kind: OmegaKind, i: int, j: int, p: int, q: int, x: Permutation) -> int:
-    """Five-case value of the given kind at x, for target pair (p, q)."""
-    n = x.n
-    _check_pair_indices(i, j, p, q, n)
+def _omega_case(i: int, j: int, p: int, q: int, x: Permutation) -> int:
+    """Which of the five cases x is in for target pair (p, q), in
+    OmegaParams order: 0 alpha, 1 beta, 2 gamma, 3 epsilon, 4 zeta."""
+    _check_pair_indices(i, j, p, q, x.n)
     xi = x.mapping[i]
     xj = x.mapping[j]
     cases = (
@@ -144,7 +146,13 @@ def omega(kind: OmegaKind, i: int, j: int, p: int, q: int, x: Permutation) -> in
         xi != p and xi != q and xj != p and xj != q,
     )
     assert sum(cases) == 1, f"cases must be exhaustive and exclusive: {cases}"
-    return omega_params(kind, n)[cases.index(True)]
+    return cases.index(True)
+
+
+def omega(kind: OmegaKind, i: int, j: int, p: int, q: int, x: Permutation) -> int:
+    """Five-case value of the given kind at x, for target pair (p, q)."""
+    case = _omega_case(i, j, p, q, x)
+    return omega_params(kind, x.n)[case]
 
 
 def omega_neighborhood_sum_oracle(

@@ -6,6 +6,11 @@ In rational mode every residual must be literally zero; in float mode a
 claim passes when its residual stays within 1e-9 of the magnitude of the
 values compared. Exhaustive enumeration is used up to the configured cap
 and seeded sampling beyond it.
+
+Each neighborhood is evaluated once per point: the wave claims read the
+four values (c1, c2, c3, f) of every neighbor from one table, and the
+case-sum claims classify every neighbor once per index tuple, the three
+kinds' literal sums following from the five case counts.
 """
 
 from __future__ import annotations
@@ -13,7 +18,8 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from fractions import Fraction
+from operator import mul
 from typing import List, Optional
 
 from .core import (
@@ -27,20 +33,20 @@ from .core import (
 from .decomposition import (
     OmegaKind,
     Problem,
+    _omega_case,
     component_average,
-    component_value,
     component_value_fast,
     component_value_ref,
     component_variances,
+    decompose,
     neighborhood_avg_wave,
-    omega,
     omega_mean,
     omega_neighborhood_sum_oracle,
+    omega_params,
     wave_predict_component,
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    enumerate_space,
     evaluate_points,
     moments,
     neighborhood_avg_brute,
@@ -118,6 +124,14 @@ def _sample_pair_index_tuples(rng: random.Random, n: int, k: int):
     return [_pair_index_tuple(t, n) for t in rng.sample(range(count), min(k, count))]
 
 
+def _case_counts(i: int, j: int, p: int, q: int, xs) -> List[int]:
+    """How many of the permutations xs fall into each of the five cases."""
+    counts = [0] * 5
+    for x in xs:
+        counts[_omega_case(i, j, p, q, x)] += 1
+    return counts
+
+
 def run_verification(
     problem: Problem,
     cap: int = DEFAULT_ENUMERATION_CAP,
@@ -149,35 +163,35 @@ def run_verification(
     results.append(res.result("decomposition_sum", exact, base_detail))
 
     # Wave equation per component and for the composite objective; the
-    # brute-force side reads (c1, c2, c3, f) at each neighbor.
+    # brute-force side reads (c1, c2, c3, f) at each neighbor from a table
+    # filled once per neighborhood.
     wave_exhaustive = exhaustive and n <= 6
     if wave_exhaustive:
         wave_points = points
-        index = {x.mapping: i for i, x in enumerate(points)}
-        evaluators = [lambda y, col=col: col[index[y.mapping]] for col in columns]
+        table = {x.mapping: row for x, row in zip(points, zip(*columns))}
         wave_detail = base_detail
     else:
         wave_points = rng.sample(points, min(20, len(points)))
-        evaluators = [partial(component_value, problem, m) for m in (1, 2, 3)]
-        evaluators.append(problem.fitness)
         wave_detail = f"{len(wave_points)} sampled permutations"
 
-    for m in (1, 2, 3):
-        res = _Residual()
-        for x in wave_points:
-            res.add(
-                neighborhood_avg_brute(evaluators[m - 1], x),
-                wave_predict_component(problem, m, x),
-            )
-        results.append(res.result(f"wave_component_{m}", exact, wave_detail))
-
-    res = _Residual()
+    wave = [_Residual() for _ in range(4)]
     for x in wave_points:
-        res.add(
-            neighborhood_avg_brute(evaluators[3], x),
-            neighborhood_avg_wave(problem, x),
-        )
-    results.append(res.result("neighborhood_average", exact, wave_detail))
+        if not wave_exhaustive:
+            table = {
+                y.mapping: decompose(problem, y)[:3] + (problem.fitness(y),)
+                for y in x.neighbors()
+            }
+        predicted = [wave_predict_component(problem, m, x) for m in (1, 2, 3)]
+        predicted.append(neighborhood_avg_wave(problem, x))
+        for col, res in enumerate(wave):
+            res.add(
+                neighborhood_avg_brute(lambda y: table[y.mapping][col], x),
+                predicted[col],
+            )
+    names = ("wave_component_1", "wave_component_2", "wave_component_3",
+             "neighborhood_average")
+    for name, res in zip(names, wave):
+        results.append(res.result(name, exact, wave_detail))
 
     # Closed-form means and variance additivity need the full space.
     if exhaustive:
@@ -225,6 +239,8 @@ def run_verification(
 
     # Closed-form neighbor sums of the five-case family vs literal sums;
     # the family is integer-valued, so these claims are exact in either mode.
+    # Each neighbor is classified once per index tuple; a kind's literal sum
+    # is its five case values weighted by the case counts.
     if n <= 4:
         case_tuples = _pair_index_tuples(n)
         case_points = points if exhaustive else wave_points
@@ -233,24 +249,28 @@ def run_verification(
         case_tuples = _sample_pair_index_tuples(rng, n, 60)
         case_points = rng.sample(points, min(20, len(points)))
         case_detail = f"{len(case_tuples)} sampled index tuples, {len(case_points)} permutations"
+    neighbors = [list(x.neighbors()) for x in case_points]
     res = _Residual()
-    for kind in OmegaKind:
-        for (i, j, p, q) in case_tuples:
-            for x in case_points:
-                literal = sum(omega(kind, i, j, p, q, y) for y in x.neighbors())
+    for (i, j, p, q) in case_tuples:
+        for x, ys in zip(case_points, neighbors):
+            counts = _case_counts(i, j, p, q, ys)
+            for kind in OmegaKind:
+                literal = sum(map(mul, omega_params(kind, n), counts))
                 res.add(omega_neighborhood_sum_oracle(kind, i, j, p, q, x), literal)
     results.append(res.result("case_sum_formulas", True, case_detail))
 
-    # Enumerated space means of the five-case family vs their closed forms.
+    # Enumerated space means of the five-case family vs their closed forms,
+    # from one enumeration of the space over which each tuple's cases are
+    # counted once for all three kinds.
     if n <= 6:
         mean_tuples = _sample_pair_index_tuples(rng, n, 10)
+        space = points if exhaustive else list(space_points(n))
+        space_counts = [_case_counts(i, j, p, q, space) for (i, j, p, q) in mean_tuples]
         res = _Residual()
         for kind in OmegaKind:
-            for (i, j, p, q) in mean_tuples:
-                stats = enumerate_space(
-                    lambda x: omega(kind, i, j, p, q, x), n, cap=max(cap, n)
-                )
-                res.add(stats.mean, omega_mean(kind, n))
+            for counts in space_counts:
+                total = sum(map(mul, omega_params(kind, n), counts))
+                res.add(Fraction(total, len(space)), omega_mean(kind, n))
         results.append(res.result(
             "enumerated_case_means", True, f"{len(mean_tuples)} sampled index tuples"
         ))

@@ -1,6 +1,10 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -422,3 +426,27 @@ class TestHelp:
         text = " ".join(out.split())
         assert "exhaustive checks of stats and verify (default 8); at most 9" in text
         assert "also seeds verify's sampling" in text
+
+
+class TestModuleEntryPoints:
+    """`python -m qaplandscape` and `python -m qaplandscape.cli` run the CLI
+    from a source checkout, exit codes included."""
+
+    @staticmethod
+    def _run(module, *argv):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        return subprocess.run(
+            [sys.executable, "-m", module, *argv],
+            capture_output=True, text=True, timeout=300,
+            env={**os.environ, "PYTHONPATH": path},
+        )
+
+    @pytest.mark.parametrize("module", ["qaplandscape", "qaplandscape.cli"])
+    def test_verify_exit_codes(self, module):
+        done = self._run(module, "verify", "--n", "4")
+        assert done.returncode == 0
+        assert "verification: PASS (15 claims, 0 failed, 0 skipped)" in done.stdout
+        refused = self._run(module, "verify", "--gen", "33,0,0,9")
+        assert refused.returncode == 1
+        assert "exceeds the limit 32" in refused.stderr

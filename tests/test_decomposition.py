@@ -25,6 +25,7 @@ from qaplandscape import (
     wave_predict_component,
     weight_denominator,
 )
+from qaplandscape.decomposition import _omega_case
 from conftest import (
     all_perms,
     random_perms,
@@ -132,6 +133,22 @@ class TestOmega:
         with pytest.raises(ValueError, match="range"):
             omega(OmegaKind.OMEGA1, 0, 4, 1, 2, x)
 
+    # Range is checked first, index by index in the order i, j, p, q.
+    @pytest.mark.parametrize("args, message", [
+        ((0, 4, 1, 2), "index j=4 out of range 0..3"),
+        ((-1, 1, 1, 2), "index i=-1 out of range 0..3"),
+        ((1, 1, 4, 2), "index p=4 out of range 0..3"),
+        ((0, 1, 2, 5), "index q=5 out of range 0..3"),
+        ((1, 1, 0, 2), "positions i and j must differ"),
+        ((1, 1, 2, 2), "positions i and j must differ"),
+        ((0, 1, 2, 2), "targets p and q must differ"),
+    ])
+    @pytest.mark.parametrize("fn", [omega, omega_neighborhood_sum_oracle])
+    def test_validation_messages(self, fn, args, message):
+        with pytest.raises(ValueError) as exc:
+            fn(OmegaKind.OMEGA2, *args, Permutation.identity(4))
+        assert str(exc.value) == message
+
     @pytest.mark.parametrize("n", [3, 4, 5])
     def test_exactly_one_case_fires(self, n):
         for x in all_perms(n):
@@ -145,8 +162,12 @@ class TestOmega:
                     xi not in (p, q) and xj not in (p, q),
                 ]
                 assert sum(cases) == 1
-                # the evaluator itself asserts the same; exercise it
-                omega(OmegaKind.OMEGA1, i, j, p, q, x)
+                # the classifier itself asserts the same; exercise it, and
+                # each kind's value is its parameter of that case
+                case = _omega_case(i, j, p, q, x)
+                assert case == cases.index(True)
+                for kind in KINDS:
+                    assert omega(kind, i, j, p, q, x) == omega_params(kind, n)[case]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_space_means_exhaustive(self, n):
