@@ -1,40 +1,21 @@
 """Elementary-landscape decomposition of the quadratic assignment problem
-under the swap neighborhood, with brute-force verification oracles."""
+under the swap neighborhood, with brute-force verification oracles.
 
-from .core import (
-    GeneralTensor,
-    Permutation,
-    QapInstance,
-    Scalar,
-    neighborhood_size,
-)
+The package root exports what users call; oracle internals and helpers
+import from their modules (for example `qaplandscape.decomposition.omega`).
+"""
+
+from .core import GeneralTensor, Permutation, QapInstance
 from .decomposition import (
-    AverageTriple,
     ComponentTriple,
-    ComponentVariances,
-    OmegaKind,
     average_triple,
-    characteristic_constant,
-    component_average,
-    component_value,
-    component_value_fast,
-    component_value_ref,
     component_variances,
     decompose,
     neighborhood_avg_wave,
-    omega,
-    omega_mean,
-    omega_neighborhood_sum_oracle,
-    omega_params,
-    phi_diag,
-    wave_predict_component,
-    weight_denominator,
 )
 from .oracle import (
     ElementarityReport,
-    SpaceStats,
     check_elementary,
-    enumerate_space,
     neighborhood_avg_brute,
     variance_triple,
 )
@@ -44,8 +25,6 @@ from .spectral import (
     WalkSeries,
     analyze_autocorr,
     autocorr_coefficient,
-    component_weights,
-    decay_rates,
     empirical_autocorr,
     random_walk,
     theoretical_autocorr,
@@ -56,49 +35,28 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutocorrReport",
-    "AverageTriple",
     "ClaimResult",
     "ComponentTriple",
-    "ComponentVariances",
     "ElementarityReport",
     "GeneralTensor",
-    "OmegaKind",
     "ParseError",
     "Permutation",
     "QapInstance",
-    "Scalar",
-    "SpaceStats",
     "WalkSeries",
     "analyze_autocorr",
     "autocorr_coefficient",
     "average_triple",
-    "characteristic_constant",
     "check_elementary",
-    "component_average",
-    "component_value",
-    "component_value_fast",
-    "component_value_ref",
     "component_variances",
-    "component_weights",
-    "decay_rates",
     "decompose",
     "empirical_autocorr",
-    "enumerate_space",
     "generate_instance",
     "neighborhood_avg_brute",
     "neighborhood_avg_wave",
-    "neighborhood_size",
-    "omega",
-    "omega_mean",
-    "omega_neighborhood_sum_oracle",
-    "omega_params",
     "parse_qaplib",
-    "phi_diag",
     "random_walk",
     "run_verification",
     "serialize_qaplib",
     "theoretical_autocorr",
     "variance_triple",
-    "wave_predict_component",
-    "weight_denominator",
 ]

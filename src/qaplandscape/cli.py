@@ -190,7 +190,8 @@ def _jsonify(value, exact: bool):
     if isinstance(value, _Count):
         return int(value)
     if isinstance(value, float):
-        return value
+        # JSON has no NaN or infinity: write "nan", "inf", "-inf".
+        return value if math.isfinite(value) else str(value)
     if isinstance(value, (int, Fraction)):
         return str(Fraction(value)) if exact else float(value)
     if isinstance(value, Permutation):
@@ -210,7 +211,7 @@ def _emit_json(command: str, problem, results: dict, residuals: dict) -> None:
         "results": _jsonify(results, problem.exact),
         "residuals": _jsonify(residuals, problem.exact),
     }
-    print(json.dumps(payload, indent=2))
+    print(json.dumps(payload, indent=2, allow_nan=False))
 
 
 def _sum_tolerance(problem, *values) -> float:

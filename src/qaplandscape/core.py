@@ -52,7 +52,7 @@ def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
 def _entries_are_exact(rows) -> bool:
     """True when every entry is int or Fraction, False when some are floats.
 
-    Anything else, and any NaN or infinity, is refused.
+    Anything else, a bool included, and any NaN or infinity, is refused.
     """
     exact = True
     for row in rows:
@@ -61,7 +61,7 @@ def _entries_are_exact(rows) -> bool:
                 if not math.isfinite(v):
                     raise ValueError(f"matrix entries must be finite, got {v!r}")
                 exact = False
-            elif not isinstance(v, (int, Fraction)):
+            elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"matrix entries must be numbers, got {v!r}")
     return exact
 

@@ -124,14 +124,6 @@ def _check_pair_indices(i: int, j: int, p: int, q: int, n: int) -> None:
         raise ValueError("targets p and q must differ")
 
 
-def phi_diag(i: int, p: int, x: Permutation) -> int:
-    """Indicator that position i is mapped to p; elementary with k = n."""
-    n = x.n
-    if not (0 <= i < n and 0 <= p < n):
-        raise ValueError(f"indices must lie in 0..{n - 1}: ({i}, {p})")
-    return 1 if x.mapping[i] == p else 0
-
-
 def _omega_case(i: int, j: int, p: int, q: int, x: Permutation) -> int:
     """Which of the five cases x is in for target pair (p, q), in
     OmegaParams order: 0 alpha, 1 beta, 2 gamma, 3 epsilon, 4 zeta."""
@@ -332,7 +324,8 @@ def component_value(problem: Problem, m: int, x: Permutation) -> Scalar:
 
 
 class ComponentTriple(NamedTuple):
-    """Component values at one permutation; total is their sum."""
+    """The three components and the objective: values at one permutation,
+    or means or variances over all n! permutations."""
 
     c1: Scalar
     c2: Scalar
@@ -342,19 +335,6 @@ class ComponentTriple(NamedTuple):
     @classmethod
     def of(cls, c1: Scalar, c2: Scalar, c3: Scalar) -> "ComponentTriple":
         return cls(c1, c2, c3, c1 + c2 + c3)
-
-
-class AverageTriple(NamedTuple):
-    """Search-space means of the components; total is the objective mean."""
-
-    a1: Scalar
-    a2: Scalar
-    a3: Scalar
-    total: Scalar
-
-    @classmethod
-    def of(cls, a1: Scalar, a2: Scalar, a3: Scalar) -> "AverageTriple":
-        return cls(a1, a2, a3, a1 + a2 + a3)
 
 
 def decompose(problem: Problem, x: Permutation) -> ComponentTriple:
@@ -411,8 +391,8 @@ def component_average(problem: Problem, m: int) -> Scalar:
     return div(off, n * (n - 2), exact) + div(diag, n, exact)
 
 
-def average_triple(problem: Problem) -> AverageTriple:
-    return AverageTriple.of(
+def average_triple(problem: Problem) -> ComponentTriple:
+    return ComponentTriple.of(
         component_average(problem, 1),
         component_average(problem, 2),
         component_average(problem, 3),
@@ -443,15 +423,6 @@ def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
         k = characteristic_constant(OmegaKind(m), n)
         value = value + div(k, d, problem.exact) * (a[m - 1] - t[m - 1])
     return value
-
-
-class ComponentVariances(NamedTuple):
-    """Population variances of the three components and of the objective."""
-
-    c1: Scalar
-    c2: Scalar
-    c3: Scalar
-    total: Scalar
 
 
 # Projections of a function on ordered pairs i != j, given as an n x n array
@@ -588,7 +559,7 @@ def _tensor_variances(tensor: GeneralTensor):
     return n211, n22, _c3_coefficients(t1, t2, t3, t4, diag, n)
 
 
-def component_variances(problem: Problem) -> ComponentVariances:
+def component_variances(problem: Problem) -> ComponentTriple:
     """Population variances of c1, c2, c3 and f over all n! permutations,
     in closed form: O(n^2) for a QapInstance, O(n^4) for a GeneralTensor.
 
@@ -615,4 +586,4 @@ def component_variances(problem: Problem) -> ComponentVariances:
     v1 = _schur_variance(n211, 2 * n, OmegaKind.OMEGA1, n, exact)
     v2 = _schur_variance(n22, 4 * (n - 1) * (n - 2), OmegaKind.OMEGA2, n, exact)
     v3 = _first_order_variance(b, n, exact)
-    return ComponentVariances(v1, v2, v3, v1 + v2 + v3)
+    return ComponentTriple.of(v1, v2, v3)

@@ -15,7 +15,7 @@ from itertools import permutations
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .core import FLOAT_TOLERANCE, Permutation, Scalar, div, neighborhood_size
-from .decomposition import ComponentVariances, Problem, decompose  # re-exported
+from .decomposition import ComponentTriple, Problem, decompose
 
 # 8! = 40320 points; anything larger must opt in explicitly.
 DEFAULT_ENUMERATION_CAP = 8
@@ -169,12 +169,12 @@ def evaluate_points(
 
 def variance_triple(
     problem: Problem, cap: int = DEFAULT_ENUMERATION_CAP
-) -> ComponentVariances:
+) -> ComponentTriple:
     """Population variances of the three components and of the objective by
     full enumeration of all n! permutations: the brute-force oracle for
     decomposition.component_variances."""
     _check_cap(problem.n, cap)
-    return ComponentVariances(*(
+    return ComponentTriple(*(
         population_variance(col)
         for col in evaluate_points(problem, space_points(problem.n))
     ))

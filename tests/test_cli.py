@@ -11,14 +11,13 @@ import pytest
 from qaplandscape import (
     cli,
     component_variances,
-    component_weights,
     decomposition,
     generate_instance,
     serialize_qaplib,
 )
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaKind, OmegaParams
-from qaplandscape.spectral import AutocorrReport
+from qaplandscape.spectral import AutocorrReport, component_weights
 
 SAMPLE = "3\n0 1 2\n1 0 3\n2 3 0\n0 5 5\n5 0 5\n5 5 0\n"
 
@@ -302,6 +301,21 @@ class TestFailClosed:
         )
         assert code == 2
         assert "enumerated" not in out
+
+    @pytest.mark.parametrize("command", [
+        ["verify"], ["stats"],
+        ["decompose", "--perm", "0,1,2,3"], ["avg", "--perm", "0,1,2,3"],
+    ], ids=["verify", "stats", "decompose", "avg"])
+    def test_json_on_overflow_is_strict_json(self, capsys, overflow_file, command):
+        code, out, _ = run(capsys, *command, "--instance", overflow_file,
+                           "--format", "json")
+        assert code == 2
+
+        def refuse(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        json.loads(out, parse_constant=refuse)
+        assert '"nan"' in out or '"inf"' in out
 
     def test_autocorr_nan_at_later_lag_fails(self, capsys, monkeypatch):
         def fake(problem, steps, walk_seed, max_lag, **kwargs):

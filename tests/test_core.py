@@ -4,12 +4,8 @@ from fractions import Fraction
 
 import pytest
 
-from qaplandscape import (
-    GeneralTensor,
-    Permutation,
-    QapInstance,
-    neighborhood_size,
-)
+from qaplandscape import GeneralTensor, Permutation, QapInstance
+from qaplandscape.core import neighborhood_size
 from conftest import all_perms, random_perms, seeded_instance, single_entry_tensor
 
 
@@ -132,6 +128,17 @@ class TestQapInstance:
         psi = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
         psi[2][1][0][2] = bad
         with pytest.raises(ValueError, match="finite"):
+            GeneralTensor(psi)
+
+    def test_rejects_bool_entries(self):
+        # A bool is an int, but serialize_qaplib cannot write it back.
+        with pytest.raises(ValueError, match="must be numbers, got True"):
+            QapInstance([[True, 0, 0], [0, 1, 0], [0, 0, 1]], [[1] * 3] * 3)
+        with pytest.raises(ValueError, match="must be numbers, got False"):
+            QapInstance([[1] * 3] * 3, [[1.5] * 3] * 2 + [[1, False, 2]])
+        psi = [[[[0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+        psi[0][1][2][0] = True
+        with pytest.raises(ValueError, match="must be numbers, got True"):
             GeneralTensor(psi)
 
     def test_as_float(self):

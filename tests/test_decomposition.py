@@ -1,31 +1,31 @@
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
 from qaplandscape import (
     GeneralTensor,
-    OmegaKind,
     Permutation,
     QapInstance,
     average_triple,
+    decompose,
+    neighborhood_avg_wave,
+)
+from qaplandscape.core import neighborhood_size
+from qaplandscape.decomposition import (
+    OmegaKind,
+    _omega_case,
     characteristic_constant,
     component_average,
     component_value_fast,
     component_value_ref,
-    decompose,
-    neighborhood_avg_wave,
-    neighborhood_size,
     omega,
     omega_mean,
     omega_neighborhood_sum_oracle,
     omega_params,
-    phi_diag,
     wave_predict_component,
     weight_denominator,
 )
-from qaplandscape.decomposition import _omega_case
 from conftest import (
     all_perms,
     random_perms,
@@ -88,30 +88,6 @@ class TestParameterTable:
         assert Fraction(2 * n, d) == Fraction(4, n - 1)
         assert Fraction(2 * (n - 1), d) == Fraction(4, n)
         assert Fraction(n, d) == Fraction(2, n - 1)
-
-
-class TestPhiDiag:
-    def test_values(self):
-        x = Permutation.identity(4)
-        assert phi_diag(2, 2, x) == 1
-        assert phi_diag(0, 1, x) == 0
-
-    def test_index_validation(self):
-        x = Permutation.identity(4)
-        with pytest.raises(ValueError):
-            phi_diag(4, 0, x)
-        with pytest.raises(ValueError):
-            phi_diag(0, -1, x)
-
-    def test_mean_is_one_over_n(self):
-        n = 4
-        perms = list(permutations(range(n)))
-        for i in range(n):
-            for p in range(n):
-                total = sum(1 for t in perms if t[i] == p)
-                assert Fraction(total, len(perms)) == Fraction(1, n)
-                got = sum(phi_diag(i, p, Permutation(list(t))) for t in perms)
-                assert got == total
 
 
 class TestOmega:

@@ -4,23 +4,23 @@ from fractions import Fraction
 import pytest
 
 from qaplandscape import (
-    OmegaKind,
     Permutation,
     QapInstance,
     check_elementary,
-    component_value,
     component_variances,
     decompose,
-    enumerate_space,
     neighborhood_avg_brute,
     neighborhood_avg_wave,
-    neighborhood_size,
-    omega,
-    phi_diag,
     variance_triple,
+)
+from qaplandscape.core import neighborhood_size
+from qaplandscape.decomposition import (
+    OmegaKind,
+    component_value,
+    omega,
     weight_denominator,
 )
-from qaplandscape.oracle import moments, population_variance, space_points
+from qaplandscape.oracle import enumerate_space, moments, population_variance, space_points
 from conftest import all_perms, seeded_instance, single_entry_tensor
 
 
@@ -33,14 +33,14 @@ class TestNeighborhoodAvgBrute:
         # x(i) = p: n - 1 neighbors lose the match, the rest keep it
         n, d = 5, neighborhood_size(5)
         x = Permutation.identity(n)
-        avg = neighborhood_avg_brute(lambda y: phi_diag(2, 2, y), x)
+        avg = neighborhood_avg_brute(lambda y: int(y(2) == 2), x)
         assert avg == Fraction(d - n + 1, d) == Fraction(6, 10)
 
     def test_position_indicator_miss(self):
         # x(i) != p: exactly one neighbor creates the match
         n, d = 5, neighborhood_size(5)
         x = Permutation.identity(n)
-        avg = neighborhood_avg_brute(lambda y: phi_diag(2, 3, y), x)
+        avg = neighborhood_avg_brute(lambda y: int(y(2) == 3), x)
         assert avg == Fraction(1, d) == Fraction(1, 10)
 
 
@@ -52,7 +52,7 @@ class TestEnumerateSpace:
         assert stats.count == 24
 
     def test_position_indicator_mean(self):
-        stats = enumerate_space(lambda x: phi_diag(1, 3, x), 4)
+        stats = enumerate_space(lambda x: int(x(1) == 3), 4)
         assert stats.mean == Fraction(1, 4)
 
     def test_omega1_mean(self):
@@ -73,14 +73,14 @@ class TestEnumerateSpace:
         assert len(seen) == 6
 
     def test_float_values(self):
-        stats = enumerate_space(lambda x: float(phi_diag(0, 0, x)), 4)
+        stats = enumerate_space(lambda x: float(x(0) == 0), 4)
         assert stats.mean == pytest.approx(0.25)
         assert stats.variance == pytest.approx(0.25 * 0.75)
 
 
 class TestCheckElementary:
     def test_position_indicator(self):
-        report = check_elementary(lambda x: phi_diag(1, 2, x), 5)
+        report = check_elementary(lambda x: int(x(1) == 2), 5)
         assert report.is_elementary
         assert report.fitted_k == 5
         assert report.max_residual == 0

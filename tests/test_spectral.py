@@ -7,22 +7,20 @@ import pytest
 from qaplandscape import spectral
 from qaplandscape import (
     GeneralTensor,
-    OmegaKind,
     Permutation,
     QapInstance,
     WalkSeries,
     analyze_autocorr,
     autocorr_coefficient,
     average_triple,
-    component_weights,
-    decay_rates,
     empirical_autocorr,
-    omega,
     random_walk,
     theoretical_autocorr,
     variance_triple,
 )
+from qaplandscape.decomposition import OmegaKind, omega
 from qaplandscape.qaplib import parse_qaplib
+from qaplandscape.spectral import component_weights, decay_rates
 from conftest import seeded_instance, tensor_with, zero_psi
 
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 
 from qaplandscape import (
-    ComponentVariances,
+    ComponentTriple,
     GeneralTensor,
     QapInstance,
     component_variances,
@@ -79,7 +79,7 @@ def test_components_add_to_total():
 
 
 def test_named_tuple_is_shared_with_the_oracle():
-    assert oracle.ComponentVariances is ComponentVariances
+    assert oracle.ComponentTriple is ComponentTriple
 
 
 def test_rejects_other_types():

@@ -72,3 +72,17 @@ def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
     monkeypatch.setattr(decomposition, "characteristic_constant", perturbed)
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert failed == {f"wave_component_{m}", "neighborhood_average"}
+
+
+# Exhaustive at n=5; beyond cap 4 at n=7, where only 20 points are compared.
+@pytest.mark.parametrize("n, cap", [(5, DEFAULT_ENUMERATION_CAP), (7, 4)])
+def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, n, cap):
+    case_totals = decomposition._case_totals
+
+    def gamma_epsilon_exchanged(inst, x):
+        sa, sb, sg, se, sz, diag = case_totals(inst, x)
+        return sa, sb, se, sg, sz, diag
+
+    monkeypatch.setattr(decomposition, "_case_totals", gamma_epsilon_exchanged)
+    failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
+    assert "fast_vs_reference" in failed
