@@ -17,7 +17,7 @@ from dataclasses import asdict
 from fractions import Fraction
 from pathlib import Path
 
-from .core import FLOAT_TOLERANCE, MAX_TENSOR_SIZE, Permutation, QapInstance
+from .core import MAX_TENSOR_SIZE, Permutation, QapInstance, passes
 from .decomposition import (
     average_triple,
     component_variances,
@@ -214,11 +214,9 @@ def _emit_json(command: str, problem, results: dict, residuals: dict) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
 
 
-def _sum_tolerance(problem, *values) -> float:
-    if problem.exact:
-        return 0
-    scale = max([1.0] + [abs(float(v)) for v in values])
-    return FLOAT_TOLERANCE * scale
+def _passes(problem, residual, *values) -> bool:
+    """The library's pass rule, scaled by the largest of 1 and |values|."""
+    return passes(residual, max(1, *map(abs, values)), problem.exact)
 
 
 def _cmd_decompose(problem, args) -> int:
@@ -226,8 +224,7 @@ def _cmd_decompose(problem, args) -> int:
     f = problem.fitness(x)
     t = decompose(problem, x)
     residual = abs(t.total - f)
-    tol = _sum_tolerance(problem, f)
-    ok = residual <= tol
+    ok = _passes(problem, residual, f)
     results = {"f": f, "c1": t.c1, "c2": t.c2, "c3": t.c3, "total": t.total}
     residuals = {"decomposition_sum": residual}
     if args.fmt == "json":
@@ -248,8 +245,7 @@ def _cmd_avg(problem, args) -> int:
     wave = neighborhood_avg_wave(problem, x)
     brute = neighborhood_avg_brute(problem.fitness, x)
     residual = abs(wave - brute)
-    tol = _sum_tolerance(problem, wave, brute)
-    ok = residual <= tol
+    ok = _passes(problem, residual, wave, brute)
     results = {"wave": wave, "brute": brute}
     residuals = {"neighborhood_average": residual}
     if args.fmt == "json":
@@ -373,10 +369,11 @@ def _cmd_stats(problem, args) -> int:
             residuals[f"mean_{key}"] = abs(mean - closed)
         for key, (_, var), closed in zip(keys, stats, v):
             residuals[f"var_{key}"] = abs(var - closed)
-        mean_tol = _sum_tolerance(problem, a.total)
-        var_tol = _sum_tolerance(problem, v.total)
-        if not (all(residuals[f"mean_{k}"] <= mean_tol for k in keys)
-                and all(residuals[f"var_{k}"] <= var_tol for k in keys)):
+        if not all(
+            _passes(problem, residuals[f"{stat}_{k}"], closed.total)
+            for stat, closed in (("mean", a), ("var", v))
+            for k in keys
+        ):
             exit_code = 2
 
     if args.fmt == "json":

@@ -29,6 +29,18 @@ MAX_TENSOR_SIZE = 32
 FLOAT_TOLERANCE = 1e-9
 
 
+def tolerance(scale: Scalar, exact: bool) -> Scalar:
+    """Pass threshold of a check: 0 in exact mode, FLOAT_TOLERANCE times the
+    magnitude scale of the values compared in float mode."""
+    return 0 if exact else FLOAT_TOLERANCE * scale
+
+
+def passes(residual: Scalar, scale: Scalar, exact: bool) -> bool:
+    """The pass rule of every check: residual <= tolerance(scale, exact).
+    Fails closed: a NaN residual or an infinite tolerance never passes."""
+    return residual <= tolerance(scale, exact) < math.inf
+
+
 def neighborhood_size(n: int) -> int:
     """Number of swap neighbors of a permutation of n elements: n(n-1)/2."""
     return n * (n - 1) // 2
@@ -40,7 +52,7 @@ def div(value: Scalar, divisor: Scalar, exact: bool) -> Scalar:
 
 
 def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
-    """Refuse a swap_delta call whose mapping or positions do not fit size n."""
+    """Refuse a swap whose mapping or positions do not fit size n."""
     if len(mapping) != n:
         raise ValueError(f"mapping size {len(mapping)} != problem size {n}")
     if not (0 <= u < n and 0 <= v < n):
@@ -121,11 +133,7 @@ class Permutation:
 
     def swap(self, u: int, v: int) -> "Permutation":
         """New permutation with the images of positions u and v exchanged."""
-        n = len(self.mapping)
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"swap positions must lie in 0..{n - 1}: ({u}, {v})")
-        if u == v:
-            raise ValueError("swap positions must differ")
+        _check_swap(len(self.mapping), self.mapping, u, v)
         m = list(self.mapping)
         m[u], m[v] = m[v], m[u]
         return Permutation._wrap(tuple(m))

@@ -26,9 +26,9 @@ All functions are pure; callers may parallelize across permutations.
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
+from functools import cache
 from operator import mul
-from typing import Callable, Dict, NamedTuple, Union
+from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 from .core import (
     GeneralTensor,
@@ -60,56 +60,35 @@ class OmegaParams(NamedTuple):
     zeta: int     # x(i) and x(j) both avoid {p, q}
 
 
-# Parameter vectors as functions of n. Other solutions of the underlying
-# linear system exist; these three are the ones whose weighted sum is the
-# pair indicator.
-OMEGA_PARAMS: Dict[OmegaKind, Callable[[int], OmegaParams]] = {
-    OmegaKind.OMEGA1: lambda n: OmegaParams(n - 3, 1 - n, -2, 0, -1),
-    OmegaKind.OMEGA2: lambda n: OmegaParams(n - 3, n - 3, 0, 0, 1),
-    OmegaKind.OMEGA3: lambda n: OmegaParams(2 * n - 3, 1, n - 2, 0, -1),
+class KindConstants(NamedTuple):
+    """Everything about one kind that depends on n alone."""
+
+    params: OmegaParams    # values taken in the five cases
+    k: int                 # wave-equation constant
+    den: int               # weight turning the kind into its share of the pair indicator
+    dim: int               # dimension of the irreducible part carrying c_m
+    mean: Tuple[int, int]  # mean over the whole permutation space, as (num, den)
+
+
+# The per-kind constants as functions of n. Other parameter vectors solve
+# the underlying linear system; these three are the ones whose weighted sum
+# is the pair indicator. The irreducible parts are (n-2,1,1), (n-2,2) and
+# (n-1,1); the second has dimension 0 at n = 3, where c2 vanishes. Rows are
+# immutable and read on every evaluation, so each is built once per n.
+KIND_CONSTANTS: Dict[OmegaKind, Callable[[int], KindConstants]] = {
+    OmegaKind.OMEGA1: cache(lambda n: KindConstants(
+        OmegaParams(n - 3, 1 - n, -2, 0, -1),
+        2 * n, 2 * n, (n - 1) * (n - 2) // 2, (-1, 1),
+    )),
+    OmegaKind.OMEGA2: cache(lambda n: KindConstants(
+        OmegaParams(n - 3, n - 3, 0, 0, 1),
+        2 * (n - 1), 2 * (n - 2), n * (n - 3) // 2, (n - 3, n - 1),
+    )),
+    OmegaKind.OMEGA3: cache(lambda n: KindConstants(
+        OmegaParams(2 * n - 3, 1, n - 2, 0, -1),
+        n, n * (n - 2), n - 1, (1, 1),
+    )),
 }
-
-
-def omega_params(kind: OmegaKind, n: int) -> OmegaParams:
-    return OMEGA_PARAMS[kind](n)
-
-
-def characteristic_constant(kind: OmegaKind, n: int) -> int:
-    """The wave-equation constant k of each kind: 2n, 2(n-1), n."""
-    if kind is OmegaKind.OMEGA1:
-        return 2 * n
-    if kind is OmegaKind.OMEGA2:
-        return 2 * (n - 1)
-    return n
-
-
-def weight_denominator(kind: OmegaKind, n: int) -> int:
-    """Divisor turning each kind into its share of the pair indicator."""
-    if kind is OmegaKind.OMEGA1:
-        return 2 * n
-    if kind is OmegaKind.OMEGA2:
-        return 2 * (n - 2)
-    return n * (n - 2)
-
-
-def irrep_dimension(kind: OmegaKind, n: int) -> int:
-    """Dimension of the irreducible representation carrying c_m minus its
-    mean: (n-1)(n-2)/2, n(n-3)/2, n-1 for the partitions (n-2,1,1),
-    (n-2,2), (n-1,1). The second is 0 at n = 3, where c2 vanishes."""
-    if kind is OmegaKind.OMEGA1:
-        return (n - 1) * (n - 2) // 2
-    if kind is OmegaKind.OMEGA2:
-        return n * (n - 3) // 2
-    return n - 1
-
-
-def omega_mean(kind: OmegaKind, n: int) -> Scalar:
-    """Mean over the whole permutation space: -1, (n-3)/(n-1), 1."""
-    if kind is OmegaKind.OMEGA1:
-        return -1
-    if kind is OmegaKind.OMEGA2:
-        return Fraction(n - 3, n - 1)
-    return 1
 
 
 def _check_pair_indices(i: int, j: int, p: int, q: int, n: int) -> None:
@@ -144,7 +123,7 @@ def _omega_case(i: int, j: int, p: int, q: int, x: Permutation) -> int:
 def omega(kind: OmegaKind, i: int, j: int, p: int, q: int, x: Permutation) -> int:
     """Five-case value of the given kind at x, for target pair (p, q)."""
     case = _omega_case(i, j, p, q, x)
-    return omega_params(kind, x.n)[case]
+    return KIND_CONSTANTS[kind](x.n).params[case]
 
 
 def omega_neighborhood_sum_oracle(
@@ -157,7 +136,7 @@ def omega_neighborhood_sum_oracle(
     """
     n = x.n
     _check_pair_indices(i, j, p, q, n)
-    a, b, g, e, z = omega_params(kind, n)
+    a, b, g, e, z = KIND_CONSTANTS[kind](n).params
     d = neighborhood_size(n)
     xi = x.mapping[i]
     xj = x.mapping[j]
@@ -188,8 +167,8 @@ def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar
     if x.n != tensor.n:
         raise ValueError(f"permutation size {x.n} != tensor size {tensor.n}")
     n = tensor.n
-    kind = OmegaKind(m)
-    alpha, beta, gamma, epsilon, zeta = omega_params(kind, n)
+    consts = KIND_CONSTANTS[OmegaKind(m)](n)
+    alpha, beta, gamma, epsilon, zeta = consts.params
     xm = x.mapping
     psi = tensor.psi
     acc = 0
@@ -229,7 +208,7 @@ def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar
                                 acc += v * gamma
                             else:
                                 acc += v * zeta
-    value = div(acc, weight_denominator(kind, n), tensor.exact)
+    value = div(acc, consts.den, tensor.exact)
     if m == 3:
         value = value + sum(psi[i][i][xm[i]][xm[i]] for i in range(n))
     return value
@@ -284,19 +263,12 @@ def _case_totals(inst: QapInstance, x: Permutation):
     return s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag
 
 
-def _numerator(kind: OmegaKind, n: int, totals) -> Scalar:
-    a, b, g, e, z = omega_params(kind, n)
-    sa, sb, sg, se, sz, _ = totals
-    return a * sa + b * sb + g * sg + e * se + z * sz
-
-
 def _value_from_totals(inst: QapInstance, m: int, totals) -> Scalar:
-    n = inst.n
-    kind = OmegaKind(m)
-    num = _numerator(kind, n, totals)
-    den = weight_denominator(kind, n)
+    (a, b, g, e, z), _, den, _, _ = KIND_CONSTANTS[OmegaKind(m)](inst.n)
+    sa, sb, sg, se, sz, diag = totals
+    num = a * sa + b * sb + g * sg + e * se + z * sz
     if m == 3:
-        num = num + den * totals[5]
+        num = num + den * diag
     return div(num, den, inst.exact)
 
 
@@ -384,11 +356,12 @@ def component_average(problem: Problem, m: int) -> Scalar:
     n = problem.n
     exact = problem.exact
     off, diag = _coefficient_sums(problem)
-    if m == 1:
-        return div(-off, 2 * n, exact)
-    if m == 2:
-        return div(off * (n - 3), 2 * (n - 2) * (n - 1), exact)
-    return div(off, n * (n - 2), exact) + div(diag, n, exact)
+    consts = KIND_CONSTANTS[OmegaKind(m)](n)
+    num, den = consts.mean
+    value = div(off * num, consts.den * den, exact)
+    if m == 3:
+        value = value + div(diag, n, exact)
+    return value
 
 
 def average_triple(problem: Problem) -> ComponentTriple:
@@ -406,7 +379,7 @@ def wave_predict_component(problem: Problem, m: int, x: Permutation) -> Scalar:
     n = problem.n
     c = component_value(problem, m, x)
     a = component_average(problem, m)
-    k = characteristic_constant(OmegaKind(m), n)
+    k = KIND_CONSTANTS[OmegaKind(m)](n).k
     return c + div(k, neighborhood_size(n), problem.exact) * (a - c)
 
 
@@ -419,9 +392,9 @@ def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
     value = problem.fitness(x)
     t = decompose(problem, x)
     a = average_triple(problem)
-    for m in (1, 2, 3):
-        k = characteristic_constant(OmegaKind(m), n)
-        value = value + div(k, d, problem.exact) * (a[m - 1] - t[m - 1])
+    for kind, mean, c in zip(OmegaKind, a, t):
+        k = KIND_CONSTANTS[kind](n).k
+        value = value + div(k, d, problem.exact) * (mean - c)
     return value
 
 
@@ -465,7 +438,7 @@ def _schur_variance(norm_sq: Scalar, scale: int, kind: OmegaKind, n: int,
     """Variance of a multiplicity-one isotypic part: the squared norms of
     both projected sides over the irreducible dimension. norm_sq carries the
     projections' scale on each side, hence scale**4."""
-    dim = irrep_dimension(kind, n)
+    dim = KIND_CONSTANTS[kind](n).dim
     if dim == 0:
         return div(0, 1, exact)
     return div(norm_sq, scale**4 * dim, exact)
@@ -478,14 +451,15 @@ def _first_order_variance(b, n: int, exact: bool) -> Scalar:
     cols = [sum(col) for col in zip(*b)]
     total = sum(rows)
     nn = n * n
-    sq = sum(
-        (nn * b[i][p] - n * rows[i] - n * cols[p] + total) ** 2
+    # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
+    centred = (
+        nn * b[i][p] - n * rows[i] - n * cols[p] + total
         for i in range(n)
         for p in range(n)
     )
-    scale = weight_denominator(OmegaKind.OMEGA3, n)
-    return div(sq, nn * nn * scale * scale * irrep_dimension(OmegaKind.OMEGA3, n),
-               exact)
+    sq = sum(v * v for v in centred)
+    consts = KIND_CONSTANTS[OmegaKind.OMEGA3](n)
+    return div(sq, nn * nn * consts.den * consts.den * consts.dim, exact)
 
 
 def _c3_coefficients(t1, t2, t3, t4, diag, n: int):
@@ -494,7 +468,7 @@ def _c3_coefficients(t1, t2, t3, t4, diag, n: int):
     target p collect (n-1)(t1 + t2) + t3 + t4, where t1..t4 sum the
     off-diagonal coefficients having i and p in the roles (first, first),
     (second, second), (first, second) and (second, first)."""
-    c = weight_denominator(OmegaKind.OMEGA3, n)
+    c = KIND_CONSTANTS[OmegaKind.OMEGA3](n).den
     return [
         [
             (n - 1) * (t1[i][p] + t2[i][p]) + t3[i][p] + t4[i][p] + c * diag[i][p]

@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import permutations
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .core import FLOAT_TOLERANCE, Permutation, Scalar, div, neighborhood_size
+from .core import Permutation, Scalar, div, neighborhood_size, passes
 from .decomposition import ComponentTriple, Problem, decompose
 
 # 8! = 40320 points; anything larger must opt in explicitly.
@@ -53,13 +53,24 @@ def _exact(values) -> bool:
     return not any(isinstance(v, float) for v in values)
 
 
+def _fsum(values) -> float:
+    """math.fsum, or NaN where it raises: on infinities of both signs, or on
+    an intermediate overflow."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def moments(values) -> Tuple[Scalar, Scalar]:
     """Mean and population variance of a non-empty value sequence: exact for
-    int/Fraction values, accumulated with math.fsum when any is a float."""
+    int/Fraction values, accumulated with math.fsum when any is a float.
+    A float sum that fsum cannot form is NaN, so the checks reading it fail."""
     count = len(values)
     if not _exact(values):
-        mean = math.fsum(values) / count
-        return mean, math.fsum((v - mean) ** 2 for v in values) / count
+        mean = _fsum(values) / count
+        # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
+        return mean, _fsum((v - mean) * (v - mean) for v in values) / count
     mean = Fraction(sum(values), count)
     return mean, Fraction(sum(v * v for v in values), count) - mean * mean
 
@@ -137,12 +148,8 @@ def check_elementary(
             max_residual = residual
             worst = x
 
-    if exact:
-        elementary = max_residual == 0
-    else:
-        scale = max(1.0, max(abs(v) for v in values))
-        # Fails closed: a NaN residual or an infinite tolerance never fits.
-        elementary = max_residual <= FLOAT_TOLERANCE * scale < math.inf
+    scale = max(1, max(abs(v) for v in values))
+    elementary = passes(max_residual, scale, exact)
     fitted_k = d * (1 - a) if elementary else None
     return ElementarityReport(elementary, fitted_k, max_residual, worst)
 

@@ -33,12 +33,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import Permutation, Scalar, div, neighborhood_size
-from .decomposition import (
-    OmegaKind,
-    Problem,
-    characteristic_constant,
-    component_variances,
-)
+from .decomposition import KIND_CONSTANTS, OmegaKind, Problem, component_variances
 
 
 @dataclass(frozen=True)
@@ -151,11 +146,14 @@ def component_weights(problem: Problem) -> Tuple[Scalar, Scalar, Scalar]:
     return tuple(div(v, vt.total, problem.exact) for v in (vt.c1, vt.c2, vt.c3))
 
 
+def _wave_constants(n: int) -> List[int]:
+    return [KIND_CONSTANTS[kind](n).k for kind in OmegaKind]
+
+
 def decay_rates(n: int, exact: bool = True) -> Tuple[Scalar, Scalar, Scalar]:
     """Per-step retention factors 1 - k_m/d of the three components."""
     d = neighborhood_size(n)
-    ks = [characteristic_constant(OmegaKind(m), n) for m in (1, 2, 3)]
-    return tuple(1 - div(k, d, exact) for k in ks)
+    return tuple(1 - div(k, d, exact) for k in _wave_constants(n))
 
 
 def _predicted_autocorr(weights, n: int, exact: bool, max_lag: int) -> List[Scalar]:
@@ -167,9 +165,8 @@ def _predicted_autocorr(weights, n: int, exact: bool, max_lag: int) -> List[Scal
 
 
 def _coefficient(weights, n: int, exact: bool) -> CoefficientBounds:
-    ks = [characteristic_constant(OmegaKind(m), n) for m in (1, 2, 3)]
     d = neighborhood_size(n)
-    rate = sum(div(wv * k, d, exact) for wv, k in zip(weights, ks))
+    rate = sum(div(wv * k, d, exact) for wv, k in zip(weights, _wave_constants(n)))
     return CoefficientBounds(1 / rate, div(n - 1, 4, exact), div(n - 1, 2, exact))
 
 

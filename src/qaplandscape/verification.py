@@ -15,7 +15,6 @@ kinds' literal sums following from the five case counts.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -23,14 +22,16 @@ from operator import mul
 from typing import List, Optional
 
 from .core import (
-    FLOAT_TOLERANCE,
     MAX_TENSOR_SIZE,
     GeneralTensor,
     Permutation,
     QapInstance,
     Scalar,
+    passes,
+    tolerance,
 )
 from .decomposition import (
+    KIND_CONSTANTS,
     OmegaKind,
     Problem,
     _omega_case,
@@ -38,9 +39,7 @@ from .decomposition import (
     component_variances,
     decompose,
     neighborhood_avg_wave,
-    omega_mean,
     omega_neighborhood_sum_oracle,
-    omega_params,
     wave_predict_component,
 )
 from .oracle import (
@@ -85,10 +84,10 @@ class _Residual:
                 self.scale = a
 
     def result(self, name: str, exact: bool, detail: str = "") -> ClaimResult:
-        tol: Scalar = 0 if exact else FLOAT_TOLERANCE * self.scale
-        # Fails closed: a NaN residual or an infinite tolerance never passes.
-        passed = self.max <= tol < math.inf
-        return ClaimResult(name, self.max, tol, passed, detail=detail)
+        passed = passes(self.max, self.scale, exact)
+        return ClaimResult(
+            name, self.max, tolerance(self.scale, exact), passed, detail=detail
+        )
 
 
 def _skipped(name: str, why: str) -> ClaimResult:
@@ -252,7 +251,7 @@ def run_verification(
         for x, ys in zip(case_points, neighbors):
             counts = _case_counts(i, j, p, q, ys)
             for kind in OmegaKind:
-                literal = sum(map(mul, omega_params(kind, n), counts))
+                literal = sum(map(mul, KIND_CONSTANTS[kind](n).params, counts))
                 res.add(omega_neighborhood_sum_oracle(kind, i, j, p, q, x), literal)
     results.append(res.result("case_sum_formulas", True, case_detail))
 
@@ -265,9 +264,10 @@ def run_verification(
         space_counts = [_case_counts(i, j, p, q, space) for (i, j, p, q) in mean_tuples]
         res = _Residual()
         for kind in OmegaKind:
+            consts = KIND_CONSTANTS[kind](n)
             for counts in space_counts:
-                total = sum(map(mul, omega_params(kind, n), counts))
-                res.add(Fraction(total, len(space)), omega_mean(kind, n))
+                total = sum(map(mul, consts.params, counts))
+                res.add(Fraction(total, len(space)), Fraction(*consts.mean))
         results.append(res.result(
             "enumerated_case_means", True, f"{len(mean_tuples)} sampled index tuples"
         ))

@@ -2,6 +2,7 @@ import random
 from itertools import permutations
 
 from qaplandscape import GeneralTensor, Permutation
+from qaplandscape.decomposition import KIND_CONSTANTS
 from qaplandscape.qaplib import generate_instance
 
 
@@ -32,3 +33,15 @@ def tensor_with(n, entries):
 
 def single_entry_tensor(n, i, j, p, q, value=1):
     return tensor_with(n, {(i, j, p, q): value})
+
+
+def perturb_kind(monkeypatch, kind, column, change):
+    """Replace one column of one kind's row of KIND_CONSTANTS by
+    change(original value), for the rest of the test."""
+    original = KIND_CONSTANTS[kind]
+
+    def perturbed(n):
+        consts = original(n)
+        return consts._replace(**{column: change(getattr(consts, column))})
+
+    monkeypatch.setitem(KIND_CONSTANTS, kind, perturbed)

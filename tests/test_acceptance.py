@@ -14,7 +14,6 @@ from qaplandscape import (
     Permutation,
     check_elementary,
     decompose,
-    decomposition,
     empirical_autocorr,
     neighborhood_avg_wave,
     parse_qaplib,
@@ -27,7 +26,6 @@ from qaplandscape.cli import run_cli
 from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
     OmegaKind,
-    OmegaParams,
     component_average,
     component_value_fast,
     component_value_ref,
@@ -37,7 +35,7 @@ from qaplandscape.decomposition import (
 )
 from qaplandscape.oracle import enumerate_space
 from qaplandscape.spectral import autocorr_coefficient
-from conftest import all_perms, random_perms, seeded_instance
+from conftest import all_perms, perturb_kind, random_perms, seeded_instance
 
 SEEDS = [11, 12, 13, 14, 15]
 
@@ -285,10 +283,9 @@ def test_c12_cli_contract(capsys, monkeypatch):
     code = run_cli(["verify", "--gen", "5,2,0,9"])
     assert code == 0
 
-    monkeypatch.setitem(
-        decomposition.OMEGA_PARAMS,
-        OmegaKind.OMEGA1,
-        lambda n: OmegaParams(n - 2, 1 - n, -2, 0, -1),
+    perturb_kind(
+        monkeypatch, OmegaKind.OMEGA1, "params",
+        lambda p: p._replace(alpha=p.alpha + 1),
     )
     code = run_cli(["verify", "--n", "4", "--seed", "1"])
     assert code == 2

@@ -22,8 +22,7 @@ PUBLIC = [
 
 MODULE_HELPERS = {
     "decomposition": [
-        "OmegaKind", "omega", "omega_params", "omega_mean",
-        "characteristic_constant", "weight_denominator", "component_value",
+        "OmegaKind", "KindConstants", "KIND_CONSTANTS", "omega", "component_value",
         "component_value_fast", "component_value_ref", "component_average",
         "wave_predict_component", "omega_neighborhood_sum_oracle",
     ],
@@ -58,9 +57,11 @@ def test_helpers_import_from_their_modules(module):
         assert name not in qaplandscape.__all__
 
 
-@pytest.mark.parametrize(
-    "name", ["AverageTriple", "ComponentVariances", "phi_diag"]
-)
+@pytest.mark.parametrize("name", [
+    "AverageTriple", "ComponentVariances", "phi_diag", "OMEGA_PARAMS",
+    "omega_params", "characteristic_constant", "weight_denominator",
+    "irrep_dimension", "omega_mean",
+])
 def test_deleted_names_are_gone(name):
     for module in ("decomposition", "oracle"):
         assert not hasattr(importlib.import_module(f"qaplandscape.{module}"), name)

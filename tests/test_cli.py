@@ -11,13 +11,13 @@ import pytest
 from qaplandscape import (
     cli,
     component_variances,
-    decomposition,
     generate_instance,
     serialize_qaplib,
 )
 from qaplandscape.cli import run_cli
-from qaplandscape.decomposition import OmegaKind, OmegaParams
+from qaplandscape.decomposition import OmegaKind
 from qaplandscape.spectral import AutocorrReport, component_weights
+from conftest import perturb_kind
 
 SAMPLE = "3\n0 1 2\n1 0 3\n2 3 0\n0 5 5\n5 0 5\n5 5 0\n"
 
@@ -233,10 +233,9 @@ class TestVerify:
         assert code == 0
 
     def test_perturbed_coefficient_fails(self, capsys, monkeypatch):
-        monkeypatch.setitem(
-            decomposition.OMEGA_PARAMS,
-            OmegaKind.OMEGA2,
-            lambda n: OmegaParams(n - 3, n - 3, 0, 0, 2),
+        perturb_kind(
+            monkeypatch, OmegaKind.OMEGA2, "params",
+            lambda p: p._replace(zeta=p.zeta + 1),
         )
         code, out, _ = run(capsys, "verify", "--n", "4", "--seed", "1")
         assert code == 2
@@ -255,11 +254,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("kind", list(OmegaKind))
     def test_perturbed_irrep_dimension_fails(self, capsys, monkeypatch, kind):
-        original = decomposition.irrep_dimension
-        monkeypatch.setattr(
-            decomposition, "irrep_dimension",
-            lambda k, n: original(k, n) + (k is kind),
-        )
+        perturb_kind(monkeypatch, kind, "dim", lambda d: d + 1)
         code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
         assert code == 2
         failed = [
@@ -316,6 +311,42 @@ class TestFailClosed:
 
         json.loads(out, parse_constant=refuse)
         assert '"nan"' in out or '"inf"' in out
+
+    # Valid finite entries whose float squares overflow: squaring by ** 2
+    # raised OverflowError (a traceback, exit 1) where * gives inf.
+    SQUARE_OVERFLOW = (
+        "4\n"
+        "2.9e80 1.8e80 4.2e80 2.2e80\n1.5e80 4.2e80 8.3e80 7.4e80\n"
+        "7.1e80 2.8e80 5.3e80 3.2e80\n2.4e80 1.8e80 2.7e80 8.4e80\n"
+        "7.6e80 7.5e80 7.4e80 2.5e80\n3.5e80 6.0e80 6.9e80 7.8e80\n"
+        "8.0e80 1.7e80 5.8e80 6.4e80\n5.0e80 2.4e80 4.8e80 1.7e80\n"
+    )
+    # Finite entries whose products are infinities of both signs: math.fsum
+    # raised ValueError (exit 1), and avg compared inf with an infinite
+    # tolerance and passed.
+    MIXED_INFINITIES = (
+        "3\n0 0 0\n0 -1e154 0\n0 0 0\n"
+        "0 -1e154 0\n1e154 1e154 0\n1e154 2e154 -1e154\n"
+    )
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", ["stats", "verify", "autocorr"])
+    def test_square_overflow_fails(self, capsys, tmp_path, command, fmt):
+        path = tmp_path / "square_overflow.dat"
+        path.write_text(self.SQUARE_OVERFLOW)
+        code, _, _ = run(capsys, command, "--instance", str(path), "--format", fmt)
+        assert code == 2
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("command", [
+        ["decompose", "--perm", "0,1,2"], ["avg", "--perm", "0,1,2"],
+        ["stats"], ["verify"], ["autocorr"],
+    ], ids=["decompose", "avg", "stats", "verify", "autocorr"])
+    def test_mixed_infinities_fail(self, capsys, tmp_path, command, fmt):
+        path = tmp_path / "mixed_infinities.dat"
+        path.write_text(self.MIXED_INFINITIES)
+        code, _, _ = run(capsys, *command, "--instance", str(path), "--format", fmt)
+        assert code == 2
 
     def test_autocorr_nan_at_later_lag_fails(self, capsys, monkeypatch):
         def fake(problem, steps, walk_seed, max_lag, **kwargs):

@@ -1,12 +1,32 @@
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from qaplandscape import GeneralTensor, Permutation, QapInstance
-from qaplandscape.core import neighborhood_size
+from qaplandscape.core import FLOAT_TOLERANCE, neighborhood_size, passes, tolerance
 from conftest import all_perms, random_perms, seeded_instance, single_entry_tensor
+
+
+class TestPassRule:
+    def test_exact_mode_needs_a_zero_residual(self):
+        assert tolerance(10**6, True) == 0
+        assert passes(0, 10**6, True)
+        assert passes(Fraction(0), 1, True)
+        assert not passes(Fraction(1, 10**30), 10**6, True)
+
+    def test_float_mode_scales_the_tolerance(self):
+        assert tolerance(2.0, False) == 2 * FLOAT_TOLERANCE
+        assert passes(2 * FLOAT_TOLERANCE, 2.0, False)
+        assert not passes(3 * FLOAT_TOLERANCE, 2.0, False)
+
+    @pytest.mark.parametrize("residual, scale", [
+        (math.nan, 1.0), (0.0, math.inf), (math.inf, math.inf), (math.nan, math.inf),
+    ])
+    def test_fails_closed(self, residual, scale):
+        assert not passes(residual, scale, False)
 
 
 class TestPermutation:
@@ -61,6 +81,15 @@ class TestPermutation:
             x.swap(0, 3)
         with pytest.raises(ValueError):
             x.swap(-1, 2)
+
+    @pytest.mark.parametrize("u, v", [(1, 1), (0, 3), (-1, 2)])
+    def test_swap_refuses_with_the_swap_delta_message(self, u, v):
+        x = Permutation.identity(3)
+        inst = seeded_instance(3, 0)
+        with pytest.raises(ValueError) as delta:
+            inst.swap_delta(x.mapping, u, v)
+        with pytest.raises(ValueError, match=re.escape(str(delta.value))):
+            x.swap(u, v)
 
 
 class TestNeighbors:

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaplandscape import (
     GeneralTensor,
@@ -13,18 +15,15 @@ from qaplandscape import (
 )
 from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
+    KIND_CONSTANTS,
     OmegaKind,
     _omega_case,
-    characteristic_constant,
     component_average,
     component_value_fast,
     component_value_ref,
     omega,
-    omega_mean,
     omega_neighborhood_sum_oracle,
-    omega_params,
     wave_predict_component,
-    weight_denominator,
 )
 from conftest import (
     all_perms,
@@ -34,8 +33,13 @@ from conftest import (
     tensor_with,
     zero_psi,
 )
+from strategies import qap_instances, sparse_tensors
 
 KINDS = list(OmegaKind)
+
+
+def constants(kind, n):
+    return KIND_CONSTANTS[kind](n)
 
 
 def perm_with(n, assignments):
@@ -66,21 +70,34 @@ def pair_tuples(n):
 
 class TestParameterTable:
     def test_vectors_at_n5(self):
-        assert omega_params(OmegaKind.OMEGA1, 5) == (2, -4, -2, 0, -1)
-        assert omega_params(OmegaKind.OMEGA2, 5) == (2, 2, 0, 0, 1)
-        assert omega_params(OmegaKind.OMEGA3, 5) == (7, 1, 3, 0, -1)
+        assert constants(OmegaKind.OMEGA1, 5).params == (2, -4, -2, 0, -1)
+        assert constants(OmegaKind.OMEGA2, 5).params == (2, 2, 0, 0, 1)
+        assert constants(OmegaKind.OMEGA3, 5).params == (7, 1, 3, 0, -1)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_constants(self, n):
-        assert characteristic_constant(OmegaKind.OMEGA1, n) == 2 * n
-        assert characteristic_constant(OmegaKind.OMEGA2, n) == 2 * (n - 1)
-        assert characteristic_constant(OmegaKind.OMEGA3, n) == n
+        assert constants(OmegaKind.OMEGA1, n).k == 2 * n
+        assert constants(OmegaKind.OMEGA2, n).k == 2 * (n - 1)
+        assert constants(OmegaKind.OMEGA3, n).k == n
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_weight_denominators(self, n):
-        assert weight_denominator(OmegaKind.OMEGA1, n) == 2 * n
-        assert weight_denominator(OmegaKind.OMEGA2, n) == 2 * (n - 2)
-        assert weight_denominator(OmegaKind.OMEGA3, n) == n * (n - 2)
+        assert constants(OmegaKind.OMEGA1, n).den == 2 * n
+        assert constants(OmegaKind.OMEGA2, n).den == 2 * (n - 2)
+        assert constants(OmegaKind.OMEGA3, n).den == n * (n - 2)
+
+    @pytest.mark.parametrize("n", range(3, 13))
+    def test_irrep_dimensions_and_means(self, n):
+        assert constants(OmegaKind.OMEGA1, n).dim == (n - 1) * (n - 2) // 2
+        assert constants(OmegaKind.OMEGA2, n).dim == n * (n - 3) // 2
+        assert constants(OmegaKind.OMEGA3, n).dim == n - 1
+        # The action on ordered pairs i != j holds the trivial part once,
+        # (n-1,1) twice and the other two parts once each.
+        d1, d2, d3 = (constants(kind, n).dim for kind in KINDS)
+        assert 1 + 2 * d3 + d2 + d1 == n * (n - 1)
+        assert constants(OmegaKind.OMEGA1, n).mean == (-1, 1)
+        assert constants(OmegaKind.OMEGA2, n).mean == (n - 3, n - 1)
+        assert constants(OmegaKind.OMEGA3, n).mean == (1, 1)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_wave_coefficients_reduce(self, n):
@@ -88,6 +105,29 @@ class TestParameterTable:
         assert Fraction(2 * n, d) == Fraction(4, n - 1)
         assert Fraction(2 * (n - 1), d) == Fraction(4, n)
         assert Fraction(n, d) == Fraction(2, n - 1)
+
+
+# Every n in range, rather than a hypothesis sample of it.
+@pytest.mark.parametrize("n", range(3, 41))
+def test_table_weights_give_the_pair_indicator_and_rates_stay_in_bounds(n):
+    rows = [constants(kind, n) for kind in KINDS]
+    indicator = [sum(Fraction(row.params[case], row.den) for row in rows)
+                 for case in range(5)]
+    assert indicator == [1, 0, 0, 0, 0]
+    d = neighborhood_size(n)
+    for row in rows:
+        assert Fraction(2, n - 1) <= Fraction(row.k, d) <= Fraction(4, n - 1)
+
+
+@pytest.mark.parametrize("problems", [qap_instances(), sparse_tensors()],
+                         ids=["instance", "tensor"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_components_add_up_to_the_objective(problems, data):
+    problem = data.draw(problems)
+    x = Permutation(data.draw(st.permutations(range(problem.n))))
+    t = decompose(problem, x)
+    assert t.c1 + t.c2 + t.c3 == problem.fitness(x)
 
 
 class TestOmega:
@@ -143,7 +183,7 @@ class TestOmega:
                 case = _omega_case(i, j, p, q, x)
                 assert case == cases.index(True)
                 for kind in KINDS:
-                    assert omega(kind, i, j, p, q, x) == omega_params(kind, n)[case]
+                    assert omega(kind, i, j, p, q, x) == constants(kind, n).params[case]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_space_means_exhaustive(self, n):
@@ -157,7 +197,7 @@ class TestOmega:
             for (i, j, p, q) in pair_tuples(n):
                 total = sum(omega(kind, i, j, p, q, x) for x in perms)
                 assert Fraction(total, len(perms)) == expected[kind]
-                assert expected[kind] == omega_mean(kind, n)
+                assert expected[kind] == Fraction(*constants(kind, n).mean)
 
     def test_space_means_n6_sampled_tuples(self):
         n = 6
@@ -167,7 +207,7 @@ class TestOmega:
         for kind in KINDS:
             for (i, j, p, q) in tuples:
                 total = sum(omega(kind, i, j, p, q, x) for x in perms)
-                assert Fraction(total, len(perms)) == omega_mean(kind, n)
+                assert Fraction(total, len(perms)) == Fraction(*constants(kind, n).mean)
 
 
 class TestOmegaNeighborSums:
@@ -176,7 +216,7 @@ class TestOmegaNeighborSums:
         i, j, p, q = 0, 1, 2, 3
         x = perm_with(n, {i: 4, j: 5})
         for kind in KINDS:
-            a, b, g, e, z = omega_params(kind, n)
+            a, b, g, e, z = constants(kind, n).params
             assert omega_neighborhood_sum_oracle(kind, i, j, p, q, x) == (
                 2 * g + 2 * e + (d - 4) * z
             )
@@ -232,7 +272,7 @@ class TestComponentEvaluators:
         for (i, j, p, q) in pair_tuples(n):
             for x in all_perms(n):
                 total = sum(
-                    Fraction(omega(kind, i, j, p, q, x), weight_denominator(kind, n))
+                    Fraction(omega(kind, i, j, p, q, x), constants(kind, n).den)
                     for kind in KINDS
                 )
                 expected = 1 if (x(i) == p and x(j) == q) else 0

@@ -15,10 +15,10 @@ from qaplandscape import (
 )
 from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
+    KIND_CONSTANTS,
     OmegaKind,
     component_value,
     omega,
-    weight_denominator,
 )
 from qaplandscape.oracle import enumerate_space, moments, population_variance, space_points
 from conftest import all_perms, seeded_instance, single_entry_tensor
@@ -169,7 +169,7 @@ class TestVarianceTriple:
             values = [
                 Fraction(
                     omega(OmegaKind(m), 0, 1, 2, 3, x),
-                    weight_denominator(OmegaKind(m), n),
+                    KIND_CONSTANTS[OmegaKind(m)](n).den,
                 )
                 for x in perms
             ]

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
 
 from qaplandscape import ParseError, generate_instance, parse_qaplib, serialize_qaplib
+from strategies import DECIMAL_ENTRY, qap_instances
 
 SAMPLE = "3\n0 1 2\n1 0 3\n2 3 0\n0 5 5\n5 0 5\n5 5 0\n"
 
@@ -79,6 +81,13 @@ class TestSerialize:
 
     def test_roundtrip_floats(self):
         inst = generate_instance(4, 3, 0, 9).as_float()
+        again = parse_qaplib(serialize_qaplib(inst))
+        assert again == inst
+        assert not again.exact
+
+    @settings(max_examples=50, deadline=None)
+    @given(qap_instances(entries=DECIMAL_ENTRY))
+    def test_roundtrip_decimal_floats(self, inst):
         again = parse_qaplib(serialize_qaplib(inst))
         assert again == inst
         assert not again.exact

@@ -319,6 +319,37 @@ class TestCoefficient:
         cb = autocorr_coefficient(t)
         assert cb.xi == Fraction(n - 1, 4)
 
+    @staticmethod
+    def _vector(n, seed, centred=False):
+        rng = random.Random(seed)
+        v = [rng.randint(-9, 9) for _ in range(n)]
+        if centred:
+            v[0] -= sum(v)
+        return v
+
+    # Both bounds are attained by product-form instances with r = w.
+    @pytest.mark.parametrize("n", [4, 5, 7, 9])
+    def test_antisymmetric_rank_two_attains_the_lower_bound(self, n):
+        a = self._vector(n, n, centred=True)
+        b = self._vector(n, n + 100, centred=True)
+        r = [[a[i] * b[j] - a[j] * b[i] for j in range(n)] for i in range(n)]
+        inst = QapInstance(r, r)
+        weights = component_weights(inst)
+        assert all(isinstance(v, Fraction) for v in weights)
+        assert weights == (1, 0, 0)
+        assert autocorr_coefficient(inst).xi == Fraction(n - 1, 4)
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 9])
+    def test_row_plus_column_attains_the_upper_bound(self, n):
+        a = self._vector(n, n)
+        c = self._vector(n, n + 100)
+        r = [[a[i] + 2 * c[j] for j in range(n)] for i in range(n)]
+        inst = QapInstance(r, r)
+        weights = component_weights(inst)
+        assert all(isinstance(v, Fraction) for v in weights)
+        assert weights == (0, 0, 1)
+        assert autocorr_coefficient(inst).xi == Fraction(n - 1, 2)
+
     def test_generic_instance_between_bounds(self):
         for n in (4, 5, 6):
             for seed in range(10):

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from qaplandscape import decomposition, generate_instance, verification
-from qaplandscape.decomposition import OmegaKind, _omega_case
+from qaplandscape.decomposition import OmegaKind, OmegaParams, _omega_case
+from conftest import perturb_kind
 from qaplandscape.oracle import DEFAULT_ENUMERATION_CAP
 from qaplandscape.verification import (
     _pair_index_tuple,
@@ -64,14 +65,53 @@ def test_case_sum_claim_catches_one_wrong_case_formula(monkeypatch, source, case
 @pytest.mark.parametrize("n, cap", [(5, DEFAULT_ENUMERATION_CAP), (7, 4)])
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
-    constant = decomposition.characteristic_constant
-
-    def perturbed(kind, size):
-        return constant(kind, size) + (kind is OmegaKind(m))
-
-    monkeypatch.setattr(decomposition, "characteristic_constant", perturbed)
+    perturb_kind(monkeypatch, OmegaKind(m), "k", lambda k: k + 1)
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert failed == {f"wave_component_{m}", "neighborhood_average"}
+
+
+# The claims that fail when one column of one kind's row of KIND_CONSTANTS
+# is off by one, at n=5 with every permutation enumerated. A wrong weight
+# denominator of kind 3 also scales the diagonal term of c3, so Var(c3)
+# still matches its closed form and only the sum claims catch it. Beyond the
+# cap a wrong dimension goes unnoticed: the variance claims are skipped there.
+MUTATIONS = {
+    "k": (lambda k: k + 1, lambda m: {f"wave_component_{m}", "neighborhood_average"}),
+    "den": (lambda den: den + 1, lambda m: {
+        "decomposition_sum", "neighborhood_average", "variance_orthogonality",
+    } | ({f"closed_form_variance_{m}"} if m != 3 else set())),
+    "dim": (lambda dim: dim + 1, lambda m: {f"closed_form_variance_{m}"}),
+    "mean": (lambda mean: (mean[0] + 1, mean[1]), lambda m: {
+        f"wave_component_{m}", "neighborhood_average",
+        f"closed_form_mean_{m}", "enumerated_case_means",
+    }),
+}
+
+
+@pytest.mark.parametrize("column", sorted(MUTATIONS))
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_every_table_constant_is_caught(monkeypatch, column, m):
+    change, caught = MUTATIONS[column]
+    perturb_kind(monkeypatch, OmegaKind(m), column, change)
+    failed = _failed(run_verification(generate_instance(5, 1, 0, 9)))
+    assert failed == caught(m)
+
+
+# Both sides of case_sum_formulas read the case values, so a wrong one
+# escapes that claim and every other claim on the component catches it.
+@pytest.mark.parametrize("case", OmegaParams._fields)
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_every_case_value_is_caught(monkeypatch, case, m):
+    perturb_kind(
+        monkeypatch, OmegaKind(m), "params",
+        lambda p: p._replace(**{case: getattr(p, case) + 1}),
+    )
+    failed = _failed(run_verification(generate_instance(5, 1, 0, 9)))
+    assert failed == {
+        "decomposition_sum", f"wave_component_{m}", "neighborhood_average",
+        f"closed_form_mean_{m}", f"closed_form_variance_{m}",
+        "variance_orthogonality", "enumerated_case_means",
+    }
 
 
 # Exhaustive at n=5; beyond cap 4 at n=7, where only 20 points are compared.
