@@ -55,6 +55,10 @@ def _check_args(args) -> None:
     """Refuse invalid usage before any instance is built; sets
     args.generator to (n, seed, lo, hi) or None."""
     args.generator = None
+    if args.gen is not None and args.n is not None:
+        raise CliError("--n is the generator shorthand; it cannot be combined with --gen")
+    if args.n is None and (args.lo is not None or args.hi is not None):
+        raise CliError("--lo and --hi are generator shorthand and need --n")
     if args.gen is not None:
         parts = args.gen.split(",")
         if len(parts) != 4:
@@ -64,7 +68,9 @@ def _check_args(args) -> None:
         except ValueError:
             raise CliError(f"--gen wants integers, got {args.gen!r}") from None
     elif args.n is not None:
-        args.generator = (args.n, args.seed, args.lo, args.hi)
+        lo = 0 if args.lo is None else args.lo
+        hi = 9 if args.hi is None else args.hi
+        args.generator = (args.n, args.seed, lo, hi)
     if (args.instance is None) == (args.generator is None):
         raise CliError(
             "exactly one instance source is required: --instance PATH "
@@ -110,8 +116,8 @@ def build_parser() -> _Parser:
     src.add_argument("--n", type=int, help="generator shorthand: size")
     src.add_argument("--seed", type=int, default=0,
                      help="generator shorthand: seed; also seeds verify's sampling")
-    src.add_argument("--lo", type=int, default=0, help="generator shorthand: low bound")
-    src.add_argument("--hi", type=int, default=9, help="generator shorthand: high bound")
+    src.add_argument("--lo", type=int, help="generator shorthand: low bound (default 0)")
+    src.add_argument("--hi", type=int, help="generator shorthand: high bound (default 9)")
     common.add_argument("--mode", choices=["rational", "float"],
                         help="arithmetic mode (default: rational for integer entries)")
     common.add_argument("--cap", type=int, default=DEFAULT_ENUMERATION_CAP,

@@ -25,7 +25,6 @@ All functions are pure; callers may parallelize across permutations.
 
 from __future__ import annotations
 
-import enum
 from functools import cache
 from operator import mul
 from typing import Callable, Dict, NamedTuple, Tuple, Union
@@ -40,14 +39,6 @@ from .core import (
 )
 
 Problem = Union[QapInstance, GeneralTensor]
-
-
-class OmegaKind(enum.Enum):
-    """The three elementary members of the five-case function family."""
-
-    OMEGA1 = 1
-    OMEGA2 = 2
-    OMEGA3 = 3
 
 
 class OmegaParams(NamedTuple):
@@ -70,21 +61,22 @@ class KindConstants(NamedTuple):
     mean: Tuple[int, int]  # mean over the whole permutation space, as (num, den)
 
 
-# The per-kind constants as functions of n. Other parameter vectors solve
-# the underlying linear system; these three are the ones whose weighted sum
-# is the pair indicator. The irreducible parts are (n-2,1,1), (n-2,2) and
-# (n-1,1); the second has dimension 0 at n = 3, where c2 vanishes. Rows are
-# immutable and read on every evaluation, so each is built once per n.
-KIND_CONSTANTS: Dict[OmegaKind, Callable[[int], KindConstants]] = {
-    OmegaKind.OMEGA1: cache(lambda n: KindConstants(
+# The per-kind constants as functions of n, keyed by the component index
+# m = 1, 2, 3. Other parameter vectors solve the underlying linear system;
+# these three are the ones whose weighted sum is the pair indicator. The
+# irreducible parts are (n-2,1,1), (n-2,2) and (n-1,1); the second has
+# dimension 0 at n = 3, where c2 vanishes. Rows are immutable and read on
+# every evaluation, so each is built once per n.
+KIND_CONSTANTS: Dict[int, Callable[[int], KindConstants]] = {
+    1: cache(lambda n: KindConstants(
         OmegaParams(n - 3, 1 - n, -2, 0, -1),
         2 * n, 2 * n, (n - 1) * (n - 2) // 2, (-1, 1),
     )),
-    OmegaKind.OMEGA2: cache(lambda n: KindConstants(
+    2: cache(lambda n: KindConstants(
         OmegaParams(n - 3, n - 3, 0, 0, 1),
         2 * (n - 1), 2 * (n - 2), n * (n - 3) // 2, (n - 3, n - 1),
     )),
-    OmegaKind.OMEGA3: cache(lambda n: KindConstants(
+    3: cache(lambda n: KindConstants(
         OmegaParams(2 * n - 3, 1, n - 2, 0, -1),
         n, n * (n - 2), n - 1, (1, 1),
     )),
@@ -120,23 +112,23 @@ def _omega_case(i: int, j: int, p: int, q: int, x: Permutation) -> int:
     return cases.index(True)
 
 
-def omega(kind: OmegaKind, i: int, j: int, p: int, q: int, x: Permutation) -> int:
-    """Five-case value of the given kind at x, for target pair (p, q)."""
+def omega(m: int, i: int, j: int, p: int, q: int, x: Permutation) -> int:
+    """Five-case value of kind m at x, for target pair (p, q)."""
     case = _omega_case(i, j, p, q, x)
-    return KIND_CONSTANTS[kind](x.n).params[case]
+    return KIND_CONSTANTS[m](x.n).params[case]
 
 
 def omega_neighborhood_sum_oracle(
-    kind: OmegaKind, i: int, j: int, p: int, q: int, x: Permutation
+    m: int, i: int, j: int, p: int, q: int, x: Permutation
 ) -> int:
-    """Closed-form sum of the kind's value over all swap neighbors of x.
+    """Closed-form sum of kind m's value over all swap neighbors of x.
 
     One formula per case of x, derived by counting the neighbors falling
     into each case. Used as ground truth against literal enumeration.
     """
     n = x.n
     _check_pair_indices(i, j, p, q, n)
-    a, b, g, e, z = KIND_CONSTANTS[kind](n).params
+    a, b, g, e, z = KIND_CONSTANTS[m](n).params
     d = neighborhood_size(n)
     xi = x.mapping[i]
     xj = x.mapping[j]
@@ -156,22 +148,18 @@ def _check_component(m: int) -> None:
         raise ValueError(f"component index must be 1, 2 or 3, got {m}")
 
 
-def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar:
-    """Reference component evaluator, direct O(n^4) sum over coefficients.
+def _tensor_case_totals(tensor: GeneralTensor, x: Permutation):
+    """Coefficient mass of each of the five cases at x, by a direct O(n^4)
+    pass over the coefficients: the independent oracle for _case_totals.
 
-    Component m sums psi[i][j][p][q] times the kind-m case value over all
-    i != j, p != q, divided by the kind's weight denominator. Component 3
-    additionally carries the diagonal sum of psi[i][i][x(i)][x(i)].
+    Every psi[i][j][p][q] with i != j and p != q is classified on its own
+    and added to the mass of its case; the diagonal mass is the sum of
+    psi[i][i][x(i)][x(i)]. Returns the same 6-tuple as _case_totals.
     """
-    _check_component(m)
-    if x.n != tensor.n:
-        raise ValueError(f"permutation size {x.n} != tensor size {tensor.n}")
     n = tensor.n
-    consts = KIND_CONSTANTS[OmegaKind(m)](n)
-    alpha, beta, gamma, epsilon, zeta = consts.params
     xm = x.mapping
     psi = tensor.psi
-    acc = 0
+    sa = sb = sg = se = sz = 0
     for i in range(n):
         xi = xm[i]
         block = psi[i]
@@ -179,39 +167,28 @@ def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar
             if j == i:
                 continue
             xj = xm[j]
-            plane = block[j]
-            for p in range(n):
-                row = plane[p]
-                if p == xi:
-                    for q in range(n):
-                        if q == p:
-                            continue
-                        v = row[q]
-                        if v:
-                            acc += v * (alpha if q == xj else gamma)
-                elif p == xj:
-                    for q in range(n):
-                        if q == p:
-                            continue
-                        v = row[q]
-                        if v:
-                            acc += v * (beta if q == xi else epsilon)
-                else:
-                    for q in range(n):
-                        if q == p:
-                            continue
-                        v = row[q]
-                        if v:
-                            if q == xi:
-                                acc += v * epsilon
-                            elif q == xj:
-                                acc += v * gamma
-                            else:
-                                acc += v * zeta
-    value = div(acc, consts.den, tensor.exact)
-    if m == 3:
-        value = value + sum(psi[i][i][xm[i]][xm[i]] for i in range(n))
-    return value
+            for p, row in enumerate(block[j]):
+                for q, v in enumerate(row):
+                    if q == p:
+                        continue
+                    if p == xi:  # x(i) = p: alpha if also x(j) = q
+                        if q == xj:
+                            sa += v
+                        else:
+                            sg += v
+                    elif q == xj:  # x(j) = q alone
+                        sg += v
+                    elif p == xj:  # x(j) = p: beta if also x(i) = q
+                        if q == xi:
+                            sb += v
+                        else:
+                            se += v
+                    elif q == xi:  # x(i) = q alone
+                        se += v
+                    else:
+                        sz += v
+    diag = sum(psi[i][i][xm[i]][xm[i]] for i in range(n))
+    return sa, sb, sg, se, sz, diag
 
 
 def _case_totals(inst: QapInstance, x: Permutation):
@@ -263,13 +240,39 @@ def _case_totals(inst: QapInstance, x: Permutation):
     return s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag
 
 
-def _value_from_totals(inst: QapInstance, m: int, totals) -> Scalar:
-    (a, b, g, e, z), _, den, _, _ = KIND_CONSTANTS[OmegaKind(m)](inst.n)
+def _value_from_totals(problem: Problem, m: int, totals) -> Scalar:
+    """Component m from the five case masses and the diagonal mass: the
+    masses weighted by the kind's case values over its weight denominator.
+    Component 3 also carries the diagonal mass."""
+    (a, b, g, e, z), _, den, _, _ = KIND_CONSTANTS[m](problem.n)
     sa, sb, sg, se, sz, diag = totals
     num = a * sa + b * sb + g * sg + e * se + z * sz
     if m == 3:
         num = num + den * diag
-    return div(num, den, inst.exact)
+    return div(num, den, problem.exact)
+
+
+def _case_masses(problem: Problem, x: Permutation):
+    """The 6-tuple of case masses at x: O(n^2) for a QapInstance, the
+    O(n^4) reference pass for a GeneralTensor."""
+    if isinstance(problem, QapInstance):
+        noun, totals = "instance", _case_totals
+    elif isinstance(problem, GeneralTensor):
+        noun, totals = "tensor", _tensor_case_totals
+    else:
+        raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
+    if x.n != problem.n:
+        raise ValueError(f"permutation size {x.n} != {noun} size {problem.n}")
+    return totals(problem, x)
+
+
+def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar:
+    """Reference component evaluator: the case masses of a direct O(n^4)
+    sum over the coefficients, weighted by kind m's case values."""
+    _check_component(m)
+    if x.n != tensor.n:
+        raise ValueError(f"permutation size {x.n} != tensor size {tensor.n}")
+    return _value_from_totals(tensor, m, _tensor_case_totals(tensor, x))
 
 
 def component_value_fast(inst: QapInstance, m: int, x: Permutation) -> Scalar:
@@ -287,12 +290,9 @@ def component_value_fast(inst: QapInstance, m: int, x: Permutation) -> Scalar:
 
 
 def component_value(problem: Problem, m: int, x: Permutation) -> Scalar:
-    """Component m of the objective at x; picks the fast or reference path."""
-    if isinstance(problem, QapInstance):
-        return component_value_fast(problem, m, x)
-    if isinstance(problem, GeneralTensor):
-        return component_value_ref(problem, m, x)
-    raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
+    """Component m of the objective at x, from the problem type's case masses."""
+    _check_component(m)
+    return _value_from_totals(problem, m, _case_masses(problem, x))
 
 
 class ComponentTriple(NamedTuple):
@@ -315,24 +315,12 @@ def decompose(problem: Problem, x: Permutation) -> ComponentTriple:
     The total equals the plain objective value, exactly in rational mode
     and to 1e-9 relative in float mode.
     """
-    if isinstance(problem, QapInstance):
-        if x.n != problem.n:
-            raise ValueError(
-                f"permutation size {x.n} != instance size {problem.n}"
-            )
-        totals = _case_totals(problem, x)
-        return ComponentTriple.of(
-            _value_from_totals(problem, 1, totals),
-            _value_from_totals(problem, 2, totals),
-            _value_from_totals(problem, 3, totals),
-        )
-    if isinstance(problem, GeneralTensor):
-        return ComponentTriple.of(
-            component_value_ref(problem, 1, x),
-            component_value_ref(problem, 2, x),
-            component_value_ref(problem, 3, x),
-        )
-    raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
+    totals = _case_masses(problem, x)
+    return ComponentTriple.of(
+        _value_from_totals(problem, 1, totals),
+        _value_from_totals(problem, 2, totals),
+        _value_from_totals(problem, 3, totals),
+    )
 
 
 def _coefficient_sums(problem: Problem):
@@ -356,7 +344,7 @@ def component_average(problem: Problem, m: int) -> Scalar:
     n = problem.n
     exact = problem.exact
     off, diag = _coefficient_sums(problem)
-    consts = KIND_CONSTANTS[OmegaKind(m)](n)
+    consts = KIND_CONSTANTS[m](n)
     num, den = consts.mean
     value = div(off * num, consts.den * den, exact)
     if m == 3:
@@ -379,7 +367,7 @@ def wave_predict_component(problem: Problem, m: int, x: Permutation) -> Scalar:
     n = problem.n
     c = component_value(problem, m, x)
     a = component_average(problem, m)
-    k = KIND_CONSTANTS[OmegaKind(m)](n).k
+    k = KIND_CONSTANTS[m](n).k
     return c + div(k, neighborhood_size(n), problem.exact) * (a - c)
 
 
@@ -392,8 +380,8 @@ def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
     value = problem.fitness(x)
     t = decompose(problem, x)
     a = average_triple(problem)
-    for kind, mean, c in zip(OmegaKind, a, t):
-        k = KIND_CONSTANTS[kind](n).k
+    for m, mean, c in zip((1, 2, 3), a, t):
+        k = KIND_CONSTANTS[m](n).k
         value = value + div(k, d, problem.exact) * (mean - c)
     return value
 
@@ -433,12 +421,12 @@ def _sum_sq(m) -> Scalar:
     return sum(v * v for row in m for v in row)
 
 
-def _schur_variance(norm_sq: Scalar, scale: int, kind: OmegaKind, n: int,
+def _schur_variance(norm_sq: Scalar, scale: int, m: int, n: int,
                     exact: bool) -> Scalar:
     """Variance of a multiplicity-one isotypic part: the squared norms of
     both projected sides over the irreducible dimension. norm_sq carries the
     projections' scale on each side, hence scale**4."""
-    dim = KIND_CONSTANTS[kind](n).dim
+    dim = KIND_CONSTANTS[m](n).dim
     if dim == 0:
         return div(0, 1, exact)
     return div(norm_sq, scale**4 * dim, exact)
@@ -458,7 +446,7 @@ def _first_order_variance(b, n: int, exact: bool) -> Scalar:
         for p in range(n)
     )
     sq = sum(v * v for v in centred)
-    consts = KIND_CONSTANTS[OmegaKind.OMEGA3](n)
+    consts = KIND_CONSTANTS[3](n)
     return div(sq, nn * nn * consts.den * consts.den * consts.dim, exact)
 
 
@@ -468,7 +456,7 @@ def _c3_coefficients(t1, t2, t3, t4, diag, n: int):
     target p collect (n-1)(t1 + t2) + t3 + t4, where t1..t4 sum the
     off-diagonal coefficients having i and p in the roles (first, first),
     (second, second), (first, second) and (second, first)."""
-    c = KIND_CONSTANTS[OmegaKind.OMEGA3](n).den
+    c = KIND_CONSTANTS[3](n).den
     return [
         [
             (n - 1) * (t1[i][p] + t2[i][p]) + t3[i][p] + t4[i][p] + c * diag[i][p]
@@ -557,7 +545,7 @@ def component_variances(problem: Problem) -> ComponentTriple:
         )
     n = problem.n
     exact = problem.exact
-    v1 = _schur_variance(n211, 2 * n, OmegaKind.OMEGA1, n, exact)
-    v2 = _schur_variance(n22, 4 * (n - 1) * (n - 2), OmegaKind.OMEGA2, n, exact)
+    v1 = _schur_variance(n211, 2 * n, 1, n, exact)
+    v2 = _schur_variance(n22, 4 * (n - 1) * (n - 2), 2, n, exact)
     v3 = _first_order_variance(b, n, exact)
     return ComponentTriple.of(v1, v2, v3)

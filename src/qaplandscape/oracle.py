@@ -12,6 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
+from operator import mul
 from typing import Callable, Iterable, List, Optional, Tuple
 
 from .core import Permutation, Scalar, div, neighborhood_size, passes
@@ -124,21 +125,23 @@ def check_elementary(
     ]
     values = [value_of[x.mapping] for x in points]
     exact = _exact(values)
-    d = neighborhood_size(n)
     count = len(points)
-    s_x = sum(values)
-    s_xx = sum(v * v for v in values)
-    s_y = sum(averages)
-    s_xy = sum(v * g for v, g in zip(values, averages))
-    denom = count * s_xx - s_x * s_x
-
-    if denom == 0:
-        # Constant function: the equation holds for every a, k undefined.
-        residual = max(abs(g - v) for v, g in zip(values, averages))
-        return ElementarityReport(True, None, residual, None, constant=True)
-
-    a = div(count * s_xy - s_x * s_y, denom, exact)
-    b = div(s_y - a * s_x, count, exact)
+    # Constancy is read off the values: the float moments of a constant
+    # function need not cancel to zero.
+    constant = min(values) == max(values)
+    if constant:
+        # The equation holds for every a and k is undefined; a = 1, b = 0
+        # measures how far the neighbor means stray from the value.
+        a, b = 1, 0
+    else:
+        # Least squares on centred values, whose squares stay positive
+        # where float raw moments can cancel.
+        mean = div(sum(values), count, exact)
+        mean_avg = div(sum(averages), count, exact)
+        dev = [v - mean for v in values]
+        dev_avg = [g - mean_avg for g in averages]
+        a = div(sum(map(mul, dev, dev_avg)), sum(map(mul, dev, dev)), exact)
+        b = mean_avg - a * mean
 
     max_residual = 0
     worst = points[0]
@@ -150,7 +153,9 @@ def check_elementary(
 
     scale = max(1, max(abs(v) for v in values))
     elementary = passes(max_residual, scale, exact)
-    fitted_k = d * (1 - a) if elementary else None
+    if constant:
+        return ElementarityReport(elementary, None, max_residual, None, constant=True)
+    fitted_k = neighborhood_size(n) * (1 - a) if elementary else None
     return ElementarityReport(elementary, fitted_k, max_residual, worst)
 
 

@@ -33,7 +33,7 @@ from typing import List, NamedTuple, Optional, Tuple
 import numpy as np
 
 from .core import Permutation, Scalar, div, neighborhood_size
-from .decomposition import KIND_CONSTANTS, OmegaKind, Problem, component_variances
+from .decomposition import KIND_CONSTANTS, Problem, component_variances
 
 
 @dataclass(frozen=True)
@@ -123,16 +123,16 @@ def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
             f"max_lag {max_lag} too large for a {series.steps}-step walk; "
             "need max_lag < steps/10"
         )
-    arr = np.array([float(v) for v in series.values], dtype=float)
-    dev = arr - arr.mean()
-    denom = float(np.dot(dev, dev))
-    if denom == 0.0:
-        raise ValueError("series is constant; autocorrelation is undefined")
-    out = []
-    for s in range(max_lag + 1):
-        if s == 0:
-            out.append(1.0)
-        else:
+    # An overflowing series yields inf or NaN lags, which the checks reading
+    # them fail; numpy's warnings about it would only add noise on stderr.
+    with np.errstate(over="ignore", invalid="ignore"):
+        arr = np.array([float(v) for v in series.values], dtype=float)
+        dev = arr - arr.mean()
+        denom = float(np.dot(dev, dev))
+        if denom == 0.0:
+            raise ValueError("series is constant; autocorrelation is undefined")
+        out = [1.0]
+        for s in range(1, max_lag + 1):
             out.append(float(np.dot(dev[:-s], dev[s:])) / denom)
     return out
 
@@ -147,7 +147,7 @@ def component_weights(problem: Problem) -> Tuple[Scalar, Scalar, Scalar]:
 
 
 def _wave_constants(n: int) -> List[int]:
-    return [KIND_CONSTANTS[kind](n).k for kind in OmegaKind]
+    return [KIND_CONSTANTS[m](n).k for m in (1, 2, 3)]
 
 
 def decay_rates(n: int, exact: bool = True) -> Tuple[Scalar, Scalar, Scalar]:

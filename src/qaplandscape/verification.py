@@ -32,7 +32,6 @@ from .core import (
 )
 from .decomposition import (
     KIND_CONSTANTS,
-    OmegaKind,
     Problem,
     _omega_case,
     component_average,
@@ -250,9 +249,9 @@ def run_verification(
     for (i, j, p, q) in case_tuples:
         for x, ys in zip(case_points, neighbors):
             counts = _case_counts(i, j, p, q, ys)
-            for kind in OmegaKind:
-                literal = sum(map(mul, KIND_CONSTANTS[kind](n).params, counts))
-                res.add(omega_neighborhood_sum_oracle(kind, i, j, p, q, x), literal)
+            for m in (1, 2, 3):
+                literal = sum(map(mul, KIND_CONSTANTS[m](n).params, counts))
+                res.add(omega_neighborhood_sum_oracle(m, i, j, p, q, x), literal)
     results.append(res.result("case_sum_formulas", True, case_detail))
 
     # Enumerated space means of the five-case family vs their closed forms,
@@ -263,8 +262,8 @@ def run_verification(
         space = points if exhaustive else list(space_points(n))
         space_counts = [_case_counts(i, j, p, q, space) for (i, j, p, q) in mean_tuples]
         res = _Residual()
-        for kind in OmegaKind:
-            consts = KIND_CONSTANTS[kind](n)
+        for m in (1, 2, 3):
+            consts = KIND_CONSTANTS[m](n)
             for counts in space_counts:
                 total = sum(map(mul, consts.params, counts))
                 res.add(Fraction(total, len(space)), Fraction(*consts.mean))

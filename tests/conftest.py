@@ -35,13 +35,13 @@ def single_entry_tensor(n, i, j, p, q, value=1):
     return tensor_with(n, {(i, j, p, q): value})
 
 
-def perturb_kind(monkeypatch, kind, column, change):
-    """Replace one column of one kind's row of KIND_CONSTANTS by
+def perturb_kind(monkeypatch, m, column, change):
+    """Replace one column of kind m's row of KIND_CONSTANTS by
     change(original value), for the rest of the test."""
-    original = KIND_CONSTANTS[kind]
+    original = KIND_CONSTANTS[m]
 
     def perturbed(n):
         consts = original(n)
         return consts._replace(**{column: change(getattr(consts, column))})
 
-    monkeypatch.setitem(KIND_CONSTANTS, kind, perturbed)
+    monkeypatch.setitem(KIND_CONSTANTS, m, perturbed)

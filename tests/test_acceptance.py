@@ -25,7 +25,6 @@ from qaplandscape import (
 from qaplandscape.cli import run_cli
 from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
-    OmegaKind,
     component_average,
     component_value_fast,
     component_value_ref,
@@ -120,15 +119,15 @@ def test_c04_omega_kinds_elementary():
     rng = random.Random(41)
     tuples = rng.sample(pair_tuples(n), 12)
     expected = {
-        OmegaKind.OMEGA1: (10, Fraction(-1)),
-        OmegaKind.OMEGA2: (8, Fraction(1, 2)),
-        OmegaKind.OMEGA3: (5, Fraction(1)),
+        1: (10, Fraction(-1)),
+        2: (8, Fraction(1, 2)),
+        3: (5, Fraction(1)),
     }
-    for kind, (k, mean) in expected.items():
+    for m, (k, mean) in expected.items():
         for (i, j, p, q) in tuples:
-            fn = lambda x: omega(kind, i, j, p, q, x)
+            fn = lambda x: omega(m, i, j, p, q, x)
             report = check_elementary(fn, n)
-            assert report.is_elementary, (kind, i, j, p, q)
+            assert report.is_elementary, (m, i, j, p, q)
             assert report.fitted_k == k
             assert enumerate_space(fn, n).mean == mean
     _report(
@@ -145,12 +144,12 @@ def test_c05_case_sum_formulas_exhaustive():
         tuples = pair_tuples(n)
         for x in perms:
             neighbors = list(x.neighbors())
-            for kind in OmegaKind:
+            for m in (1, 2, 3):
                 for (i, j, p, q) in tuples:
                     literal = sum(
-                        omega(kind, i, j, p, q, y) for y in neighbors
+                        omega(m, i, j, p, q, y) for y in neighbors
                     )
-                    closed = omega_neighborhood_sum_oracle(kind, i, j, p, q, x)
+                    closed = omega_neighborhood_sum_oracle(m, i, j, p, q, x)
                     assert closed == literal
                     checked += 1
     _report(
@@ -284,7 +283,7 @@ def test_c12_cli_contract(capsys, monkeypatch):
     assert code == 0
 
     perturb_kind(
-        monkeypatch, OmegaKind.OMEGA1, "params",
+        monkeypatch, 1, "params",
         lambda p: p._replace(alpha=p.alpha + 1),
     )
     code = run_cli(["verify", "--n", "4", "--seed", "1"])

@@ -22,7 +22,7 @@ PUBLIC = [
 
 MODULE_HELPERS = {
     "decomposition": [
-        "OmegaKind", "KindConstants", "KIND_CONSTANTS", "omega", "component_value",
+        "KindConstants", "KIND_CONSTANTS", "omega", "component_value",
         "component_value_fast", "component_value_ref", "component_average",
         "wave_predict_component", "omega_neighborhood_sum_oracle",
     ],

@@ -15,7 +15,6 @@ from qaplandscape import (
     serialize_qaplib,
 )
 from qaplandscape.cli import run_cli
-from qaplandscape.decomposition import OmegaKind
 from qaplandscape.spectral import AutocorrReport, component_weights
 from conftest import perturb_kind
 
@@ -56,6 +55,33 @@ class TestInstanceLoading:
         assert code == 1 and "N,SEED,LO,HI" in err
         code, _, err = run(capsys, "stats", "--gen", "3,x,0,9")
         assert code == 1
+
+    @pytest.mark.parametrize("argv, message", [
+        (["decompose", "--gen", "5,1,0,9", "--n", "7", "--perm", "0,1,2,3,4"],
+         "cannot be combined with --gen"),
+        (["stats", "--gen", "5,1,0,9", "--lo", "3"], "need --n"),
+        (["stats", "--gen", "5,1,0,9", "--hi", "4"], "need --n"),
+        (["stats", "--instance", "sample.dat", "--lo", "1"], "need --n"),
+    ], ids=["n-with-gen", "lo-with-gen", "hi-with-gen", "lo-with-instance"])
+    def test_generator_shorthand_is_not_dropped(self, capsys, monkeypatch, argv, message):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built from conflicting flags")
+
+        monkeypatch.setattr(cli, "generate_instance", refuse)
+        monkeypatch.setattr(cli, "parse_qaplib", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert message in err
+
+    def test_generator_shorthand_bounds(self, capsys):
+        code, out, _ = run(capsys, "stats", "--n", "4", "--lo", "3", "--hi", "5",
+                           "--format", "json")
+        assert code == 0
+        code, same, _ = run(capsys, "stats", "--gen", "4,0,3,5", "--format", "json")
+        assert code == 0 and out == same
+        code, out, _ = run(capsys, "stats", "--n", "4", "--seed", "2", "--format", "json")
+        code, same, _ = run(capsys, "stats", "--gen", "4,2,0,9", "--format", "json")
+        assert out == same
 
     def test_unknown_flag(self, capsys):
         code, _, err = run(capsys, "stats", "--gen", "4,1,0,9", "--bogus")
@@ -234,7 +260,7 @@ class TestVerify:
 
     def test_perturbed_coefficient_fails(self, capsys, monkeypatch):
         perturb_kind(
-            monkeypatch, OmegaKind.OMEGA2, "params",
+            monkeypatch, 2, "params",
             lambda p: p._replace(zeta=p.zeta + 1),
         )
         code, out, _ = run(capsys, "verify", "--n", "4", "--seed", "1")
@@ -252,20 +278,20 @@ class TestVerify:
         assert code == 1 and out == ""
         assert "limit 32" in err
 
-    @pytest.mark.parametrize("kind", list(OmegaKind))
-    def test_perturbed_irrep_dimension_fails(self, capsys, monkeypatch, kind):
-        perturb_kind(monkeypatch, kind, "dim", lambda d: d + 1)
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_perturbed_irrep_dimension_fails(self, capsys, monkeypatch, m):
+        perturb_kind(monkeypatch, m, "dim", lambda d: d + 1)
         code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
         assert code == 2
         failed = [
             c["name"] for c in json.loads(out)["results"]["claims"]
             if not c["skipped"] and not c["passed"]
         ]
-        assert failed == [f"closed_form_variance_{kind.value}"]
+        assert failed == [f"closed_form_variance_{m}"]
         code, out, _ = run(capsys, "stats", "--n", "5", "--format", "json")
         assert code == 2
         residuals = json.loads(out)["residuals"]
-        assert residuals[f"var_c{kind.value}"] != "0"
+        assert residuals[f"var_c{m}"] != "0"
 
 
 class TestFailClosed:
@@ -347,6 +373,16 @@ class TestFailClosed:
         path.write_text(self.MIXED_INFINITIES)
         code, _, _ = run(capsys, *command, "--instance", str(path), "--format", fmt)
         assert code == 2
+
+    # In a fresh process, so that numpy's warnings would reach stderr.
+    @pytest.mark.parametrize("text", [SQUARE_OVERFLOW, MIXED_INFINITIES],
+                             ids=["square_overflow", "mixed_infinities"])
+    def test_autocorr_overflow_writes_nothing_to_stderr(self, tmp_path, text):
+        path = tmp_path / "overflow.dat"
+        path.write_text(text)
+        done = TestModuleEntryPoints._run("qaplandscape", "autocorr", "--instance", str(path))
+        assert done.returncode == 2
+        assert done.stderr == ""
 
     def test_autocorr_nan_at_later_lag_fails(self, capsys, monkeypatch):
         def fake(problem, steps, walk_seed, max_lag, **kwargs):

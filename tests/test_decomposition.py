@@ -1,3 +1,4 @@
+import enum
 import random
 from fractions import Fraction
 
@@ -13,10 +14,12 @@ from qaplandscape import (
     decompose,
     neighborhood_avg_wave,
 )
+from qaplandscape import decomposition
 from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
-    OmegaKind,
+    _case_totals,
+    _tensor_case_totals,
     _omega_case,
     component_average,
     component_value_fast,
@@ -35,11 +38,11 @@ from conftest import (
 )
 from strategies import qap_instances, sparse_tensors
 
-KINDS = list(OmegaKind)
+KINDS = [1, 2, 3]
 
 
-def constants(kind, n):
-    return KIND_CONSTANTS[kind](n)
+def constants(m, n):
+    return KIND_CONSTANTS[m](n)
 
 
 def perm_with(n, assignments):
@@ -70,34 +73,40 @@ def pair_tuples(n):
 
 class TestParameterTable:
     def test_vectors_at_n5(self):
-        assert constants(OmegaKind.OMEGA1, 5).params == (2, -4, -2, 0, -1)
-        assert constants(OmegaKind.OMEGA2, 5).params == (2, 2, 0, 0, 1)
-        assert constants(OmegaKind.OMEGA3, 5).params == (7, 1, 3, 0, -1)
+        assert constants(1, 5).params == (2, -4, -2, 0, -1)
+        assert constants(2, 5).params == (2, 2, 0, 0, 1)
+        assert constants(3, 5).params == (7, 1, 3, 0, -1)
+
+    def test_keyed_by_component_index(self):
+        assert list(KIND_CONSTANTS) == [1, 2, 3]
+        assert not any(
+            isinstance(v, enum.EnumMeta) for v in vars(decomposition).values()
+        )
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_constants(self, n):
-        assert constants(OmegaKind.OMEGA1, n).k == 2 * n
-        assert constants(OmegaKind.OMEGA2, n).k == 2 * (n - 1)
-        assert constants(OmegaKind.OMEGA3, n).k == n
+        assert constants(1, n).k == 2 * n
+        assert constants(2, n).k == 2 * (n - 1)
+        assert constants(3, n).k == n
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_weight_denominators(self, n):
-        assert constants(OmegaKind.OMEGA1, n).den == 2 * n
-        assert constants(OmegaKind.OMEGA2, n).den == 2 * (n - 2)
-        assert constants(OmegaKind.OMEGA3, n).den == n * (n - 2)
+        assert constants(1, n).den == 2 * n
+        assert constants(2, n).den == 2 * (n - 2)
+        assert constants(3, n).den == n * (n - 2)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_irrep_dimensions_and_means(self, n):
-        assert constants(OmegaKind.OMEGA1, n).dim == (n - 1) * (n - 2) // 2
-        assert constants(OmegaKind.OMEGA2, n).dim == n * (n - 3) // 2
-        assert constants(OmegaKind.OMEGA3, n).dim == n - 1
+        assert constants(1, n).dim == (n - 1) * (n - 2) // 2
+        assert constants(2, n).dim == n * (n - 3) // 2
+        assert constants(3, n).dim == n - 1
         # The action on ordered pairs i != j holds the trivial part once,
         # (n-1,1) twice and the other two parts once each.
-        d1, d2, d3 = (constants(kind, n).dim for kind in KINDS)
+        d1, d2, d3 = (constants(m, n).dim for m in KINDS)
         assert 1 + 2 * d3 + d2 + d1 == n * (n - 1)
-        assert constants(OmegaKind.OMEGA1, n).mean == (-1, 1)
-        assert constants(OmegaKind.OMEGA2, n).mean == (n - 3, n - 1)
-        assert constants(OmegaKind.OMEGA3, n).mean == (1, 1)
+        assert constants(1, n).mean == (-1, 1)
+        assert constants(2, n).mean == (n - 3, n - 1)
+        assert constants(3, n).mean == (1, 1)
 
     @pytest.mark.parametrize("n", range(3, 13))
     def test_wave_coefficients_reduce(self, n):
@@ -110,7 +119,7 @@ class TestParameterTable:
 # Every n in range, rather than a hypothesis sample of it.
 @pytest.mark.parametrize("n", range(3, 41))
 def test_table_weights_give_the_pair_indicator_and_rates_stay_in_bounds(n):
-    rows = [constants(kind, n) for kind in KINDS]
+    rows = [constants(m, n) for m in KINDS]
     indicator = [sum(Fraction(row.params[case], row.den) for row in rows)
                  for case in range(5)]
     assert indicator == [1, 0, 0, 0, 0]
@@ -130,24 +139,55 @@ def test_components_add_up_to_the_objective(problems, data):
     assert t.c1 + t.c2 + t.c3 == problem.fitness(x)
 
 
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_masses_equal_the_product_form_masses(data):
+    inst = data.draw(qap_instances())
+    x = Permutation(data.draw(st.permutations(range(inst.n))))
+    assert _tensor_case_totals(GeneralTensor.from_qap(inst), x) == _case_totals(inst, x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_masses_add_up_to_the_off_diagonal_sum(data):
+    tensor = data.draw(sparse_tensors())
+    x = Permutation(data.draw(st.permutations(range(tensor.n))))
+    masses = _tensor_case_totals(tensor, x)[:5]
+    assert sum(masses) == tensor.coefficient_sums()[0]
+
+
+def test_tensor_decompose_makes_one_pass(monkeypatch):
+    calls = []
+
+    def counted(tensor, x):
+        calls.append(x)
+        return _tensor_case_totals(tensor, x)
+
+    monkeypatch.setattr(decomposition, "_tensor_case_totals", counted)
+    t = GeneralTensor.from_qap(seeded_instance(5, 3))
+    x = Permutation.identity(5)
+    assert decompose(t, x).total == t.fitness(x)
+    assert calls == [x]
+
+
 class TestOmega:
     def test_case_values_n5(self):
         i, j, p, q = 0, 1, 2, 3
         alpha_x = perm_with(5, {i: p, j: q})
-        assert omega(OmegaKind.OMEGA1, i, j, p, q, alpha_x) == 2
+        assert omega(1, i, j, p, q, alpha_x) == 2
         zeta_x = perm_with(5, {i: 0, j: 1})
-        assert omega(OmegaKind.OMEGA2, i, j, p, q, zeta_x) == 1
+        assert omega(2, i, j, p, q, zeta_x) == 1
         beta_x = perm_with(5, {i: q, j: p})
-        assert omega(OmegaKind.OMEGA3, i, j, p, q, beta_x) == 1
+        assert omega(3, i, j, p, q, beta_x) == 1
 
     def test_validation(self):
         x = Permutation.identity(4)
         with pytest.raises(ValueError, match="differ"):
-            omega(OmegaKind.OMEGA1, 1, 1, 0, 2, x)
+            omega(1, 1, 1, 0, 2, x)
         with pytest.raises(ValueError, match="differ"):
-            omega(OmegaKind.OMEGA1, 0, 1, 2, 2, x)
+            omega(1, 0, 1, 2, 2, x)
         with pytest.raises(ValueError, match="range"):
-            omega(OmegaKind.OMEGA1, 0, 4, 1, 2, x)
+            omega(1, 0, 4, 1, 2, x)
 
     # Range is checked first, index by index in the order i, j, p, q.
     @pytest.mark.parametrize("args, message", [
@@ -162,7 +202,7 @@ class TestOmega:
     @pytest.mark.parametrize("fn", [omega, omega_neighborhood_sum_oracle])
     def test_validation_messages(self, fn, args, message):
         with pytest.raises(ValueError) as exc:
-            fn(OmegaKind.OMEGA2, *args, Permutation.identity(4))
+            fn(2, *args, Permutation.identity(4))
         assert str(exc.value) == message
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -182,32 +222,32 @@ class TestOmega:
                 # each kind's value is its parameter of that case
                 case = _omega_case(i, j, p, q, x)
                 assert case == cases.index(True)
-                for kind in KINDS:
-                    assert omega(kind, i, j, p, q, x) == constants(kind, n).params[case]
+                for m in KINDS:
+                    assert omega(m, i, j, p, q, x) == constants(m, n).params[case]
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_space_means_exhaustive(self, n):
         perms = all_perms(n)
         expected = {
-            OmegaKind.OMEGA1: Fraction(-1),
-            OmegaKind.OMEGA2: Fraction(n - 3, n - 1),
-            OmegaKind.OMEGA3: Fraction(1),
+            1: Fraction(-1),
+            2: Fraction(n - 3, n - 1),
+            3: Fraction(1),
         }
-        for kind in KINDS:
+        for m in KINDS:
             for (i, j, p, q) in pair_tuples(n):
-                total = sum(omega(kind, i, j, p, q, x) for x in perms)
-                assert Fraction(total, len(perms)) == expected[kind]
-                assert expected[kind] == Fraction(*constants(kind, n).mean)
+                total = sum(omega(m, i, j, p, q, x) for x in perms)
+                assert Fraction(total, len(perms)) == expected[m]
+                assert expected[m] == Fraction(*constants(m, n).mean)
 
     def test_space_means_n6_sampled_tuples(self):
         n = 6
         perms = all_perms(n)
         rng = random.Random(17)
         tuples = rng.sample(pair_tuples(n), 10)
-        for kind in KINDS:
+        for m in KINDS:
             for (i, j, p, q) in tuples:
-                total = sum(omega(kind, i, j, p, q, x) for x in perms)
-                assert Fraction(total, len(perms)) == Fraction(*constants(kind, n).mean)
+                total = sum(omega(m, i, j, p, q, x) for x in perms)
+                assert Fraction(total, len(perms)) == Fraction(*constants(m, n).mean)
 
 
 class TestOmegaNeighborSums:
@@ -215,9 +255,9 @@ class TestOmegaNeighborSums:
         n, d = 6, neighborhood_size(6)
         i, j, p, q = 0, 1, 2, 3
         x = perm_with(n, {i: 4, j: 5})
-        for kind in KINDS:
-            a, b, g, e, z = constants(kind, n).params
-            assert omega_neighborhood_sum_oracle(kind, i, j, p, q, x) == (
+        for m in KINDS:
+            a, b, g, e, z = constants(m, n).params
+            assert omega_neighborhood_sum_oracle(m, i, j, p, q, x) == (
                 2 * g + 2 * e + (d - 4) * z
             )
 
@@ -226,18 +266,18 @@ class TestOmegaNeighborSums:
         # (1-n) + 2(n-2)(-2) + (d-2n+3)(n-3) = -4 - 12 + 6 = -10
         i, j, p, q = 0, 1, 2, 3
         x = perm_with(5, {i: p, j: q})
-        assert omega_neighborhood_sum_oracle(OmegaKind.OMEGA1, i, j, p, q, x) == -10
-        literal = sum(omega(OmegaKind.OMEGA1, i, j, p, q, y) for y in x.neighbors())
+        assert omega_neighborhood_sum_oracle(1, i, j, p, q, x) == -10
+        literal = sum(omega(1, i, j, p, q, y) for y in x.neighbors())
         assert literal == -10
 
     def test_matches_enumeration_everywhere_n4(self):
         for x in all_perms(4):
-            for kind in KINDS:
+            for m in KINDS:
                 for (i, j, p, q) in pair_tuples(4):
                     literal = sum(
-                        omega(kind, i, j, p, q, y) for y in x.neighbors()
+                        omega(m, i, j, p, q, y) for y in x.neighbors()
                     )
-                    closed = omega_neighborhood_sum_oracle(kind, i, j, p, q, x)
+                    closed = omega_neighborhood_sum_oracle(m, i, j, p, q, x)
                     assert closed == literal
 
 
@@ -272,8 +312,8 @@ class TestComponentEvaluators:
         for (i, j, p, q) in pair_tuples(n):
             for x in all_perms(n):
                 total = sum(
-                    Fraction(omega(kind, i, j, p, q, x), constants(kind, n).den)
-                    for kind in KINDS
+                    Fraction(omega(m, i, j, p, q, x), constants(m, n).den)
+                    for m in KINDS
                 )
                 expected = 1 if (x(i) == p and x(j) == q) else 0
                 assert total == expected

@@ -16,7 +16,6 @@ from qaplandscape import (
 from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
-    OmegaKind,
     component_value,
     omega,
 )
@@ -57,7 +56,7 @@ class TestEnumerateSpace:
 
     def test_omega1_mean(self):
         stats = enumerate_space(
-            lambda x: omega(OmegaKind.OMEGA1, 0, 1, 2, 3, x), 4
+            lambda x: omega(1, 0, 1, 2, 3, x), 4
         )
         assert stats.mean == -1
 
@@ -86,11 +85,9 @@ class TestCheckElementary:
         assert report.max_residual == 0
         assert not report.constant
 
-    @pytest.mark.parametrize(
-        "kind,k", [(OmegaKind.OMEGA1, 10), (OmegaKind.OMEGA2, 8), (OmegaKind.OMEGA3, 5)]
-    )
-    def test_omega_kinds_at_n5(self, kind, k):
-        report = check_elementary(lambda x: omega(kind, 0, 2, 1, 4, x), 5)
+    @pytest.mark.parametrize("m,k", [(1, 10), (2, 8), (3, 5)])
+    def test_omega_kinds_at_n5(self, m, k):
+        report = check_elementary(lambda x: omega(m, 0, 2, 1, 4, x), 5)
         assert report.is_elementary
         assert report.fitted_k == k
 
@@ -100,6 +97,19 @@ class TestCheckElementary:
         assert report.constant
         assert report.fitted_k is None
         assert report.max_residual == 0
+
+    # Float sums of a constant need not cancel; constancy is read off the values.
+    @pytest.mark.parametrize("value", [0.1, 0.7, 3])
+    def test_constant_values_are_flagged(self, value):
+        report = check_elementary(lambda x: value, 4)
+        assert report.is_elementary and report.constant
+        assert report.fitted_k is None
+
+    # Raw float moments of values 1 ulp apart cancel to zero; the fit must
+    # neither call the function constant nor divide by that zero.
+    def test_values_one_ulp_apart_are_not_constant(self):
+        report = check_elementary(lambda x: 1e8 + 1e-8 * (x(0) == 0), 4)
+        assert not report.constant
 
     def test_full_objective_not_elementary(self):
         inst = seeded_instance(5, 42)
@@ -168,8 +178,8 @@ class TestVarianceTriple:
         for m, got in zip((1, 2, 3), (vt.c1, vt.c2, vt.c3)):
             values = [
                 Fraction(
-                    omega(OmegaKind(m), 0, 1, 2, 3, x),
-                    KIND_CONSTANTS[OmegaKind(m)](n).den,
+                    omega(m, 0, 1, 2, 3, x),
+                    KIND_CONSTANTS[m](n).den,
                 )
                 for x in perms
             ]

@@ -18,7 +18,7 @@ from qaplandscape import (
     theoretical_autocorr,
     variance_triple,
 )
-from qaplandscape.decomposition import OmegaKind, omega
+from qaplandscape.decomposition import omega
 from qaplandscape.qaplib import parse_qaplib
 from qaplandscape.spectral import component_weights, decay_rates
 from conftest import seeded_instance, tensor_with, zero_psi
@@ -313,7 +313,7 @@ class TestCoefficient:
         from conftest import all_perms
 
         for x in all_perms(n):
-            assert t.fitness(x) == n * omega(OmegaKind.OMEGA1, a, b, c, e, x)
+            assert t.fitness(x) == n * omega(1, a, b, c, e, x)
         vt = variance_triple(t)
         assert vt.c2 == 0 and vt.c3 == 0 and vt.c1 > 0
         cb = autocorr_coefficient(t)

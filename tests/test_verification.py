@@ -3,7 +3,7 @@ import random
 import pytest
 
 from qaplandscape import decomposition, generate_instance, verification
-from qaplandscape.decomposition import OmegaKind, OmegaParams, _omega_case
+from qaplandscape.decomposition import OmegaParams, _omega_case
 from conftest import perturb_kind
 from qaplandscape.oracle import DEFAULT_ENUMERATION_CAP
 from qaplandscape.verification import (
@@ -53,8 +53,8 @@ def test_case_sum_claim_catches_one_wrong_case_formula(monkeypatch, source, case
     problem, cap = CASE_SUM_INSTANCES[source]
     oracle = verification.omega_neighborhood_sum_oracle
 
-    def off_by_one(kind, i, j, p, q, x):
-        return oracle(kind, i, j, p, q, x) + (_omega_case(i, j, p, q, x) == case)
+    def off_by_one(m, i, j, p, q, x):
+        return oracle(m, i, j, p, q, x) + (_omega_case(i, j, p, q, x) == case)
 
     monkeypatch.setattr(verification, "omega_neighborhood_sum_oracle", off_by_one)
     assert _failed(run_verification(problem, cap=cap)) == {"case_sum_formulas"}
@@ -65,7 +65,7 @@ def test_case_sum_claim_catches_one_wrong_case_formula(monkeypatch, source, case
 @pytest.mark.parametrize("n, cap", [(5, DEFAULT_ENUMERATION_CAP), (7, 4)])
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
-    perturb_kind(monkeypatch, OmegaKind(m), "k", lambda k: k + 1)
+    perturb_kind(monkeypatch, m, "k", lambda k: k + 1)
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert failed == {f"wave_component_{m}", "neighborhood_average"}
 
@@ -92,7 +92,7 @@ MUTATIONS = {
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_every_table_constant_is_caught(monkeypatch, column, m):
     change, caught = MUTATIONS[column]
-    perturb_kind(monkeypatch, OmegaKind(m), column, change)
+    perturb_kind(monkeypatch, m, column, change)
     failed = _failed(run_verification(generate_instance(5, 1, 0, 9)))
     assert failed == caught(m)
 
@@ -103,7 +103,7 @@ def test_every_table_constant_is_caught(monkeypatch, column, m):
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_every_case_value_is_caught(monkeypatch, case, m):
     perturb_kind(
-        monkeypatch, OmegaKind(m), "params",
+        monkeypatch, m, "params",
         lambda p: p._replace(**{case: getattr(p, case) + 1}),
     )
     failed = _failed(run_verification(generate_instance(5, 1, 0, 9)))
@@ -115,14 +115,21 @@ def test_every_case_value_is_caught(monkeypatch, case, m):
 
 
 # Exhaustive at n=5; beyond cap 4 at n=7, where only 20 points are compared.
-@pytest.mark.parametrize("n, cap", [(5, DEFAULT_ENUMERATION_CAP), (7, 4)])
-def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, n, cap):
-    case_totals = decomposition._case_totals
+# The same exchange of the gamma and epsilon masses is made on the fast path
+# and, separately, on the reference pass.
+@pytest.mark.parametrize("totals, n, cap", [
+    pytest.param("_case_totals", 5, DEFAULT_ENUMERATION_CAP, id="5-8"),
+    pytest.param("_case_totals", 7, 4, id="7-4"),
+    pytest.param("_tensor_case_totals", 5, DEFAULT_ENUMERATION_CAP, id="reference-5-8"),
+    pytest.param("_tensor_case_totals", 7, 4, id="reference-7-4"),
+])
+def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, totals, n, cap):
+    case_totals = getattr(decomposition, totals)
 
-    def gamma_epsilon_exchanged(inst, x):
-        sa, sb, sg, se, sz, diag = case_totals(inst, x)
+    def gamma_epsilon_exchanged(problem, x):
+        sa, sb, sg, se, sz, diag = case_totals(problem, x)
         return sa, sb, se, sg, sz, diag
 
-    monkeypatch.setattr(decomposition, "_case_totals", gamma_epsilon_exchanged)
+    monkeypatch.setattr(decomposition, totals, gamma_epsilon_exchanged)
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert "fast_vs_reference" in failed
