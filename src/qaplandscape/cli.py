@@ -78,6 +78,8 @@ def _check_args(args) -> None:
         )
     if args.fmt == "csv" and args.command != "autocorr":
         raise CliError("csv output is only defined for walk series (autocorr)")
+    if args.cap < 0:
+        raise CliError(f"--cap {args.cap} must be at least 0")
     if args.cap > MAX_CAP:
         raise CliError(f"--cap {args.cap} exceeds the limit {MAX_CAP}")
     if args.generator is not None:

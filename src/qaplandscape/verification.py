@@ -1,6 +1,6 @@
-"""Self-check harness: every closed-form identity of the decomposition is
-replayed against literal enumeration on one instance and reported as a
-named residual.
+"""Self-check harness: every closed-form identity of the decomposition that
+depends on the instance is replayed against literal enumeration on that
+instance and reported as a named residual.
 
 In rational mode every residual must be literally zero; in float mode a
 claim passes when its residual stays within 1e-9 of the magnitude of the
@@ -8,17 +8,18 @@ values compared. Exhaustive enumeration is used up to the configured cap
 and seeded sampling beyond it.
 
 Each neighborhood is evaluated once per point: the wave claims read the
-four values (c1, c2, c3, f) of every neighbor from one table, and the
-case-sum claims classify every neighbor once per index tuple, the three
-kinds' literal sums following from the five case counts.
+four values (c1, c2, c3, f) of every neighbor from one table.
+
+The five-case family behind the components also obeys two lemmas in n
+alone: the closed-form neighbor sum in each case and the space mean of
+each kind. They hold for every instance, so they are not replayed here;
+the test suite checks them exhaustively (tests/five_case.py).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
-from operator import mul
 from typing import List, Optional
 
 from .core import (
@@ -31,14 +32,11 @@ from .core import (
     tolerance,
 )
 from .decomposition import (
-    KIND_CONSTANTS,
     Problem,
-    _omega_case,
     component_average,
     component_variances,
     decompose,
     neighborhood_avg_wave,
-    omega_neighborhood_sum_oracle,
     wave_predict_component,
 )
 from .oracle import (
@@ -93,47 +91,12 @@ def _skipped(name: str, why: str) -> ClaimResult:
     return ClaimResult(name, None, 0, True, skipped=True, detail=why)
 
 
-def _pair_index_tuples(n: int):
-    return [
-        (i, j, p, q)
-        for i in range(n)
-        for j in range(n)
-        if j != i
-        for p in range(n)
-        for q in range(n)
-        if q != p
-    ]
-
-
-def _pair_index_tuple(index: int, n: int):
-    """The entry at `index` of _pair_index_tuples(n), without building it."""
-    index, q = divmod(index, n - 1)
-    index, p = divmod(index, n)
-    i, j = divmod(index, n - 1)
-    return i, j + (j >= i), p, q + (q >= p)
-
-
-def _sample_pair_index_tuples(rng: random.Random, n: int, k: int):
-    """rng.sample of k index tuples, drawing exactly what sampling the full
-    list would draw, in O(k) memory."""
-    count = n * n * (n - 1) * (n - 1)
-    return [_pair_index_tuple(t, n) for t in rng.sample(range(count), min(k, count))]
-
-
-def _case_counts(i: int, j: int, p: int, q: int, xs) -> List[int]:
-    """How many of the permutations xs fall into each of the five cases."""
-    counts = [0] * 5
-    for x in xs:
-        counts[_omega_case(i, j, p, q, x)] += 1
-    return counts
-
-
 def run_verification(
     problem: Problem,
     cap: int = DEFAULT_ENUMERATION_CAP,
     seed: int = 0,
 ) -> List[ClaimResult]:
-    """Check every decomposition identity on one instance.
+    """Check every decomposition identity that depends on the instance.
 
     Returns one ClaimResult per identity; callers decide what a failure
     means (the CLI exits with status 2).
@@ -231,46 +194,5 @@ def run_verification(
         results.append(
             res.result("fast_vs_reference", exact, f"{len(xs)} permutations, all components")
         )
-
-    # Closed-form neighbor sums of the five-case family vs literal sums;
-    # the family is integer-valued, so these claims are exact in either mode.
-    # Each neighbor is classified once per index tuple; a kind's literal sum
-    # is its five case values weighted by the case counts.
-    if n <= 4:
-        case_tuples = _pair_index_tuples(n)
-        case_points = points if exhaustive else wave_points
-        case_detail = f"all {len(case_tuples)} index tuples, {len(case_points)} permutations"
-    else:
-        case_tuples = _sample_pair_index_tuples(rng, n, 60)
-        case_points = rng.sample(points, min(20, len(points)))
-        case_detail = f"{len(case_tuples)} sampled index tuples, {len(case_points)} permutations"
-    neighbors = [list(x.neighbors()) for x in case_points]
-    res = _Residual()
-    for (i, j, p, q) in case_tuples:
-        for x, ys in zip(case_points, neighbors):
-            counts = _case_counts(i, j, p, q, ys)
-            for m in (1, 2, 3):
-                literal = sum(map(mul, KIND_CONSTANTS[m](n).params, counts))
-                res.add(omega_neighborhood_sum_oracle(m, i, j, p, q, x), literal)
-    results.append(res.result("case_sum_formulas", True, case_detail))
-
-    # Enumerated space means of the five-case family vs their closed forms,
-    # from one enumeration of the space over which each tuple's cases are
-    # counted once for all three kinds.
-    if n <= 6:
-        mean_tuples = _sample_pair_index_tuples(rng, n, 10)
-        space = points if exhaustive else list(space_points(n))
-        space_counts = [_case_counts(i, j, p, q, space) for (i, j, p, q) in mean_tuples]
-        res = _Residual()
-        for m in (1, 2, 3):
-            consts = KIND_CONSTANTS[m](n)
-            for counts in space_counts:
-                total = sum(map(mul, consts.params, counts))
-                res.add(Fraction(total, len(space)), Fraction(*consts.mean))
-        results.append(res.result(
-            "enumerated_case_means", True, f"{len(mean_tuples)} sampled index tuples"
-        ))
-    else:
-        results.append(_skipped("enumerated_case_means", f"n={n} beyond mean-check bound 6"))
 
     return results

@@ -8,6 +8,7 @@ the walk-based checks carry the stated statistical tolerances.
 import random
 import time
 from fractions import Fraction
+from math import factorial
 
 from qaplandscape import (
     GeneralTensor,
@@ -29,30 +30,18 @@ from qaplandscape.decomposition import (
     component_value_fast,
     component_value_ref,
     omega,
-    omega_neighborhood_sum_oracle,
     wave_predict_component,
 )
 from qaplandscape.oracle import enumerate_space
 from qaplandscape.spectral import autocorr_coefficient
 from conftest import all_perms, perturb_kind, random_perms, seeded_instance
+from five_case import case_sum_mismatches, pair_tuples
 
 SEEDS = [11, 12, 13, 14, 15]
 
 
 def _report(criterion, detail):
     print(f"[PASS] {criterion}: {detail}")
-
-
-def pair_tuples(n):
-    return [
-        (i, j, p, q)
-        for i in range(n)
-        for j in range(n)
-        if j != i
-        for p in range(n)
-        for q in range(n)
-        if q != p
-    ]
 
 
 def test_c01_decomposition_identity_exhaustive():
@@ -140,18 +129,9 @@ def test_c04_omega_kinds_elementary():
 def test_c05_case_sum_formulas_exhaustive():
     checked = 0
     for n in (4, 5):
-        perms = all_perms(n)
         tuples = pair_tuples(n)
-        for x in perms:
-            neighbors = list(x.neighbors())
-            for m in (1, 2, 3):
-                for (i, j, p, q) in tuples:
-                    literal = sum(
-                        omega(m, i, j, p, q, y) for y in neighbors
-                    )
-                    closed = omega_neighborhood_sum_oracle(m, i, j, p, q, x)
-                    assert closed == literal
-                    checked += 1
+        assert case_sum_mismatches(n, tuples) == []
+        checked += 3 * len(tuples) * factorial(n)
     _report(
         "C05 case-sum formulas",
         f"closed-form neighbor sums equal literal enumeration in "

@@ -114,6 +114,7 @@ class TestInstanceLoading:
         (["autocorr", "--gen", "5,1,0,9", "--steps", "10000000"], "limit 1000000"),
         (["verify", "--gen", "33,0,0,9"], "limit 32"),
         (["verify", "--gen", "5,1,0,9", "--cap", "10"], "limit 9"),
+        (["verify", "--gen", "5,1,0,9", "--cap", "-3"], "--cap -3 must be at least 0"),
     ])
     def test_resource_limits(self, capsys, monkeypatch, argv, limit):
         def refuse(*args, **kwargs):
@@ -527,7 +528,7 @@ class TestModuleEntryPoints:
     def test_verify_exit_codes(self, module):
         done = self._run(module, "verify", "--n", "4")
         assert done.returncode == 0
-        assert "verification: PASS (15 claims, 0 failed, 0 skipped)" in done.stdout
+        assert "verification: PASS (13 claims, 0 failed, 0 skipped)" in done.stdout
         refused = self._run(module, "verify", "--gen", "33,0,0,9")
         assert refused.returncode == 1
         assert "exceeds the limit 32" in refused.stderr

@@ -36,6 +36,7 @@ from conftest import (
     tensor_with,
     zero_psi,
 )
+from five_case import case_sum_mismatches, pair_tuples, space_mean_mismatches
 from strategies import qap_instances, sparse_tensors
 
 KINDS = [1, 2, 3]
@@ -57,18 +58,6 @@ def perm_with(n, assignments):
         if mapping[pos] is None:
             mapping[pos] = free.pop(0)
     return Permutation(mapping)
-
-
-def pair_tuples(n):
-    return [
-        (i, j, p, q)
-        for i in range(n)
-        for j in range(n)
-        if j != i
-        for p in range(n)
-        for q in range(n)
-        if q != p
-    ]
 
 
 class TestParameterTable:
@@ -227,27 +216,18 @@ class TestOmega:
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_space_means_exhaustive(self, n):
-        perms = all_perms(n)
         expected = {
             1: Fraction(-1),
             2: Fraction(n - 3, n - 1),
             3: Fraction(1),
         }
         for m in KINDS:
-            for (i, j, p, q) in pair_tuples(n):
-                total = sum(omega(m, i, j, p, q, x) for x in perms)
-                assert Fraction(total, len(perms)) == expected[m]
-                assert expected[m] == Fraction(*constants(m, n).mean)
+            assert expected[m] == Fraction(*constants(m, n).mean)
+        assert space_mean_mismatches(n, pair_tuples(n)) == []
 
     def test_space_means_n6_sampled_tuples(self):
-        n = 6
-        perms = all_perms(n)
-        rng = random.Random(17)
-        tuples = rng.sample(pair_tuples(n), 10)
-        for m in KINDS:
-            for (i, j, p, q) in tuples:
-                total = sum(omega(m, i, j, p, q, x) for x in perms)
-                assert Fraction(total, len(perms)) == Fraction(*constants(m, n).mean)
+        tuples = random.Random(17).sample(pair_tuples(6), 10)
+        assert space_mean_mismatches(6, tuples) == []
 
 
 class TestOmegaNeighborSums:
@@ -271,14 +251,7 @@ class TestOmegaNeighborSums:
         assert literal == -10
 
     def test_matches_enumeration_everywhere_n4(self):
-        for x in all_perms(4):
-            for m in KINDS:
-                for (i, j, p, q) in pair_tuples(4):
-                    literal = sum(
-                        omega(m, i, j, p, q, y) for y in x.neighbors()
-                    )
-                    closed = omega_neighborhood_sum_oracle(m, i, j, p, q, x)
-                    assert closed == literal
+        assert case_sum_mismatches(4, pair_tuples(4)) == []
 
 
 class TestComponentEvaluators:

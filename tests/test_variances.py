@@ -15,9 +15,11 @@ from qaplandscape import (
     ComponentTriple,
     GeneralTensor,
     QapInstance,
+    check_elementary,
     component_variances,
     variance_triple,
 )
+from qaplandscape.spectral import component_weights
 from qaplandscape import oracle
 from conftest import seeded_instance
 from strategies import DECIMAL_ENTRY, qap_instances, sparse_tensors
@@ -85,3 +87,49 @@ def test_named_tuple_is_shared_with_the_oracle():
 def test_rejects_other_types():
     with pytest.raises(TypeError):
         component_variances([[1, 2], [3, 4]])
+
+
+# Known special cases as regression oracles, each at n = 5, 7 and 12.
+
+
+def _random_matrix(n, rng, symmetric=False):
+    r = [[rng.randint(1, 9) if i != j else 0 for j in range(n)] for i in range(n)]
+    if symmetric:
+        r = [[r[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return r
+
+
+def _cycle(n, directed=False):
+    steps = (1,) if directed else (1, n - 1)
+    return [[int((q - p) % n in steps) for q in range(n)] for p in range(n)]
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+def test_symmetric_tsp_is_the_second_component(n):
+    """A symmetric TSP written as a QAP is elementary under swaps with
+    k = 2(n-1) (Grover 1992; Stadler & Schnabl 1992): all of its variance
+    lies in c2."""
+    inst = QapInstance(_random_matrix(n, random.Random(n), symmetric=True), _cycle(n))
+    assert component_weights(inst) == (0, 1, 0)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_symmetric_tsp_fits_its_wave_constant(n):
+    inst = QapInstance(_random_matrix(n, random.Random(n), symmetric=True), _cycle(n))
+    report = check_elementary(inst.fitness, n)
+    assert report.is_elementary and report.fitted_k == 2 * (n - 1)
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+def test_directed_cycle_has_no_first_order_part(n):
+    # Every row and column of the directed cycle sums to 1.
+    inst = QapInstance(_random_matrix(n, random.Random(n)), _cycle(n, directed=True))
+    assert component_variances(inst).c3 == 0
+
+
+@pytest.mark.parametrize("n", [5, 7, 12])
+def test_linear_ordering_has_no_second_component(n):
+    # w + w^T is constant off the diagonal.
+    w = [[int(p < q) for q in range(n)] for p in range(n)]
+    inst = QapInstance(_random_matrix(n, random.Random(n)), w)
+    assert component_variances(inst).c2 == 0
