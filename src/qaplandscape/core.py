@@ -41,6 +41,16 @@ def passes(residual: Scalar, scale: Scalar, exact: bool) -> bool:
     return residual <= tolerance(scale, exact) < math.inf
 
 
+def fsum(values) -> float:
+    """math.fsum, or NaN where it raises: on infinities of both signs, or on
+    an intermediate overflow. The one summation rule of every float sum over
+    a sample: correctly rounded, so independent of order and interpreter."""
+    try:
+        return math.fsum(values)
+    except (ValueError, OverflowError):
+        return math.nan
+
+
 def neighborhood_size(n: int) -> int:
     """Number of swap neighbors of a permutation of n elements: n(n-1)/2."""
     return n * (n - 1) // 2

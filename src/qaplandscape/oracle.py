@@ -8,14 +8,13 @@ lexicographic order, so float-mode reductions are deterministic.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
 from operator import mul
 from typing import Callable, Iterable, List, Optional, Tuple
 
-from .core import Permutation, Scalar, div, neighborhood_size, passes
+from .core import Permutation, Scalar, div, fsum, neighborhood_size, passes
 from .decomposition import ComponentTriple, Problem, decompose
 
 # 8! = 40320 points; anything larger must opt in explicitly.
@@ -54,24 +53,15 @@ def _exact(values) -> bool:
     return not any(isinstance(v, float) for v in values)
 
 
-def _fsum(values) -> float:
-    """math.fsum, or NaN where it raises: on infinities of both signs, or on
-    an intermediate overflow."""
-    try:
-        return math.fsum(values)
-    except (ValueError, OverflowError):
-        return math.nan
-
-
 def moments(values) -> Tuple[Scalar, Scalar]:
     """Mean and population variance of a non-empty value sequence: exact for
     int/Fraction values, accumulated with math.fsum when any is a float.
     A float sum that fsum cannot form is NaN, so the checks reading it fail."""
     count = len(values)
     if not _exact(values):
-        mean = _fsum(values) / count
+        mean = fsum(values) / count
         # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
-        return mean, _fsum((v - mean) * (v - mean) for v in values) / count
+        return mean, fsum((v - mean) * (v - mean) for v in values) / count
     mean = Fraction(sum(values), count)
     return mean, Fraction(sum(v * v for v in values), count) - mean * mean
 

@@ -22,17 +22,21 @@ The walk costs O(n) per step: it evaluates the objective once and then adds
 each swap's change (`swap_delta`). In float mode the recorded values are
 that running sum, which agrees with a full recompute to 1e-9 relative
 rather than bit for bit.
+
+The estimator's sums (the mean, the denominator, each lag) are correctly
+rounded by math.fsum, so r(s) is the same on every platform and
+interpreter, and for a series and its reversal.
 """
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
-import numpy as np
-
-from .core import Permutation, Scalar, div, neighborhood_size
+from .core import Permutation, Scalar, div, fsum, neighborhood_size
 from .decomposition import KIND_CONSTANTS, Problem, component_variances
 
 
@@ -123,18 +127,18 @@ def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
             f"max_lag {max_lag} too large for a {series.steps}-step walk; "
             "need max_lag < steps/10"
         )
-    # An overflowing series yields inf or NaN lags, which the checks reading
-    # them fail; numpy's warnings about it would only add noise on stderr.
-    with np.errstate(over="ignore", invalid="ignore"):
-        arr = np.array([float(v) for v in series.values], dtype=float)
-        dev = arr - arr.mean()
-        denom = float(np.dot(dev, dev))
-        if denom == 0.0:
-            raise ValueError("series is constant; autocorrelation is undefined")
-        out = [1.0]
-        for s in range(1, max_lag + 1):
-            out.append(float(np.dot(dev[:-s], dev[s:])) / denom)
-    return out
+    values = list(map(float, series.values))
+    if all(map(math.isfinite, values)) and min(values) == max(values):
+        raise ValueError("series is constant; autocorrelation is undefined")
+    mean = fsum(values) / len(values)
+    dev = [v - mean for v in values]
+    denom = fsum(map(mul, dev, dev))
+    # An overflowed series (inf or NaN values, or squares beyond the float
+    # range) and one whose squares all underflow yield NaN lags, which the
+    # checks reading them fail.
+    if not 0 < denom < math.inf:
+        return [math.nan] * (max_lag + 1)
+    return [1.0] + [fsum(map(mul, dev, dev[s:])) / denom for s in range(1, max_lag + 1)]
 
 
 def component_weights(problem: Problem) -> Tuple[Scalar, Scalar, Scalar]:

@@ -5,7 +5,9 @@ instance and reported as a named residual.
 In rational mode every residual must be literally zero; in float mode a
 claim passes when its residual stays within 1e-9 of the magnitude of the
 values compared. Exhaustive enumeration is used up to the configured cap
-and seeded sampling beyond it.
+and seeded sampling beyond it, except that a space of at most SAMPLE_SIZE
+points is always taken whole; the claims that need the full space still
+skip beyond the cap.
 
 Each neighborhood is evaluated once per point: the wave claims read the
 four values (c1, c2, c3, f) of every neighbor from one table.
@@ -18,6 +20,7 @@ the test suite checks them exhaustively (tests/five_case.py).
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import List, Optional
@@ -47,7 +50,8 @@ from .oracle import (
     space_points,
 )
 
-# Random permutations drawn beyond the enumeration cap.
+# Random permutations drawn beyond the enumeration cap; a space of at most
+# this many points is taken whole instead.
 SAMPLE_SIZE = 200
 
 
@@ -107,7 +111,8 @@ def run_verification(
     results: List[ClaimResult] = []
 
     exhaustive = n <= cap
-    if exhaustive:
+    whole_space = exhaustive or math.factorial(n) <= SAMPLE_SIZE
+    if whole_space:
         points = list(space_points(n))
         base_detail = f"all {len(points)} permutations"
     else:
@@ -124,7 +129,7 @@ def run_verification(
     # Wave equation per component and for the composite objective; the
     # brute-force side reads (c1, c2, c3, f) at each neighbor from a table
     # filled once per neighborhood.
-    wave_exhaustive = exhaustive and n <= 6
+    wave_exhaustive = whole_space and n <= 6
     if wave_exhaustive:
         wave_points = points
         table = {x.mapping: row for x, row in zip(points, zip(*columns))}

@@ -375,7 +375,7 @@ class TestFailClosed:
         code, _, _ = run(capsys, *command, "--instance", str(path), "--format", fmt)
         assert code == 2
 
-    # In a fresh process, so that numpy's warnings would reach stderr.
+    # In a fresh process, so that any warning would reach stderr.
     @pytest.mark.parametrize("text", [SQUARE_OVERFLOW, MIXED_INFINITIES],
                              ids=["square_overflow", "mixed_infinities"])
     def test_autocorr_overflow_writes_nothing_to_stderr(self, tmp_path, text):
@@ -462,6 +462,18 @@ class TestAutocorr:
         weights = [Fraction(w) for w in res["weights"]]
         assert weights == list(component_weights(generate_instance(9, 1, 0, 9)))
 
+    # Every distance equal makes the objective constant. The float twin's
+    # walk repeats one value exactly and is refused like the integer one.
+    @pytest.mark.parametrize("distance", ["1", "0.1"])
+    def test_constant_objective_is_refused(self, capsys, tmp_path, distance):
+        flow = [[(3 * i + 5 * j) % 7 * (i != j) for j in range(5)] for i in range(5)]
+        rows = [" ".join(map(str, row)) for row in flow] + [" ".join([distance] * 5)] * 5
+        path = tmp_path / "flat.dat"
+        path.write_text("5\n" + "\n".join(rows) + "\n")
+        code, out, err = run(capsys, "autocorr", "--instance", str(path))
+        assert code == 1 and out == ""
+        assert "series is constant" in err
+
 
 class TestStats:
     def test_text_within_cap(self, capsys):
@@ -515,14 +527,49 @@ class TestModuleEntryPoints:
     from a source checkout, exit codes included."""
 
     @staticmethod
-    def _run(module, *argv):
+    def _python(*args):
         src = str(Path(__file__).resolve().parent.parent / "src")
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         return subprocess.run(
-            [sys.executable, "-m", module, *argv],
+            [sys.executable, *args],
             capture_output=True, text=True, timeout=300,
             env={**os.environ, "PYTHONPATH": path},
         )
+
+    @classmethod
+    def _run(cls, module, *argv):
+        return cls._python("-m", module, *argv)
+
+    # A process in which importing numpy fails runs every command as this
+    # one does: the library needs only the standard library.
+    WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None
+from qaplandscape.cli import run_cli
+runs = []
+for argv in json.loads(sys.argv[1]):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_cli(argv)
+    runs.append([code, out.getvalue(), err.getvalue()])
+print(json.dumps(runs))
+"""
+
+    def test_every_command_runs_without_numpy(self, capsys):
+        gen5 = ["--gen", "5,1,0,9"]
+        commands = [
+            ["decompose", *gen5, "--perm", "3,1,4,0,2"],
+            ["avg", *gen5, "--perm", "3,1,4,0,2"],
+            ["verify", *gen5],
+            ["stats", *gen5],
+            ["autocorr", *gen5, "--steps", "2000"],
+        ]
+        done = self._python("-c", self.WITHOUT_NUMPY, json.dumps(commands))
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        runs = json.loads(done.stdout)
+        assert [list(run(capsys, *argv)) for argv in commands] == runs
+        assert [code for code, _, _ in runs] == [0] * 5
 
     @pytest.mark.parametrize("module", ["qaplandscape", "qaplandscape.cli"])
     def test_verify_exit_codes(self, module):

@@ -12,6 +12,7 @@ from qaplandscape import (
     QapInstance,
     average_triple,
     decompose,
+    neighborhood_avg_brute,
     neighborhood_avg_wave,
 )
 from qaplandscape import decomposition
@@ -28,6 +29,7 @@ from qaplandscape.decomposition import (
     omega_neighborhood_sum_oracle,
     wave_predict_component,
 )
+from qaplandscape.oracle import evaluate_points, space_points
 from conftest import (
     all_perms,
     random_perms,
@@ -143,6 +145,29 @@ def test_tensor_masses_add_up_to_the_off_diagonal_sum(data):
     x = Permutation(data.draw(st.permutations(range(tensor.n))))
     masses = _tensor_case_totals(tensor, x)[:5]
     assert sum(masses) == tensor.coefficient_sums()[0]
+
+
+@pytest.mark.parametrize("problems", [qap_instances(max_n=6), sparse_tensors()],
+                         ids=["instance", "tensor"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_component_wave_equation_matches_the_neighbor_mean(problems, data):
+    problem = data.draw(problems)
+    x = Permutation(data.draw(st.permutations(range(problem.n))))
+    for m in KINDS:
+        brute = neighborhood_avg_brute(lambda y: decompose(problem, y)[m - 1], x)
+        assert wave_predict_component(problem, m, x) == brute
+
+
+@pytest.mark.parametrize("problems", [
+    qap_instances(max_n=5), sparse_tensors(max_n=5),
+], ids=["instance", "tensor"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_closed_form_means_match_enumeration(problems, data):
+    problem = data.draw(problems)
+    columns = evaluate_points(problem, space_points(problem.n))
+    assert average_triple(problem) == tuple(Fraction(sum(c), len(c)) for c in columns)
 
 
 def test_tensor_decompose_makes_one_pass(monkeypatch):

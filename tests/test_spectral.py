@@ -217,6 +217,52 @@ class TestEmpiricalAutocorr:
         with pytest.raises(ValueError, match="constant"):
             empirical_autocorr(series, 2)
 
+    # Constancy is read off the values: the float deviations of a constant
+    # series from its rounded mean need not be zero.
+    @pytest.mark.parametrize("value", [
+        Fraction(1, 3), 0.1, 1 / 3, -7.3, 0.0, 1e-300, 1e300,
+    ])
+    @pytest.mark.parametrize("steps", [11, 100])
+    def test_every_constant_series_is_an_error(self, value, steps):
+        series = WalkSeries((value,) * (steps + 1), seed=0,
+                            start=Permutation.identity(3), steps=steps)
+        with pytest.raises(ValueError, match="constant"):
+            empirical_autocorr(series, 1)
+
+    # Non-finite values, finite values whose squares overflow (the spike's
+    # lag products stay finite, so dividing them by an infinite denominator
+    # would give 0) and squares that all underflow to 0.
+    @pytest.mark.parametrize("values", [
+        (math.inf,) * 101,
+        (math.nan,) * 101,
+        (1.0, 2.0) * 50 + (math.inf,),
+        (math.nan,) + (1.0, 2.0) * 50,
+        (math.inf, -math.inf) * 50 + (0.0,),
+        (-1e300, 1e300) * 50 + (0.0,),
+        (0.0,) * 50 + (1e200,) + (0.0,) * 50,
+        (0.0, 1e-170) * 50 + (0.0,),
+    ], ids=["inf", "nan", "last-inf", "first-nan", "both-infinities",
+            "squares-overflow", "spike", "squares-underflow"])
+    def test_series_beyond_the_float_range_gives_nan_lags(self, values):
+        series = WalkSeries(values, seed=0, start=Permutation.identity(3),
+                            steps=100)
+        acf = empirical_autocorr(series, 3)
+        assert len(acf) == 4 and all(math.isnan(r) for r in acf)
+
+    # Every sum is correctly rounded and reversal leaves the multiset of
+    # terms of each sum unchanged, so the estimate is bit for bit the same.
+    @pytest.mark.parametrize("mode", ["rational", "float"])
+    def test_reversed_series_gives_the_same_lags(self, mode):
+        for seed in range(30):
+            inst = seeded_instance(6, seed)
+            if mode == "float":
+                inst = QapInstance([[v / 7 for v in row] for row in inst.r],
+                                   inst.w)
+            series = random_walk(inst, 500, seed=seed)
+            backwards = WalkSeries(series.values[::-1], series.seed,
+                                   series.start, series.steps)
+            assert empirical_autocorr(backwards, 5) == empirical_autocorr(series, 5)
+
     def test_max_lag_validation(self):
         inst = seeded_instance(4, 1)
         series = random_walk(inst, 50, seed=1)

@@ -4,7 +4,7 @@ from qaplandscape import decomposition, generate_instance
 from qaplandscape.decomposition import OmegaParams
 from conftest import perturb_kind
 from qaplandscape.oracle import DEFAULT_ENUMERATION_CAP
-from qaplandscape.verification import run_verification
+from qaplandscape.verification import SAMPLE_SIZE, run_verification
 
 
 def _failed(results):
@@ -83,3 +83,25 @@ def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, totals, n, cap
     monkeypatch.setattr(decomposition, totals, gamma_epsilon_exchanged)
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert "fast_vs_reference" in failed
+
+
+# Beyond the cap a space of at most SAMPLE_SIZE points is taken whole, each
+# permutation once; the claims that need the full space still skip.
+@pytest.mark.parametrize("n, size", [(3, 6), (4, 24), (5, 120)])
+def test_small_space_beyond_the_cap_is_taken_whole(n, size):
+    results = run_verification(generate_instance(n, 1, 0, 9), cap=0)
+    assert all(r.passed for r in results)
+    details = {r.name: r.detail for r in results if not r.skipped}
+    assert details.pop("fast_vs_reference") == "20 permutations, all components"
+    assert details == dict.fromkeys([
+        "decomposition_sum", "wave_component_1", "wave_component_2",
+        "wave_component_3", "neighborhood_average",
+    ], f"all {size} permutations")
+    assert sum(r.skipped for r in results) == 7
+
+
+def test_larger_space_beyond_the_cap_is_sampled():
+    results = run_verification(generate_instance(6, 1, 0, 9), cap=0)
+    details = {r.name: r.detail for r in results}
+    assert details["decomposition_sum"] == f"{SAMPLE_SIZE} sampled permutations"
+    assert details["wave_component_1"] == "20 sampled permutations"
