@@ -26,13 +26,12 @@ from .decomposition import (
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    evaluate_points,
     moments,
     neighborhood_avg_brute,
-    space_points,
+    space_columns,
 )
 from .qaplib import generate_instance, parse_qaplib
-from .spectral import analyze_autocorr, random_walk
+from .spectral import analyze_autocorr, check_max_lag, random_walk
 from .verification import run_verification
 
 
@@ -40,6 +39,8 @@ from .verification import run_verification
 MAX_CAP = 9  # 9! = 362,880 enumerated permutations
 MAX_GENERATED_SIZE = 200  # 2 n^2 generated entries
 MAX_STEPS = 1_000_000
+
+DEFAULT_MAX_LAG = 5
 
 
 class CliError(Exception):
@@ -90,8 +91,18 @@ def _check_args(args) -> None:
             )
         if args.command == "verify":
             _check_verify_size(args.generator[0])
-    if args.command == "autocorr" and args.steps > MAX_STEPS:
-        raise CliError(f"--steps {args.steps} exceeds the limit {MAX_STEPS}")
+    if args.command == "autocorr":
+        if args.steps > MAX_STEPS:
+            raise CliError(f"--steps {args.steps} exceeds the limit {MAX_STEPS}")
+        if args.steps < 1:
+            raise CliError(f"walk needs at least one step, got {args.steps}")
+        # csv writes the walk series alone, so there only a --max-lag that
+        # was given is checked; json and text check the default too.
+        given = args.max_lag is not None
+        if not given:
+            args.max_lag = DEFAULT_MAX_LAG
+        if given or args.fmt != "csv":
+            check_max_lag(args.max_lag, args.steps)
 
 
 def _check_verify_size(n: int) -> None:
@@ -147,7 +158,9 @@ def build_parser() -> _Parser:
                        help="random-walk autocorrelation, empirical vs predicted")
     p.add_argument("--steps", type=int, default=10000, help="walk length")
     p.add_argument("--walk-seed", type=int, default=0, dest="walk_seed")
-    p.add_argument("--max-lag", type=int, default=5, dest="max_lag")
+    p.add_argument("--max-lag", type=int, dest="max_lag",
+                   help=f"largest lag reported (default {DEFAULT_MAX_LAG}); "
+                        "must stay below steps/10")
 
     sub.add_parser("stats", parents=[common],
                    help="closed-form component means and enumerated moments")
@@ -368,7 +381,7 @@ def _cmd_stats(problem, args) -> int:
     exit_code = 0 if finite else 2
     within_cap = problem.n <= args.cap
     if within_cap:
-        columns = evaluate_points(problem, space_points(problem.n))
+        columns = space_columns(problem)
         stats = [moments(col) for col in columns]
         results["enumerated_means"] = {k: s[0] for k, s in zip(keys, stats)}
         results["enumerated_variances"] = {k: s[1] for k, s in zip(keys, stats)}

@@ -191,30 +191,28 @@ def _tensor_case_totals(tensor: GeneralTensor, x: Permutation):
     return sa, sb, sg, se, sz, diag
 
 
-def _case_totals(inst: QapInstance, x: Permutation):
-    """Coefficient mass of each of the five cases at x, in O(n^2).
+def _raw_sums(inst: QapInstance, mapping):
+    """The seven sums behind the case masses at the permutation with this
+    mapping, in O(n^2): (f_same, f_swapped, diag, p1, p2, q1, q2).
 
-    For product-form coefficients r[i][j] * w[p][q] the five case sums
-    factor through row/column marginals of r and w:
-      alpha case: sum r_ij w_{x(i)x(j)} over i != j,
-      beta case:  sum r_ij w_{x(j)x(i)} over i != j,
-    and the one-sided cases reduce to marginal sums minus those two.
-    Returns (s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag) where diag
-    is the diagonal mass sum_i r_ii w_{x(i)x(i)}.
+    f_same = sum r_ij w_{x(i)x(j)} and f_swapped = sum r_ij w_{x(j)x(i)},
+    both over all (i, j), the diagonal included; diag = sum_i r_ii
+    w_{x(i)x(i)}; p1, p2, q1 and q2 pair the off-diagonal row and column
+    sums of r with those of w at the images: row with row, column with
+    column, row with column and column with row.
     """
-    xm = x.mapping
     n = inst.n
     r = inst.r
     w = inst.w
-    wx = [w[v] for v in xm]
+    wx = [w[v] for v in mapping]
     f_same = 0
     f_swapped = 0
     diag = 0
     for i in range(n):
         ri = r[i]
-        xi = xm[i]
+        xi = mapping[i]
         wxi = wx[i]
-        perm_row = [wxi[v] for v in xm]
+        perm_row = [wxi[v] for v in mapping]
         perm_col = [wx[j][xi] for j in range(n)]
         f_same += sum(map(mul, ri, perm_row))
         f_swapped += sum(map(mul, ri, perm_col))
@@ -222,13 +220,68 @@ def _case_totals(inst: QapInstance, x: Permutation):
 
     row_off_r = inst._row_off_r
     col_off_r = inst._col_off_r
-    row_off_w = inst._row_off_w
-    col_off_w = inst._col_off_w
-    p1 = sum(row_off_r[i] * row_off_w[xm[i]] for i in range(n))
-    p2 = sum(col_off_r[j] * col_off_w[xm[j]] for j in range(n))
-    q1 = sum(row_off_r[i] * col_off_w[xm[i]] for i in range(n))
-    q2 = sum(col_off_r[j] * row_off_w[xm[j]] for j in range(n))
+    row_off_wx = [inst._row_off_w[v] for v in mapping]
+    col_off_wx = [inst._col_off_w[v] for v in mapping]
+    p1 = sum(map(mul, row_off_r, row_off_wx))
+    p2 = sum(map(mul, col_off_r, col_off_wx))
+    q1 = sum(map(mul, row_off_r, col_off_wx))
+    q2 = sum(map(mul, col_off_r, row_off_wx))
+    return f_same, f_swapped, diag, p1, p2, q1, q2
 
+
+def _swap_sum_deltas(inst: QapInstance, mapping, u: int, v: int):
+    """Change of each of the seven sums of _raw_sums when positions u and v
+    of this mapping exchange their images, in O(n).
+
+    f_same changes by swap_delta on (r, w) and f_swapped by swap_delta on
+    (r, w^T); both are formed in one loop, since the two deltas pair the
+    same row and column differences of r and w crosswise. The other five
+    sums each change by one product of two differences. The mapping is
+    read, not changed.
+    """
+    r, w = inst.r, inst.w
+    a, b = mapping[u], mapping[v]
+    ru, rv, wa, wb = r[u], r[v], w[a], w[b]
+    diag = (ru[u] - rv[v]) * (wb[b] - wa[a])
+    cross = (ru[v] - rv[u]) * (wb[a] - wa[b])
+    same = diag + cross
+    swapped = diag - cross
+    for k, (rk, xk) in enumerate(zip(r, mapping)):
+        if k != u and k != v:
+            wk = w[xk]
+            dr = ru[k] - rv[k]
+            dc = rk[u] - rk[v]
+            dw_row = wb[xk] - wa[xk]
+            dw_col = wk[b] - wk[a]
+            same += dr * dw_row + dc * dw_col
+            swapped += dr * dw_col + dc * dw_row
+    ro_r, co_r = inst._row_off_r, inst._col_off_r
+    ro_w, co_w = inst._row_off_w, inst._col_off_w
+    dro_r = ro_r[u] - ro_r[v]
+    dco_r = co_r[u] - co_r[v]
+    dro_w = ro_w[b] - ro_w[a]
+    dco_w = co_w[b] - co_w[a]
+    return (
+        same,
+        swapped,
+        diag,
+        dro_r * dro_w,
+        dco_r * dco_w,
+        dro_r * dco_w,
+        dco_r * dro_w,
+    )
+
+
+def _masses_from_sums(inst: QapInstance, sums):
+    """The 6-tuple of case masses from the seven sums of _raw_sums.
+
+    For product-form coefficients r[i][j] * w[p][q] the five case sums
+    factor through row/column marginals of r and w:
+      alpha case: sum r_ij w_{x(i)x(j)} over i != j,
+      beta case:  sum r_ij w_{x(j)x(i)} over i != j,
+    and the one-sided cases reduce to marginal sums minus those two.
+    """
+    f_same, f_swapped, diag, p1, p2, q1, q2 = sums
     s_alpha = f_same - diag
     s_beta = f_swapped - diag
     s_gamma = p1 + p2 - 2 * s_alpha
@@ -238,6 +291,15 @@ def _case_totals(inst: QapInstance, x: Permutation):
         - s_alpha - s_beta - s_gamma - s_epsilon
     )
     return s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag
+
+
+def _case_totals(inst: QapInstance, x: Permutation):
+    """Coefficient mass of each of the five cases at x, in O(n^2).
+
+    Returns (s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag) where diag
+    is the diagonal mass sum_i r_ii w_{x(i)x(i)}.
+    """
+    return _masses_from_sums(inst, _raw_sums(inst, x.mapping))
 
 
 def _value_from_totals(problem: Problem, m: int, totals) -> Scalar:

@@ -1,21 +1,46 @@
 """Brute-force ground truth: neighbor averages, full-space statistics, and
 a generic elementarity checker.
 
-Everything here enumerates literally and independently of the closed-form
-evaluators it is used to validate. Enumeration walks permutations in
-lexicographic order, so float-mode reductions are deterministic.
+Everything here enumerates independently of the closed-form evaluators it
+is used to validate. The literal oracles (space_points, evaluate_points,
+variance_triple, check_elementary) walk permutations in lexicographic order
+and evaluate each point in full. The streamed pass behind `stats` and
+`verify` (space_rows) walks them in Heap's order instead, where consecutive
+permutations differ by one transposition, and carries each point's values
+to the next in O(n); it is tested against the literal oracles. Both orders
+are fixed, so float-mode reductions are deterministic.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import permutations
-from operator import mul
-from typing import Callable, Iterable, List, Optional, Tuple
+from operator import add, mul
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
-from .core import Permutation, Scalar, div, fsum, neighborhood_size, passes
-from .decomposition import ComponentTriple, Problem, decompose
+from .core import (
+    Permutation,
+    QapInstance,
+    Scalar,
+    div,
+    fsum,
+    neighborhood_size,
+    passes,
+)
+# decompose is bound here for the benchmark tracer (qapbench/spans.py),
+# which rebinds every module's copy of a traced name; nothing here calls it.
+from .decomposition import (  # noqa: F401
+    ComponentTriple,
+    Problem,
+    _case_masses,
+    _masses_from_sums,
+    _raw_sums,
+    _swap_sum_deltas,
+    _value_from_totals,
+    decompose,
+)
 
 # 8! = 40320 points; anything larger must opt in explicitly.
 DEFAULT_ENUMERATION_CAP = 8
@@ -62,8 +87,18 @@ def moments(values) -> Tuple[Scalar, Scalar]:
         mean = fsum(values) / count
         # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
         return mean, fsum((v - mean) * (v - mean) for v in values) / count
-    mean = Fraction(sum(values), count)
-    return mean, Fraction(sum(v * v for v in values), count) - mean * mean
+    # Over one common denominator d the sums are integer sums; the Fractions
+    # built from them equal the Fraction sums exactly.
+    denominators = {v.denominator for v in values}
+    d = math.lcm(*denominators)
+    scale = {den: d // den for den in denominators}
+    total = squares = 0
+    for v in values:
+        num = v.numerator * scale[v.denominator]
+        total += num
+        squares += num * num
+    mean = Fraction(total, count * d)
+    return mean, Fraction(squares, count * d * d) - mean * mean
 
 
 def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
@@ -85,6 +120,89 @@ def space_points(n: int):
     """All permutations of size n in lexicographic order."""
     for t in permutations(range(n)):
         yield Permutation._wrap(t)
+
+
+def lexicographic_point(n: int, rank: int) -> Permutation:
+    """The permutation at this 0-based rank of space_points(n), decoded
+    digit by digit in the factorial number system."""
+    if not 0 <= rank < math.factorial(n):
+        raise ValueError(f"rank {rank} out of range 0..{math.factorial(n) - 1}")
+    items = list(range(n))
+    mapping = []
+    for k in range(n - 1, -1, -1):
+        digit, rank = divmod(rank, math.factorial(k))
+        mapping.append(items.pop(digit))
+    return Permutation._wrap(tuple(mapping))
+
+
+def heap_swaps(n: int) -> Iterator[Tuple[int, int]]:
+    """The n! - 1 transpositions (u, v), u < v, that take the identity
+    through every permutation of size n once, in Heap's order (B. R. Heap,
+    "Permutations by interchanges", Comput. J. 6, 1963)."""
+    c = [0] * n
+    i = 1
+    while i < n:
+        if c[i] < i:
+            yield (0 if i % 2 == 0 else c[i]), i
+            c[i] += 1
+            i = 1
+        else:
+            c[i] = 0
+            i += 1
+
+
+def _row(problem: Problem, totals, f) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
+    """The row (c1, c2, c3, f) from the case masses and the objective."""
+    return (
+        _value_from_totals(problem, 1, totals),
+        _value_from_totals(problem, 2, totals),
+        _value_from_totals(problem, 3, totals),
+        f,
+    )
+
+
+def _full_row(problem: Problem, x: Permutation) -> Tuple[Scalar, ...]:
+    """The row at x, evaluated in full."""
+    return _row(problem, _case_masses(problem, x), problem.fitness(x))
+
+
+def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
+    """Every permutation's mapping with its row (c1, c2, c3, f), once each.
+
+    For a QapInstance the permutations come in Heap's order from the
+    identity. The seven sums behind the case masses are evaluated in full
+    once and then carried from point to point by
+    decomposition._swap_sum_deltas, in O(n) per point: rational rows equal
+    evaluate_points exactly, float rows are running sums, as in the walk,
+    and agree with a full evaluation to FLOAT_TOLERANCE. A GeneralTensor is
+    evaluated in full at each point, in lexicographic order. The caller
+    checks the enumeration cap.
+    """
+    if not isinstance(problem, QapInstance):
+        for x in space_points(problem.n):
+            yield x.mapping, _full_row(problem, x)
+        return
+    mapping = list(range(problem.n))
+    sums = _raw_sums(problem, mapping)
+    yield tuple(mapping), _row(problem, _masses_from_sums(problem, sums), sums[0])
+    for u, v in heap_swaps(problem.n):
+        deltas = _swap_sum_deltas(problem, mapping, u, v)
+        sums = list(map(add, sums, deltas))
+        mapping[u], mapping[v] = mapping[v], mapping[u]
+        yield tuple(mapping), _row(problem, _masses_from_sums(problem, sums), sums[0])
+
+
+def space_columns(problem: Problem, table: Optional[dict] = None):
+    """Columns (c1, c2, c3, f) over all n! permutations from one space_rows
+    pass, in its order; each row is also stored under its mapping in table,
+    when one is given."""
+    columns = ([], [], [], [])
+    for mapping, row in space_rows(problem):
+        for col, value in zip(columns, row):
+            col.append(value)
+        if table is not None:
+            table[mapping] = row
+    return columns
 
 
 def enumerate_space(
@@ -158,15 +276,13 @@ def evaluate_points(
     problem: Problem, points: Iterable[Permutation]
 ) -> Tuple[List[Scalar], List[Scalar], List[Scalar], List[Scalar]]:
     """Columns (c1, c2, c3, f) of the components and the objective, one
-    entry per point, in the order the points come."""
-    c1s, c2s, c3s, fs = [], [], [], []
+    entry per point, in the order the points come; each point is
+    evaluated in full."""
+    columns = ([], [], [], [])
     for x in points:
-        t = decompose(problem, x)
-        c1s.append(t.c1)
-        c2s.append(t.c2)
-        c3s.append(t.c3)
-        fs.append(problem.fitness(x))
-    return c1s, c2s, c3s, fs
+        for col, v in zip(columns, _full_row(problem, x)):
+            col.append(v)
+    return columns
 
 
 def variance_triple(

@@ -117,16 +117,22 @@ def random_walk(
     return WalkSeries(tuple(values), seed, x, steps)
 
 
+def check_max_lag(max_lag: int, steps: int) -> None:
+    """Refuse a lag range the estimator cannot serve from a walk of this
+    many steps: it needs 0 <= max_lag < steps/10."""
+    if max_lag < 0:
+        raise ValueError("max_lag must be nonnegative")
+    if max_lag * 10 >= steps:
+        raise ValueError(
+            f"max_lag {max_lag} too large for a {steps}-step walk; "
+            "need max_lag < steps/10"
+        )
+
+
 def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
     """Biased sample autocorrelation of the walk at lags 0..max_lag:
     r(s) = sum_t (f_t - m)(f_{t+s} - m) / sum_t (f_t - m)^2."""
-    if max_lag < 0:
-        raise ValueError("max_lag must be nonnegative")
-    if max_lag * 10 >= series.steps:
-        raise ValueError(
-            f"max_lag {max_lag} too large for a {series.steps}-step walk; "
-            "need max_lag < steps/10"
-        )
+    check_max_lag(max_lag, series.steps)
     values = list(map(float, series.values))
     if all(map(math.isfinite, values)) and min(values) == max(values):
         raise ValueError("series is constant; autocorrelation is undefined")

@@ -45,9 +45,10 @@ from .decomposition import (
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     evaluate_points,
+    lexicographic_point,
     moments,
     neighborhood_avg_brute,
-    space_points,
+    space_columns,
 )
 
 # Random permutations drawn beyond the enumeration cap; a space of at most
@@ -112,13 +113,17 @@ def run_verification(
 
     exhaustive = n <= cap
     whole_space = exhaustive or math.factorial(n) <= SAMPLE_SIZE
+    # Whole-space values come from one streamed pass in Heap's order; the
+    # wave claims read them back from a table for n <= 6.
+    wave_exhaustive = whole_space and n <= 6
+    table = {}
     if whole_space:
-        points = list(space_points(n))
-        base_detail = f"all {len(points)} permutations"
+        columns = space_columns(problem, table if wave_exhaustive else None)
+        base_detail = f"all {len(columns[3])} permutations"
     else:
         points = [Permutation.random(n, rng) for _ in range(SAMPLE_SIZE)]
+        columns = evaluate_points(problem, points)
         base_detail = f"{len(points)} sampled permutations"
-    columns = evaluate_points(problem, points)
 
     # Components must add up to the objective at every point.
     res = _Residual()
@@ -128,14 +133,17 @@ def run_verification(
 
     # Wave equation per component and for the composite objective; the
     # brute-force side reads (c1, c2, c3, f) at each neighbor from a table
-    # filled once per neighborhood.
-    wave_exhaustive = whole_space and n <= 6
+    # filled once per neighborhood. Within the cap, sampled wave points are
+    # drawn as lexicographic ranks of the whole space.
     if wave_exhaustive:
-        wave_points = points
-        table = {x.mapping: row for x, row in zip(points, zip(*columns))}
+        wave_points = [Permutation._wrap(mapping) for mapping in table]
         wave_detail = base_detail
     else:
-        wave_points = rng.sample(points, min(20, len(points)))
+        if whole_space:
+            ranks = rng.sample(range(math.factorial(n)), 20)
+            wave_points = [lexicographic_point(n, rank) for rank in ranks]
+        else:
+            wave_points = rng.sample(points, 20)
         wave_detail = f"{len(wave_points)} sampled permutations"
 
     wave = [_Residual() for _ in range(4)]

@@ -450,6 +450,27 @@ class TestAutocorr:
         )
         assert code == 1 and "max_lag" in err
 
+    # The lag rule holds for every format and is checked before any
+    # instance is built; csv, which writes the series alone, checks only a
+    # --max-lag that was given (test_csv_emits_walk_series runs 25 steps).
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    @pytest.mark.parametrize("lag_args, message", [
+        (["--max-lag", "-3"], "max_lag must be nonnegative"),
+        (["--max-lag", "50", "--steps", "20"], "max_lag 50 too large for a 20-step walk"),
+    ], ids=["negative", "beyond-steps"])
+    def test_invalid_max_lag_is_refused_in_every_format(
+        self, capsys, monkeypatch, fmt, lag_args, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built for an invalid --max-lag")
+
+        monkeypatch.setattr(cli, "generate_instance", refuse)
+        code, out, err = run(
+            capsys, "autocorr", "--gen", "5,1,0,9", "--format", fmt, *lag_args
+        )
+        assert code == 1 and out == ""
+        assert message in err
+
     def test_exact_source_beyond_cap(self, capsys):
         code, out, _ = run(
             capsys, "autocorr", "--gen", "9,1,0,9",

@@ -2,6 +2,8 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qaplandscape import (
     Permutation,
@@ -240,6 +242,33 @@ class TestCrossChecks:
         mean, variance = moments([1e16, 1.0, -1e16, 1.0])
         assert mean == 0.5
         assert isinstance(variance, float)
+
+    # The exact branch sums over one common denominator in integers; the
+    # result must equal the literal Fraction sums, type included.
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(
+        st.one_of(
+            st.integers(-10**6, 10**6),
+            st.fractions(min_value=-100, max_value=100, max_denominator=50),
+        ),
+        min_size=1, max_size=30,
+    ))
+    def test_exact_moments_equal_literal_fraction_sums(self, values):
+        count = len(values)
+        mean = sum(Fraction(v) for v in values) / count
+        variance = sum((Fraction(v) - mean) ** 2 for v in values) / count
+        got = moments(values)
+        assert got == (mean, variance)
+        assert all(type(v) is Fraction for v in got)
+
+    @pytest.mark.parametrize("values", [
+        [7], [Fraction(-3, 4)], [-2, Fraction(1, 3), Fraction(-5, 6)],
+        [Fraction(1, 4), Fraction(1, 6), Fraction(-1, 10), 3],
+    ])
+    def test_exact_moments_on_small_mixes(self, values):
+        mean = sum(map(Fraction, values)) / len(values)
+        variance = sum((Fraction(v) - mean) ** 2 for v in values) / len(values)
+        assert moments(values) == (mean, variance)
 
     def test_population_variance_helper(self):
         assert population_variance([1, 1, 1]) == 0

@@ -1,6 +1,7 @@
 import pytest
 
-from qaplandscape import decomposition, generate_instance
+from qaplandscape import decomposition, generate_instance, oracle
+from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaParams
 from conftest import perturb_kind
 from qaplandscape.oracle import DEFAULT_ENUMERATION_CAP
@@ -83,6 +84,49 @@ def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, totals, n, cap
     monkeypatch.setattr(decomposition, totals, gamma_epsilon_exchanged)
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert "fast_vs_reference" in failed
+
+
+# The components (and whether f) that move when one term of the seven-sum
+# update of the streamed pass (decomposition._swap_sum_deltas) is dropped.
+# decomposition_sum never catches it: c1 + c2 + c3 = f_same holds for any
+# seven sums. c3 is first order and does not read f_same or f_swapped; c1
+# does not read the diagonal sum.
+DROPPED_TERMS = {
+    "f_same": ({1, 2}, True),
+    "f_swapped": ({1, 2}, False),
+    "diag": ({2, 3}, False),
+    "p1": ({1, 2, 3}, False),
+    "p2": ({1, 2, 3}, False),
+    "q1": ({1, 2, 3}, False),
+    "q2": ({1, 2, 3}, False),
+}
+
+
+# At n=5 the wave claims read the streamed table; at n=7 they evaluate 20
+# sampled points in full, so only the whole-space claims catch the drop.
+@pytest.mark.parametrize("n", [5, 7])
+@pytest.mark.parametrize("term", DROPPED_TERMS)
+def test_every_term_of_the_streamed_update_is_caught(monkeypatch, capsys, n, term):
+    index = list(DROPPED_TERMS).index(term)
+    real = oracle._swap_sum_deltas
+
+    def dropped(*args):
+        deltas = list(real(*args))
+        deltas[index] = 0
+        return tuple(deltas)
+
+    monkeypatch.setattr(oracle, "_swap_sum_deltas", dropped)
+    components, f_moves = DROPPED_TERMS[term]
+    caught = {"variance_orthogonality"}
+    for m in components:
+        caught |= {f"closed_form_mean_{m}", f"closed_form_variance_{m}"}
+        if n <= 6:
+            caught.add(f"wave_component_{m}")
+    if f_moves and n <= 6:
+        caught.add("neighborhood_average")
+    assert _failed(run_verification(generate_instance(n, 1, 0, 9))) == caught
+    assert run_cli(["verify", "--gen", f"{n},1,0,9"]) == 2
+    assert "FAIL" in capsys.readouterr().out
 
 
 # Beyond the cap a space of at most SAMPLE_SIZE points is taken whole, each
