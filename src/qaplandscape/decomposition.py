@@ -331,10 +331,9 @@ def _case_masses(problem: Problem, x: Permutation):
 def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar:
     """Reference component evaluator: the case masses of a direct O(n^4)
     sum over the coefficients, weighted by kind m's case values."""
-    _check_component(m)
-    if x.n != tensor.n:
-        raise ValueError(f"permutation size {x.n} != tensor size {tensor.n}")
-    return _value_from_totals(tensor, m, _tensor_case_totals(tensor, x))
+    if not isinstance(tensor, GeneralTensor):
+        raise TypeError("reference path is defined for general tensors only")
+    return component_value(tensor, m, x)
 
 
 def component_value_fast(inst: QapInstance, m: int, x: Permutation) -> Scalar:
@@ -343,18 +342,24 @@ def component_value_fast(inst: QapInstance, m: int, x: Permutation) -> Scalar:
     Contract: agrees exactly (rational mode) with component_value_ref on
     the tensor built from the same instance.
     """
-    _check_component(m)
     if not isinstance(inst, QapInstance):
         raise TypeError("fast path is defined for product-form instances only")
-    if x.n != inst.n:
-        raise ValueError(f"permutation size {x.n} != instance size {inst.n}")
-    return _value_from_totals(inst, m, _case_totals(inst, x))
+    return component_value(inst, m, x)
 
 
 def component_value(problem: Problem, m: int, x: Permutation) -> Scalar:
     """Component m of the objective at x, from the problem type's case masses."""
     _check_component(m)
     return _value_from_totals(problem, m, _case_masses(problem, x))
+
+
+def _components(problem: Problem, totals) -> Tuple[Scalar, Scalar, Scalar]:
+    """(c1, c2, c3) from the five case masses and the diagonal mass."""
+    return (
+        _value_from_totals(problem, 1, totals),
+        _value_from_totals(problem, 2, totals),
+        _value_from_totals(problem, 3, totals),
+    )
 
 
 class ComponentTriple(NamedTuple):
@@ -377,12 +382,7 @@ def decompose(problem: Problem, x: Permutation) -> ComponentTriple:
     The total equals the plain objective value, exactly in rational mode
     and to 1e-9 relative in float mode.
     """
-    totals = _case_masses(problem, x)
-    return ComponentTriple.of(
-        _value_from_totals(problem, 1, totals),
-        _value_from_totals(problem, 2, totals),
-        _value_from_totals(problem, 3, totals),
-    )
+    return ComponentTriple.of(*_components(problem, _case_masses(problem, x)))
 
 
 def _coefficient_sums(problem: Problem):
@@ -422,30 +422,35 @@ def average_triple(problem: Problem) -> ComponentTriple:
     )
 
 
-def wave_predict_component(problem: Problem, m: int, x: Permutation) -> Scalar:
-    """Wave-equation prediction of the neighborhood mean of component m:
-    c_m(x) + (k_m / d) (mean_m - c_m(x)) with k_m in {2n, 2(n-1), n}."""
-    _check_component(m)
+def _wave_means(problem: Problem, x: Permutation) -> ComponentTriple:
+    """Wave-equation predictions of the means of c1, c2, c3 and f over the
+    swap neighbors of x, from one decompose, one average_triple and one
+    objective value: c_m(x) + (k_m / d) (mean_m - c_m(x)) with k_m in
+    {2n, 2(n-1), n}, and f(x) plus the three corrections."""
     n = problem.n
-    c = component_value(problem, m, x)
-    a = component_average(problem, m)
-    k = KIND_CONSTANTS[m](n).k
-    return c + div(k, neighborhood_size(n), problem.exact) * (a - c)
+    d = neighborhood_size(n)
+    t = decompose(problem, x)
+    a = average_triple(problem)
+    f = problem.fitness(x)
+    means = []
+    for m, mean, c in zip((1, 2, 3), a, t):
+        correction = div(KIND_CONSTANTS[m](n).k, d, problem.exact) * (mean - c)
+        means.append(c + correction)
+        f = f + correction
+    return ComponentTriple(*means, f)
+
+
+def wave_predict_component(problem: Problem, m: int, x: Permutation) -> Scalar:
+    """Wave-equation prediction of the neighborhood mean of component m."""
+    _check_component(m)
+    return _wave_means(problem, x)[m - 1]
 
 
 def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
     """Mean objective value over the swap neighbors of x, via the three
     per-component wave equations: f(x) + sum_m (k_m / d) (mean_m - c_m(x)).
     """
-    n = problem.n
-    d = neighborhood_size(n)
-    value = problem.fitness(x)
-    t = decompose(problem, x)
-    a = average_triple(problem)
-    for m, mean, c in zip((1, 2, 3), a, t):
-        k = KIND_CONSTANTS[m](n).k
-        value = value + div(k, d, problem.exact) * (mean - c)
-    return value
+    return _wave_means(problem, x).total
 
 
 # Projections of a function on ordered pairs i != j, given as an n x n array

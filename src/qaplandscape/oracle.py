@@ -1,14 +1,17 @@
 """Brute-force ground truth: neighbor averages, full-space statistics, and
 a generic elementarity checker.
 
-Everything here enumerates independently of the closed-form evaluators it
-is used to validate. The literal oracles (space_points, evaluate_points,
-variance_triple, check_elementary) walk permutations in lexicographic order
-and evaluate each point in full. The streamed pass behind `stats` and
-`verify` (space_rows) walks them in Heap's order instead, where consecutive
-permutations differ by one transposition, and carries each point's values
-to the next in O(n); it is tested against the literal oracles. Both orders
-are fixed, so float-mode reductions are deterministic.
+Nothing here uses the closed forms it is used to validate: the wave
+equation and the component means and variances. The literal oracles
+(space_points, evaluate_points, variance_triple, check_elementary) walk
+permutations in lexicographic order and evaluate each point in full;
+evaluate_points and variance_triple do so through decompose and fitness.
+The streamed pass behind `stats` and `verify` (space_rows) walks them in
+Heap's order instead, where consecutive permutations differ by one
+transposition, and carries decomposition's seven sums behind the case
+masses from point to point in O(n); it shares the mass formulas with the
+evaluators and is tested against the literal oracles. Both orders are
+fixed, so float-mode reductions are deterministic.
 """
 
 from __future__ import annotations
@@ -29,16 +32,13 @@ from .core import (
     neighborhood_size,
     passes,
 )
-# decompose is bound here for the benchmark tracer (qapbench/spans.py),
-# which rebinds every module's copy of a traced name; nothing here calls it.
-from .decomposition import (  # noqa: F401
+from .decomposition import (
     ComponentTriple,
     Problem,
-    _case_masses,
+    _components,
     _masses_from_sums,
     _raw_sums,
     _swap_sum_deltas,
-    _value_from_totals,
     decompose,
 )
 
@@ -151,19 +151,9 @@ def heap_swaps(n: int) -> Iterator[Tuple[int, int]]:
             i += 1
 
 
-def _row(problem: Problem, totals, f) -> Tuple[Scalar, Scalar, Scalar, Scalar]:
-    """The row (c1, c2, c3, f) from the case masses and the objective."""
-    return (
-        _value_from_totals(problem, 1, totals),
-        _value_from_totals(problem, 2, totals),
-        _value_from_totals(problem, 3, totals),
-        f,
-    )
-
-
 def _full_row(problem: Problem, x: Permutation) -> Tuple[Scalar, ...]:
-    """The row at x, evaluated in full."""
-    return _row(problem, _case_masses(problem, x), problem.fitness(x))
+    """The row (c1, c2, c3, f) at x, evaluated in full."""
+    return decompose(problem, x)[:3] + (problem.fitness(x),)
 
 
 def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
@@ -184,12 +174,14 @@ def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
         return
     mapping = list(range(problem.n))
     sums = _raw_sums(problem, mapping)
-    yield tuple(mapping), _row(problem, _masses_from_sums(problem, sums), sums[0])
+    masses = _masses_from_sums(problem, sums)
+    yield tuple(mapping), (*_components(problem, masses), sums[0])
     for u, v in heap_swaps(problem.n):
         deltas = _swap_sum_deltas(problem, mapping, u, v)
         sums = list(map(add, sums, deltas))
         mapping[u], mapping[v] = mapping[v], mapping[u]
-        yield tuple(mapping), _row(problem, _masses_from_sums(problem, sums), sums[0])
+        masses = _masses_from_sums(problem, sums)
+        yield tuple(mapping), (*_components(problem, masses), sums[0])
 
 
 def space_columns(problem: Problem, table: Optional[dict] = None):

@@ -16,7 +16,8 @@ from fractions import Fraction
 from .core import MIN_SIZE, QapInstance
 
 _TOKEN = re.compile(r"\S+")
-_INT = re.compile(r"[+-]?\d+\Z")
+# ASCII digits only: \d, int() and float() also read other scripts' digits.
+_INT = re.compile(r"[+-]?[0-9]+\Z")
 
 
 class ParseError(ValueError):
@@ -30,6 +31,9 @@ class ParseError(ValueError):
 def _parse_number(token: str, offset: int):
     if _INT.match(token):
         return int(token)
+    # float() also reads digit separators ("1_000") and non-ASCII digits.
+    if "_" in token or not token.isascii():
+        raise ParseError(f"non-numeric token {token!r}", offset)
     try:
         value = float(token)
     except ValueError:

@@ -9,8 +9,10 @@ and seeded sampling beyond it, except that a space of at most SAMPLE_SIZE
 points is always taken whole; the claims that need the full space still
 skip beyond the cap.
 
-Each neighborhood is evaluated once per point: the wave claims read the
-four values (c1, c2, c3, f) of every neighbor from one table.
+Each wave point is evaluated once, and each neighborhood once: one
+evaluation of the point gives the wave-equation predictions of all four
+neighborhood means (c1, c2, c3, f), and the brute-force side reads the
+four values of every neighbor from one table.
 
 The five-case family behind the components also obeys two lemmas in n
 alone: the closed-form neighbor sum in each case and the space mean of
@@ -36,14 +38,14 @@ from .core import (
 )
 from .decomposition import (
     Problem,
+    _wave_means,
     component_average,
     component_variances,
     decompose,
-    neighborhood_avg_wave,
-    wave_predict_component,
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
+    _full_row,
     evaluate_points,
     lexicographic_point,
     moments,
@@ -149,12 +151,8 @@ def run_verification(
     wave = [_Residual() for _ in range(4)]
     for x in wave_points:
         if not wave_exhaustive:
-            table = {
-                y.mapping: decompose(problem, y)[:3] + (problem.fitness(y),)
-                for y in x.neighbors()
-            }
-        predicted = [wave_predict_component(problem, m, x) for m in (1, 2, 3)]
-        predicted.append(neighborhood_avg_wave(problem, x))
+            table = {y.mapping: _full_row(problem, y) for y in x.neighbors()}
+        predicted = _wave_means(problem, x)
         for col, res in enumerate(wave):
             res.add(
                 neighborhood_avg_brute(lambda y: table[y.mapping][col], x),

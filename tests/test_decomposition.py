@@ -362,6 +362,10 @@ class TestComponentEvaluators:
         with pytest.raises(TypeError):
             component_value_fast(t, 1, Permutation.identity(4))
 
+    def test_ref_rejects_instance(self):
+        with pytest.raises(TypeError):
+            component_value_ref(seeded_instance(4, 1), 1, Permutation.identity(4))
+
     def test_component_index_validation(self):
         inst = seeded_instance(4, 1)
         with pytest.raises(ValueError):

@@ -56,6 +56,22 @@ class TestParse:
             parse_qaplib(text)
         assert info.value.offset == text.index(token)
 
+    # float() reads digit separators and int() and float() read non-ASCII
+    # digits; instance text holds neither.
+    @pytest.mark.parametrize("token", ["1_000", "1_0.5", "1e1_0", "١٢", "３", "٣.5"])
+    def test_separator_and_non_ascii_entries_are_refused(self, token):
+        text = f"3\n0 1 2\n1 {token} 3\n2 3 0\n0 5 5\n5 0 5\n5 5 0\n"
+        with pytest.raises(ParseError, match="non-numeric") as info:
+            parse_qaplib(text)
+        assert info.value.offset == text.index(token)
+
+    @pytest.mark.parametrize("size", ["１２", "٣", "3_0"])
+    def test_separator_and_non_ascii_size_is_refused(self, size):
+        text = f"\n{size}\n" + SAMPLE[2:]
+        with pytest.raises(ParseError, match="integer size") as info:
+            parse_qaplib(text)
+        assert info.value.offset == 1
+
     def test_non_numeric_size(self):
         with pytest.raises(ParseError, match="integer size"):
             parse_qaplib("x\n1 2 3\n")

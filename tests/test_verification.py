@@ -22,6 +22,23 @@ def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
     assert failed == {f"wave_component_{m}", "neighborhood_average"}
 
 
+# Each wave point's masses come from one _case_masses call and the whole
+# space from the streamed pass, which makes none: 5! wave points, plus 20
+# points each on the instance and its tensor for fast_vs_reference.
+def test_each_wave_point_is_evaluated_once(monkeypatch):
+    calls = []
+    real = decomposition._case_masses
+
+    def counted(problem, x):
+        calls.append(x)
+        return real(problem, x)
+
+    monkeypatch.setattr(decomposition, "_case_masses", counted)
+    results = run_verification(generate_instance(5, 1, 0, 9))
+    assert all(r.passed for r in results)
+    assert len(calls) == 120 + 2 * 20
+
+
 # The claims that fail when one column of one kind's row of KIND_CONSTANTS
 # is off by one, at n=5 with every permutation enumerated. A wrong weight
 # denominator of kind 3 also scales the diagonal term of c3, so Var(c3)
