@@ -422,18 +422,18 @@ def average_triple(problem: Problem) -> ComponentTriple:
     )
 
 
-def _wave_means(problem: Problem, x: Permutation) -> ComponentTriple:
+def _wave_means(problem: Problem, x: Permutation,
+                averages: ComponentTriple) -> ComponentTriple:
     """Wave-equation predictions of the means of c1, c2, c3 and f over the
-    swap neighbors of x, from one decompose, one average_triple and one
-    objective value: c_m(x) + (k_m / d) (mean_m - c_m(x)) with k_m in
-    {2n, 2(n-1), n}, and f(x) plus the three corrections."""
+    swap neighbors of x, from one decompose and one objective value, given
+    the problem's average_triple: c_m(x) + (k_m / d) (mean_m - c_m(x)) with
+    k_m in {2n, 2(n-1), n}, and f(x) plus the three corrections."""
     n = problem.n
     d = neighborhood_size(n)
     t = decompose(problem, x)
-    a = average_triple(problem)
     f = problem.fitness(x)
     means = []
-    for m, mean, c in zip((1, 2, 3), a, t):
+    for m, mean, c in zip((1, 2, 3), averages, t):
         correction = div(KIND_CONSTANTS[m](n).k, d, problem.exact) * (mean - c)
         means.append(c + correction)
         f = f + correction
@@ -443,14 +443,14 @@ def _wave_means(problem: Problem, x: Permutation) -> ComponentTriple:
 def wave_predict_component(problem: Problem, m: int, x: Permutation) -> Scalar:
     """Wave-equation prediction of the neighborhood mean of component m."""
     _check_component(m)
-    return _wave_means(problem, x)[m - 1]
+    return _wave_means(problem, x, average_triple(problem))[m - 1]
 
 
 def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
     """Mean objective value over the swap neighbors of x, via the three
     per-component wave equations: f(x) + sum_m (k_m / d) (mean_m - c_m(x)).
     """
-    return _wave_means(problem, x).total
+    return _wave_means(problem, x, average_triple(problem)).total
 
 
 # Projections of a function on ordered pairs i != j, given as an n x n array

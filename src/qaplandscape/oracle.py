@@ -9,9 +9,15 @@ evaluate_points and variance_triple do so through decompose and fitness.
 The streamed pass behind `stats` and `verify` (space_rows) walks them in
 Heap's order instead, where consecutive permutations differ by one
 transposition, and carries decomposition's seven sums behind the case
-masses from point to point in O(n); it shares the mass formulas with the
-evaluators and is tested against the literal oracles. Both orders are
-fixed, so float-mode reductions are deterministic.
+masses from point to point in O(n); neighbor_rows builds each swap
+neighbor's sums from those at one point the same way, for verify's wave
+claims. Both share the mass formulas with the evaluators and are tested
+against the literal oracles. Every order is fixed, so float-mode
+reductions are deterministic.
+
+Exact means sum integer numerators over one common denominator. Float
+means over the whole space use math.fsum; a neighborhood mean sums left
+to right, in neighbor order.
 """
 
 from __future__ import annotations
@@ -19,6 +25,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import permutations
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -78,6 +85,17 @@ def _exact(values) -> bool:
     return not any(isinstance(v, float) for v in values)
 
 
+def _over_common_denominator(values) -> Tuple[Iterator[int], int]:
+    """Exact (int or Fraction) values as integer numerators over one common
+    denominator d: the numerators, lazily, and d. Integer sums of them
+    equal the Fraction sums exactly, at one gcd in the end instead of one
+    per addition."""
+    denominators = {v.denominator for v in values}
+    d = math.lcm(*denominators)
+    scale = {den: d // den for den in denominators}
+    return (v.numerator * scale[v.denominator] for v in values), d
+
+
 def moments(values) -> Tuple[Scalar, Scalar]:
     """Mean and population variance of a non-empty value sequence: exact for
     int/Fraction values, accumulated with math.fsum when any is a float.
@@ -87,26 +105,29 @@ def moments(values) -> Tuple[Scalar, Scalar]:
         mean = fsum(values) / count
         # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
         return mean, fsum((v - mean) * (v - mean) for v in values) / count
-    # Over one common denominator d the sums are integer sums; the Fractions
-    # built from them equal the Fraction sums exactly.
-    denominators = {v.denominator for v in values}
-    d = math.lcm(*denominators)
-    scale = {den: d // den for den in denominators}
+    numerators, d = _over_common_denominator(values)
     total = squares = 0
-    for v in values:
-        num = v.numerator * scale[v.denominator]
+    for num in numerators:
         total += num
         squares += num * num
     mean = Fraction(total, count * d)
     return mean, Fraction(squares, count * d * d) - mean * mean
 
 
+def _neighborhood_mean(values, n: int) -> Scalar:
+    """Mean of one value per swap neighbor of a size-n permutation: exact
+    over one common denominator for int/Fraction values, else a float sum
+    taken left to right in the order given."""
+    size = neighborhood_size(n)
+    if not _exact(values):
+        return reduce(add, values, 0) / size
+    numerators, d = _over_common_denominator(values)
+    return Fraction(sum(numerators), d * size)
+
+
 def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
     """Literal mean of evalfn over all swap neighbors of x."""
-    total = 0
-    for y in x.neighbors():
-        total = total + evalfn(y)
-    return div(total, neighborhood_size(x.n), _exact((total,)))
+    return _neighborhood_mean([evalfn(y) for y in x.neighbors()], x.n)
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -156,6 +177,11 @@ def _full_row(problem: Problem, x: Permutation) -> Tuple[Scalar, ...]:
     return decompose(problem, x)[:3] + (problem.fitness(x),)
 
 
+def _sums_row(inst: QapInstance, sums) -> Tuple[Scalar, ...]:
+    """The row (c1, c2, c3, f) from the seven sums of decomposition._raw_sums."""
+    return (*_components(inst, _masses_from_sums(inst, sums)), sums[0])
+
+
 def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
     """Every permutation's mapping with its row (c1, c2, c3, f), once each.
 
@@ -174,14 +200,36 @@ def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
         return
     mapping = list(range(problem.n))
     sums = _raw_sums(problem, mapping)
-    masses = _masses_from_sums(problem, sums)
-    yield tuple(mapping), (*_components(problem, masses), sums[0])
+    yield tuple(mapping), _sums_row(problem, sums)
     for u, v in heap_swaps(problem.n):
-        deltas = _swap_sum_deltas(problem, mapping, u, v)
-        sums = list(map(add, sums, deltas))
+        sums = list(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
         mapping[u], mapping[v] = mapping[v], mapping[u]
-        masses = _masses_from_sums(problem, sums)
-        yield tuple(mapping), (*_components(problem, masses), sums[0])
+        yield tuple(mapping), _sums_row(problem, sums)
+
+
+def neighbor_rows(
+    problem: Problem, x: Permutation
+) -> Iterator[Tuple[Permutation, Tuple[Scalar, ...]]]:
+    """Every swap neighbor y of x with its row (c1, c2, c3, f), in
+    x.neighbors() order.
+
+    For a QapInstance the seven sums behind the case masses are evaluated
+    in full at x, and each neighbor's sums are those plus
+    decomposition._swap_sum_deltas of its swap, in O(n) per neighbor:
+    rational rows equal _full_row exactly, float rows agree with it to
+    FLOAT_TOLERANCE. A GeneralTensor is evaluated in full at each neighbor.
+    """
+    if not isinstance(problem, QapInstance):
+        for y in x.neighbors():
+            yield y, _full_row(problem, y)
+        return
+    mapping = x.mapping
+    sums = _raw_sums(problem, mapping)
+    n = problem.n
+    swaps = ((u, v) for u in range(n) for v in range(u + 1, n))
+    for y, (u, v) in zip(x.neighbors(), swaps):
+        deltas = _swap_sum_deltas(problem, mapping, u, v)
+        yield y, _sums_row(problem, list(map(add, sums, deltas)))
 
 
 def space_columns(problem: Problem, table: Optional[dict] = None):

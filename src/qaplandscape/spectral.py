@@ -133,7 +133,12 @@ def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
     """Biased sample autocorrelation of the walk at lags 0..max_lag:
     r(s) = sum_t (f_t - m)(f_{t+s} - m) / sum_t (f_t - m)^2."""
     check_max_lag(max_lag, series.steps)
-    values = list(map(float, series.values))
+    try:
+        values = list(map(float, series.values))
+    except OverflowError:
+        # A rational value beyond the float range fails closed, as an
+        # overflowed float series does below.
+        return [math.nan] * (max_lag + 1)
     if all(map(math.isfinite, values)) and min(values) == max(values):
         raise ValueError("series is constant; autocorrelation is undefined")
     mean = fsum(values) / len(values)

@@ -9,10 +9,13 @@ and seeded sampling beyond it, except that a space of at most SAMPLE_SIZE
 points is always taken whole; the claims that need the full space still
 skip beyond the cap.
 
-Each wave point is evaluated once, and each neighborhood once: one
-evaluation of the point gives the wave-equation predictions of all four
-neighborhood means (c1, c2, c3, f), and the brute-force side reads the
-four values of every neighbor from one table.
+Each wave point is evaluated once, and each neighborhood visited once:
+one evaluation of the point, with the closed-form means formed once per
+run, gives the wave-equation predictions of all four neighborhood means
+(c1, c2, c3, f). The brute-force side lists the neighbors' rows
+(c1, c2, c3, f) once, from the streamed table for n <= 6 and otherwise
+from the point's seven sums plus each swap's O(n) update
+(oracle.neighbor_rows), and sums each column once.
 
 The five-case family behind the components also obeys two lemmas in n
 alone: the closed-form neighbor sum in each case and the space mean of
@@ -39,17 +42,17 @@ from .core import (
 from .decomposition import (
     Problem,
     _wave_means,
-    component_average,
+    average_triple,
     component_variances,
     decompose,
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    _full_row,
+    _neighborhood_mean,
     evaluate_points,
     lexicographic_point,
     moments,
-    neighborhood_avg_brute,
+    neighbor_rows,
     space_columns,
 )
 
@@ -133,10 +136,13 @@ def run_verification(
         res.add(c1 + c2 + c3, f)
     results.append(res.result("decomposition_sum", exact, base_detail))
 
-    # Wave equation per component and for the composite objective; the
-    # brute-force side reads (c1, c2, c3, f) at each neighbor from a table
-    # filled once per neighborhood. Within the cap, sampled wave points are
-    # drawn as lexicographic ranks of the whole space.
+    # Wave equation per component and for the composite objective. Each
+    # neighborhood is listed once: (c1, c2, c3, f) at each neighbor comes
+    # from the streamed table for n <= 6, and otherwise from the sums at the
+    # wave point plus each swap's O(n) update; each column is summed once.
+    # The prediction side decomposes x in full, so the two sides stay
+    # separate evaluations. Within the cap, sampled wave points are drawn as
+    # lexicographic ranks of the whole space.
     if wave_exhaustive:
         wave_points = [Permutation._wrap(mapping) for mapping in table]
         wave_detail = base_detail
@@ -148,16 +154,16 @@ def run_verification(
             wave_points = rng.sample(points, 20)
         wave_detail = f"{len(wave_points)} sampled permutations"
 
+    averages = average_triple(problem)
     wave = [_Residual() for _ in range(4)]
     for x in wave_points:
-        if not wave_exhaustive:
-            table = {y.mapping: _full_row(problem, y) for y in x.neighbors()}
-        predicted = _wave_means(problem, x)
-        for col, res in enumerate(wave):
-            res.add(
-                neighborhood_avg_brute(lambda y: table[y.mapping][col], x),
-                predicted[col],
-            )
+        if wave_exhaustive:
+            rows = [table[y.mapping] for y in x.neighbors()]
+        else:
+            rows = [row for _, row in neighbor_rows(problem, x)]
+        predicted = _wave_means(problem, x, averages)
+        for res, column, want in zip(wave, zip(*rows), predicted):
+            res.add(_neighborhood_mean(column, n), want)
     names = ("wave_component_1", "wave_component_2", "wave_component_3",
              "neighborhood_average")
     for name, res in zip(names, wave):
@@ -166,9 +172,9 @@ def run_verification(
     # Closed-form means and variance additivity need the full space.
     if exhaustive:
         (mean1, var1), (mean2, var2), (mean3, var3), (_, var_f) = map(moments, columns)
-        for m, mean in zip((1, 2, 3), (mean1, mean2, mean3)):
+        for m, mean, closed_mean in zip((1, 2, 3), (mean1, mean2, mean3), averages):
             res = _Residual()
-            res.add(mean, component_average(problem, m))
+            res.add(mean, closed_mean)
             results.append(res.result(f"closed_form_mean_{m}", exact, base_detail))
         # Scaled by Var(f): a component's variance may be tiny beside it.
         closed = component_variances(problem)

@@ -385,6 +385,15 @@ class TestFailClosed:
         assert done.returncode == 2
         assert done.stderr == ""
 
+    # Rational walk values beyond the float range: float() raised
+    # OverflowError (a traceback, exit 1). csv writes the exact series.
+    @pytest.mark.parametrize("fmt, status", [("text", 2), ("json", 2), ("csv", 0)])
+    def test_autocorr_rational_overflow_fails_closed(self, capsys, fmt, status):
+        code, out, err = run(capsys, "autocorr", "--gen", f"5,1,0,{10**200}",
+                             "--steps", "200", "--max-lag", "2", "--format", fmt)
+        assert code == status and err == ""
+        assert ("nan" in out) == (fmt != "csv")
+
     def test_autocorr_nan_at_later_lag_fails(self, capsys, monkeypatch):
         def fake(problem, steps, walk_seed, max_lag, **kwargs):
             _, series = real(problem, steps, walk_seed, max_lag, **kwargs)

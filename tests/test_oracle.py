@@ -21,7 +21,14 @@ from qaplandscape.decomposition import (
     component_value,
     omega,
 )
-from qaplandscape.oracle import enumerate_space, moments, population_variance, space_points
+from qaplandscape.oracle import (
+    _neighborhood_mean,
+    _over_common_denominator,
+    enumerate_space,
+    moments,
+    population_variance,
+    space_points,
+)
 from conftest import all_perms, seeded_instance, single_entry_tensor
 
 
@@ -269,6 +276,31 @@ class TestCrossChecks:
         mean = sum(map(Fraction, values)) / len(values)
         variance = sum((Fraction(v) - mean) ** 2 for v in values) / len(values)
         assert moments(values) == (mean, variance)
+
+    # moments and the neighborhood mean share one rescaling to a common
+    # denominator; each numerator over it must give back its value.
+    def test_mixed_denominators_share_one_denominator(self):
+        values = [Fraction(1, 4), Fraction(-5, 6), 3, Fraction(7, 10), -2]
+        numerators, d = _over_common_denominator(values)
+        assert d == 60
+        assert [Fraction(num, d) for num in numerators] == values
+        mean = _neighborhood_mean(values, 5)  # 10 neighbors at n = 5
+        assert mean == sum(map(Fraction, values)) / 10
+        assert type(mean) is Fraction
+        assert _neighborhood_mean([1, 2, 4], 3) == Fraction(7, 3)
+
+    # Float neighborhood means sum left to right, bit for bit as a running
+    # total: here the 1.0 is lost, where math.fsum would keep it.
+    def test_float_neighborhood_mean_sums_left_to_right(self):
+        values = [1e16, 1.0, -1e16]
+        assert _neighborhood_mean(values, 3) == 0.0
+        assert math.fsum(values) / 3 != 0.0
+        values = [0.1, 2, 0.7, Fraction(1, 2), 1e-17, 0.3]
+        total = 0
+        for v in values:
+            total = total + v
+        got = _neighborhood_mean(values, 4)  # 6 neighbors at n = 4
+        assert type(got) is float and got == total / 6
 
     def test_population_variance_helper(self):
         assert population_variance([1, 1, 1]) == 0

@@ -1,10 +1,13 @@
 """The streamed whole-space pass behind `stats` and `verify`
-(oracle.space_rows) against the literal, lexicographic oracles.
+(oracle.space_rows), and the neighbor rows of verify's wave claims
+(oracle.neighbor_rows), against the literal oracles.
 
 space_rows visits the permutations in Heap's order and carries seven sums
 from point to point through decomposition._swap_sum_deltas. Its rows must
 equal evaluate_points exactly in rational mode and stay within the float
-tolerance of it in float mode.
+tolerance of it in float mode. neighbor_rows adds each swap's update of the
+same seven sums to those at one point, and its rows are held to a full
+evaluation of each neighbor by the same standard.
 """
 
 import math
@@ -24,15 +27,17 @@ from qaplandscape.decomposition import (
     _swap_sum_deltas,
 )
 from qaplandscape.oracle import (
+    _full_row,
     evaluate_points,
     heap_swaps,
     lexicographic_point,
     moments,
+    neighbor_rows,
     space_columns,
     space_points,
     space_rows,
 )
-from conftest import seeded_instance
+from conftest import random_perms, seeded_instance
 
 
 def literal_rows(problem):
@@ -142,6 +147,46 @@ def test_float_rows_stay_within_tolerance_at_n8():
             worst = max(worst, abs(got - expected) / scale)
     # A running sum, not a copy of the direct evaluation.
     assert worst > 0
+
+
+# The neighbor rows of verify's wave claims beyond n = 6: the sums at x
+# plus each swap's update, against a full evaluation of every neighbor.
+@pytest.mark.parametrize("n", range(3, 9))
+def test_neighbor_rows_equal_full_rows(n):
+    inst = seeded_instance(n, n, -5, 9)
+    for x in [Permutation.identity(n)] + random_perms(n, 3, n):
+        pairs = list(neighbor_rows(inst, x))
+        assert [y for y, _ in pairs] == list(x.neighbors())
+        for y, row in pairs:
+            assert row == _full_row(inst, y)
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_neighbor_rows_equal_full_rows_on_fractions(data):
+    inst = data.draw(asymmetric_instances())
+    x = Permutation(data.draw(st.permutations(range(inst.n))))
+    for y, row in neighbor_rows(inst, x):
+        assert row == _full_row(inst, y)
+
+
+@pytest.mark.parametrize("n", [4, 7, 12])
+def test_float_neighbor_rows_stay_within_tolerance(n):
+    inst = decimal_instance(n, n)
+    for x in random_perms(n, 3, n):
+        for y, row in neighbor_rows(inst, x):
+            want = _full_row(inst, y)
+            scale = max(1.0, abs(want[3]))
+            for got, expected in zip(row, want):
+                assert abs(got - expected) <= FLOAT_TOLERANCE * scale
+
+
+def test_tensor_neighbor_rows_are_full_rows():
+    tensor = random_tensor(5, 2)
+    x = Permutation([2, 0, 4, 1, 3])
+    assert list(neighbor_rows(tensor, x)) == [
+        (y, _full_row(tensor, y)) for y in x.neighbors()
+    ]
 
 
 @pytest.mark.parametrize("n", range(3, 7))

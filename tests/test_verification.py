@@ -1,6 +1,6 @@
 import pytest
 
-from qaplandscape import decomposition, generate_instance, oracle
+from qaplandscape import Permutation, decomposition, generate_instance, oracle, verification
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaParams
 from conftest import perturb_kind
@@ -22,21 +22,46 @@ def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
     assert failed == {f"wave_component_{m}", "neighborhood_average"}
 
 
-# Each wave point's masses come from one _case_masses call and the whole
-# space from the streamed pass, which makes none: 5! wave points, plus 20
-# points each on the instance and its tensor for fast_vs_reference.
-def test_each_wave_point_is_evaluated_once(monkeypatch):
-    calls = []
-    real = decomposition._case_masses
+# Each wave point's neighborhood is listed once (one neighbors() call) and
+# its masses come from one _case_masses call; the whole space comes from the
+# streamed pass and the neighbor rows beyond n = 6 from the O(n) swap update,
+# which make none. fast_vs_reference adds 20 points each on the instance and
+# its tensor. The closed-form means are formed once per run.
+def _wave_calls(monkeypatch, n):
+    """Calls of _case_masses, Permutation.neighbors and average_triple
+    made by one passing run_verification at size n."""
+    calls = {"masses": 0, "neighbors": 0, "averages": 0}
 
-    def counted(problem, x):
-        calls.append(x)
-        return real(problem, x)
+    def counted(name, real):
+        def wrapper(*args):
+            calls[name] += 1
+            return real(*args)
+        return wrapper
 
-    monkeypatch.setattr(decomposition, "_case_masses", counted)
-    results = run_verification(generate_instance(5, 1, 0, 9))
+    monkeypatch.setattr(decomposition, "_case_masses",
+                        counted("masses", decomposition._case_masses))
+    monkeypatch.setattr(Permutation, "neighbors",
+                        counted("neighbors", Permutation.neighbors))
+    average_triple = counted("averages", decomposition.average_triple)
+    for module in (decomposition, verification):
+        monkeypatch.setattr(module, "average_triple", average_triple)
+    results = run_verification(generate_instance(n, 1, 0, 9))
     assert all(r.passed for r in results)
-    assert len(calls) == 120 + 2 * 20
+    return calls
+
+
+def test_each_wave_point_is_evaluated_once(monkeypatch):
+    assert _wave_calls(monkeypatch, 5) == {
+        "masses": 120 + 2 * 20, "neighbors": 120, "averages": 1,
+    }
+
+
+# At n=7 the 20 wave points are sampled and their neighbor rows built by
+# the O(n) update.
+def test_each_sampled_wave_point_is_evaluated_once(monkeypatch):
+    assert _wave_calls(monkeypatch, 7) == {
+        "masses": 20 + 2 * 20, "neighbors": 20, "averages": 1,
+    }
 
 
 # The claims that fail when one column of one kind's row of KIND_CONSTANTS
@@ -104,7 +129,8 @@ def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, totals, n, cap
 
 
 # The components (and whether f) that move when one term of the seven-sum
-# update of the streamed pass (decomposition._swap_sum_deltas) is dropped.
+# update (decomposition._swap_sum_deltas) is dropped from the streamed pass
+# and the wave claims' neighbor rows.
 # decomposition_sum never catches it: c1 + c2 + c3 = f_same holds for any
 # seven sums. c3 is first order and does not read f_same or f_swapped; c1
 # does not read the diagonal sum.
@@ -119,9 +145,10 @@ DROPPED_TERMS = {
 }
 
 
-# At n=5 the wave claims read the streamed table; at n=7 they evaluate 20
-# sampled points in full, so only the whole-space claims catch the drop.
-@pytest.mark.parametrize("n", [5, 7])
+# At n=5 the wave claims read the streamed table; at n=7 they build each
+# sampled point's neighbor rows by the same update, and at n=9, beyond cap 8,
+# they are the only claims that run it.
+@pytest.mark.parametrize("n", [5, 7, 9])
 @pytest.mark.parametrize("term", DROPPED_TERMS)
 def test_every_term_of_the_streamed_update_is_caught(monkeypatch, capsys, n, term):
     index = list(DROPPED_TERMS).index(term)
@@ -134,12 +161,13 @@ def test_every_term_of_the_streamed_update_is_caught(monkeypatch, capsys, n, ter
 
     monkeypatch.setattr(oracle, "_swap_sum_deltas", dropped)
     components, f_moves = DROPPED_TERMS[term]
-    caught = {"variance_orthogonality"}
+    whole_space = n <= DEFAULT_ENUMERATION_CAP
+    caught = {"variance_orthogonality"} if whole_space else set()
     for m in components:
-        caught |= {f"closed_form_mean_{m}", f"closed_form_variance_{m}"}
-        if n <= 6:
-            caught.add(f"wave_component_{m}")
-    if f_moves and n <= 6:
+        caught.add(f"wave_component_{m}")
+        if whole_space:
+            caught |= {f"closed_form_mean_{m}", f"closed_form_variance_{m}"}
+    if f_moves:
         caught.add("neighborhood_average")
     assert _failed(run_verification(generate_instance(n, 1, 0, 9))) == caught
     assert run_cli(["verify", "--gen", f"{n},1,0,9"]) == 2
