@@ -15,6 +15,7 @@ import math
 import sys
 from dataclasses import asdict
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .core import MAX_TENSOR_SIZE, Permutation, QapInstance, passes
@@ -24,12 +25,7 @@ from .decomposition import (
     decompose,
     neighborhood_avg_wave,
 )
-from .oracle import (
-    DEFAULT_ENUMERATION_CAP,
-    moments,
-    neighborhood_avg_brute,
-    space_columns,
-)
+from .oracle import DEFAULT_ENUMERATION_CAP, neighborhood_avg_brute, space_moments
 from .qaplib import generate_instance, parse_qaplib
 from .spectral import analyze_autocorr, check_max_lag, random_walk
 from .verification import run_verification
@@ -111,7 +107,10 @@ def _check_verify_size(n: int) -> None:
         raise CliError(f"verify size {n} exceeds the limit {MAX_TENSOR_SIZE}")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, and each parse_args call returns a fresh namespace."""
     parser = _Parser(
         prog="qaplandscape",
         description=(
@@ -381,14 +380,13 @@ def _cmd_stats(problem, args) -> int:
     exit_code = 0 if finite else 2
     within_cap = problem.n <= args.cap
     if within_cap:
-        columns = space_columns(problem)
-        stats = [moments(col) for col in columns]
-        results["enumerated_means"] = {k: s[0] for k, s in zip(keys, stats)}
-        results["enumerated_variances"] = {k: s[1] for k, s in zip(keys, stats)}
-        results["count"] = _Count(len(columns[3]))
-        for key, (mean, _), closed in zip(keys, stats, a):
+        space = space_moments(problem)
+        results["enumerated_means"] = dict(zip(keys, space.means))
+        results["enumerated_variances"] = dict(zip(keys, space.variances))
+        results["count"] = _Count(space.count)
+        for key, mean, closed in zip(keys, space.means, a):
             residuals[f"mean_{key}"] = abs(mean - closed)
-        for key, (_, var), closed in zip(keys, stats, v):
+        for key, var, closed in zip(keys, space.variances, v):
             residuals[f"var_{key}"] = abs(var - closed)
         if not all(
             _passes(problem, residuals[f"{stat}_{k}"], closed.total)

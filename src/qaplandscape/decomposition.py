@@ -302,16 +302,23 @@ def _case_totals(inst: QapInstance, x: Permutation):
     return _masses_from_sums(inst, _raw_sums(inst, x.mapping))
 
 
-def _value_from_totals(problem: Problem, m: int, totals) -> Scalar:
-    """Component m from the five case masses and the diagonal mass: the
-    masses weighted by the kind's case values over its weight denominator.
-    Component 3 also carries the diagonal mass."""
-    (a, b, g, e, z), _, den, _, _ = KIND_CONSTANTS[m](problem.n)
+def _numerator(m: int, consts: KindConstants, totals) -> Scalar:
+    """consts.den times component m, from the five case masses and the
+    diagonal mass: the masses weighted by the kind's case values. Component
+    3 also carries the diagonal mass."""
+    a, b, g, e, z = consts.params
     sa, sb, sg, se, sz, diag = totals
     num = a * sa + b * sb + g * sg + e * se + z * sz
     if m == 3:
-        num = num + den * diag
-    return div(num, den, problem.exact)
+        num = num + consts.den * diag
+    return num
+
+
+def _value_from_totals(problem: Problem, m: int, totals) -> Scalar:
+    """Component m from the five case masses and the diagonal mass, over
+    its weight denominator."""
+    consts = KIND_CONSTANTS[m](problem.n)
+    return div(_numerator(m, consts, totals), consts.den, problem.exact)
 
 
 def _case_masses(problem: Problem, x: Permutation):

@@ -6,14 +6,20 @@ equation and the component means and variances. The literal oracles
 (space_points, evaluate_points, variance_triple, check_elementary) walk
 permutations in lexicographic order and evaluate each point in full;
 evaluate_points and variance_triple do so through decompose and fitness.
-The streamed pass behind `stats` and `verify` (space_rows) walks them in
-Heap's order instead, where consecutive permutations differ by one
-transposition, and carries decomposition's seven sums behind the case
-masses from point to point in O(n); neighbor_rows builds each swap
-neighbor's sums from those at one point the same way, for verify's wave
-claims. Both share the mass formulas with the evaluators and are tested
-against the literal oracles. Every order is fixed, so float-mode
-reductions are deterministic.
+
+The streamed pass behind `stats` and `verify` (space_moments, over the
+points of space_rows) walks them in Heap's order instead, where
+consecutive permutations differ by one transposition, and carries
+decomposition's seven sums behind the case masses from point to point in
+O(n). In rational mode it keeps no values: the entries are scaled to
+integers, each component is an integer numerator over one denominator,
+c1 + c2 + c3 = f is checked as an integer identity, and the sums and sums
+of squares of the numerators are Python ints, turned into Fractions once
+at the end. Float mode keeps the four value columns and sums them with
+math.fsum. neighbor_rows builds each swap neighbor's sums from those at
+one point the same way, for verify's wave claims. Both share the mass
+formulas with the evaluators and are tested against the literal oracles.
+Every order is fixed, so float-mode reductions are deterministic.
 
 Exact means sum integer numerators over one common denominator. Float
 means over the whole space use math.fsum; a neighborhood mean sums left
@@ -28,9 +34,10 @@ from fractions import Fraction
 from functools import reduce
 from itertools import permutations
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .core import (
+    GeneralTensor,
     Permutation,
     QapInstance,
     Scalar,
@@ -40,10 +47,13 @@ from .core import (
     passes,
 )
 from .decomposition import (
+    KIND_CONSTANTS,
     ComponentTriple,
     Problem,
+    _case_masses,
     _components,
     _masses_from_sums,
+    _numerator,
     _raw_sums,
     _swap_sum_deltas,
     decompose,
@@ -62,6 +72,20 @@ class SpaceStats:
     mean: Scalar
     variance: Scalar
     count: int
+
+
+@dataclass(frozen=True)
+class SpaceMoments:
+    """Means and population variances of (c1, c2, c3, f) over all n!
+    permutations, with the worst decomposition_sum residual
+    |c1 + c2 + c3 - f| over them and the magnitude scale of the values it
+    compared (at least 1)."""
+
+    means: ComponentTriple
+    variances: ComponentTriple
+    count: int
+    residual: Scalar
+    scale: Scalar
 
 
 @dataclass(frozen=True)
@@ -96,6 +120,13 @@ def _over_common_denominator(values) -> Tuple[Iterator[int], int]:
     return (v.numerator * scale[v.denominator] for v in values), d
 
 
+def _exact_moments(total: int, squares: int, count: int, d: int):
+    """Mean and population variance, as Fractions, of count values whose
+    integer numerators over d sum to total and their squares to squares."""
+    mean = Fraction(total, count * d)
+    return mean, Fraction(squares, count * d * d) - mean * mean
+
+
 def moments(values) -> Tuple[Scalar, Scalar]:
     """Mean and population variance of a non-empty value sequence: exact for
     int/Fraction values, accumulated with math.fsum when any is a float.
@@ -110,8 +141,25 @@ def moments(values) -> Tuple[Scalar, Scalar]:
     for num in numerators:
         total += num
         squares += num * num
-    mean = Fraction(total, count * d)
-    return mean, Fraction(squares, count * d * d) - mean * mean
+    return _exact_moments(total, squares, count, d)
+
+
+class _Residual:
+    """Tracks the worst absolute deviation and the magnitude scale seen,
+    starting from the given scale."""
+
+    def __init__(self, scale: Scalar = 1) -> None:
+        self.max: Scalar = 0
+        self.scale: Scalar = scale
+
+    def add(self, got: Scalar, want: Scalar) -> None:
+        diff = abs(got - want)
+        if diff > self.max or diff != diff:  # a NaN compares false; keep it
+            self.max = diff
+        for v in (got, want):
+            a = abs(v)
+            if a > self.scale:
+                self.scale = a
 
 
 def _neighborhood_mean(values, n: int) -> Scalar:
@@ -182,6 +230,23 @@ def _sums_row(inst: QapInstance, sums) -> Tuple[Scalar, ...]:
     return (*_components(inst, _masses_from_sums(inst, sums)), sums[0])
 
 
+def _space_masses(problem: Problem) -> Iterator[Tuple[Sequence[int], tuple, Scalar]]:
+    """Every permutation's mapping with its case masses and objective value,
+    once each, in the order of space_rows. For a QapInstance the mapping is
+    the pass's own list, changed in place at the next step."""
+    if not isinstance(problem, QapInstance):
+        for x in space_points(problem.n):
+            yield x.mapping, _case_masses(problem, x), problem.fitness(x)
+        return
+    mapping = list(range(problem.n))
+    sums = _raw_sums(problem, mapping)
+    yield mapping, _masses_from_sums(problem, sums), sums[0]
+    for u, v in heap_swaps(problem.n):
+        sums = list(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
+        mapping[u], mapping[v] = mapping[v], mapping[u]
+        yield mapping, _masses_from_sums(problem, sums), sums[0]
+
+
 def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
     """Every permutation's mapping with its row (c1, c2, c3, f), once each.
 
@@ -194,17 +259,8 @@ def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
     evaluated in full at each point, in lexicographic order. The caller
     checks the enumeration cap.
     """
-    if not isinstance(problem, QapInstance):
-        for x in space_points(problem.n):
-            yield x.mapping, _full_row(problem, x)
-        return
-    mapping = list(range(problem.n))
-    sums = _raw_sums(problem, mapping)
-    yield tuple(mapping), _sums_row(problem, sums)
-    for u, v in heap_swaps(problem.n):
-        sums = list(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
-        mapping[u], mapping[v] = mapping[v], mapping[u]
-        yield tuple(mapping), _sums_row(problem, sums)
+    for mapping, masses, f in _space_masses(problem):
+        yield tuple(mapping), (*_components(problem, masses), f)
 
 
 def neighbor_rows(
@@ -232,17 +288,104 @@ def neighbor_rows(
         yield y, _sums_row(problem, list(map(add, sums, deltas)))
 
 
-def space_columns(problem: Problem, table: Optional[dict] = None):
-    """Columns (c1, c2, c3, f) over all n! permutations from one space_rows
-    pass, in its order; each row is also stored under its mapping in table,
-    when one is given."""
+def _common_denominator(rows) -> int:
+    return math.lcm(*{v.denominator for row in rows for v in row})
+
+
+def _times(rows, d: int) -> list:
+    """Rows of exact entries times d, as ints; d is a common denominator."""
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows]
+
+
+def _integer_scaled(problem: Problem) -> Tuple[Problem, int]:
+    """An exact problem with integer entries, and the factor d by which it
+    scales every value: the common denominator of r times that of w for a
+    QapInstance, that of the coefficients for a GeneralTensor."""
+    if isinstance(problem, QapInstance):
+        dr, dw = _common_denominator(problem.r), _common_denominator(problem.w)
+        return QapInstance(_times(problem.r, dr), _times(problem.w, dw)), dr * dw
+    psi = problem.psi
+    d = _common_denominator(row for block in psi for plane in block for row in plane)
+    return GeneralTensor([[_times(plane, d) for plane in block] for block in psi]), d
+
+
+def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoments:
+    """Means, variances and the decomposition_sum residual of (c1, c2, c3, f)
+    over all n! permutations, from one pass over the points of space_rows,
+    in its order; each point's row is also stored under its mapping in
+    table, when one is given. The caller checks the enumeration cap.
+
+    In rational mode the pass runs on the problem scaled to integer entries
+    by d (_integer_scaled), and each component is its integer numerator over
+    L * d, where L is the least common multiple of the three kinds' weight
+    denominators. At each point the numerators are checked to add up to
+    L times f, and their sums and sums of squares are accumulated as ints;
+    no value is kept, and Fractions are formed only at the end (and for the
+    table's rows). Float mode keeps the four columns for moments' fsum.
+    """
+    if not problem.exact:
+        return _float_moments(problem, table)
+    n = problem.n
+    kinds = [KIND_CONSTANTS[m](n) for m in (1, 2, 3)]
+    lcm = math.lcm(*(consts.den for consts in kinds))
+    (k1, w1), (k2, w2), (k3, w3) = ((consts, lcm // consts.den) for consts in kinds)
+    scaled, d = _integer_scaled(problem)
+    den = lcm * d
+    # Per column (c1, c2, c3, L f): the sum and the sum of squares of the
+    # numerators over L d.
+    t1 = t2 = t3 = tf = q1 = q2 = q3 = qf = 0
+    worst = top = lo = hi = 0
+    count = 0
+    for count, (mapping, masses, f) in enumerate(_space_masses(scaled), 1):
+        c1 = w1 * _numerator(1, k1, masses)
+        c2 = w2 * _numerator(2, k2, masses)
+        c3 = w3 * _numerator(3, k3, masses)
+        lf = lcm * f
+        t1 += c1
+        t2 += c2
+        t3 += c3
+        tf += lf
+        q1 += c1 * c1
+        q2 += c2 * c2
+        q3 += c3 * c3
+        qf += lf * lf
+        if f > hi:
+            hi = f
+        elif f < lo:
+            lo = f
+        got = c1 + c2 + c3
+        if got != lf:
+            worst = max(worst, abs(got - lf))
+            top = max(top, abs(got))
+        if table is not None:
+            table[tuple(mapping)] = tuple(Fraction(v, den) for v in (c1, c2, c3, lf))
+    top = max(top, lcm * hi, -lcm * lo)
+    means, variances = zip(*(
+        _exact_moments(total, sq, count, den)
+        for total, sq in ((t1, q1), (t2, q2), (t3, q3), (tf, qf))
+    ))
+    return SpaceMoments(
+        ComponentTriple(*means), ComponentTriple(*variances), count,
+        Fraction(worst, den), max(1, Fraction(top, den)),
+    )
+
+
+def _float_moments(problem: Problem, table: Optional[dict]) -> SpaceMoments:
+    """space_moments in float mode, from the four columns of space_rows."""
     columns = ([], [], [], [])
+    res = _Residual()
     for mapping, row in space_rows(problem):
         for col, value in zip(columns, row):
             col.append(value)
+        c1, c2, c3, f = row
+        res.add(c1 + c2 + c3, f)
         if table is not None:
             table[mapping] = row
-    return columns
+    means, variances = zip(*map(moments, columns))
+    return SpaceMoments(
+        ComponentTriple(*means), ComponentTriple(*variances), len(columns[3]),
+        res.max, res.scale,
+    )
 
 
 def enumerate_space(

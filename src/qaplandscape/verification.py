@@ -49,11 +49,11 @@ from .decomposition import (
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     _neighborhood_mean,
+    _Residual,
     evaluate_points,
     lexicographic_point,
-    moments,
     neighbor_rows,
-    space_columns,
+    space_moments,
 )
 
 # Random permutations drawn beyond the enumeration cap; a space of at most
@@ -73,28 +73,14 @@ class ClaimResult:
     detail: str = ""
 
 
-class _Residual:
-    """Tracks the worst absolute deviation and the magnitude scale seen,
-    starting from the given scale."""
-
-    def __init__(self, scale: Scalar = 1) -> None:
-        self.max: Scalar = 0
-        self.scale: Scalar = scale
-
-    def add(self, got: Scalar, want: Scalar) -> None:
-        diff = abs(got - want)
-        if diff > self.max or diff != diff:  # a NaN compares false; keep it
-            self.max = diff
-        for v in (got, want):
-            a = abs(v)
-            if a > self.scale:
-                self.scale = a
-
-    def result(self, name: str, exact: bool, detail: str = "") -> ClaimResult:
-        passed = passes(self.max, self.scale, exact)
-        return ClaimResult(
-            name, self.max, tolerance(self.scale, exact), passed, detail=detail
-        )
+def _claim(name: str, residual: Scalar, scale: Scalar, exact: bool,
+           detail: str) -> ClaimResult:
+    """A claim's result from its worst residual and the magnitude scale of
+    the values it compared."""
+    return ClaimResult(
+        name, residual, tolerance(scale, exact), passes(residual, scale, exact),
+        detail=detail,
+    )
 
 
 def _skipped(name: str, why: str) -> ClaimResult:
@@ -121,20 +107,21 @@ def run_verification(
     # Whole-space values come from one streamed pass in Heap's order; the
     # wave claims read them back from a table for n <= 6.
     wave_exhaustive = whole_space and n <= 6
+    # Components must add up to the objective at every point: the streamed
+    # pass checks it on the whole space, alongside the moments.
     table = {}
     if whole_space:
-        columns = space_columns(problem, table if wave_exhaustive else None)
-        base_detail = f"all {len(columns[3])} permutations"
+        space = space_moments(problem, table if wave_exhaustive else None)
+        base_detail = f"all {space.count} permutations"
+        residual, scale = space.residual, space.scale
     else:
         points = [Permutation.random(n, rng) for _ in range(SAMPLE_SIZE)]
-        columns = evaluate_points(problem, points)
+        res = _Residual()
+        for c1, c2, c3, f in zip(*evaluate_points(problem, points)):
+            res.add(c1 + c2 + c3, f)
         base_detail = f"{len(points)} sampled permutations"
-
-    # Components must add up to the objective at every point.
-    res = _Residual()
-    for c1, c2, c3, f in zip(*columns):
-        res.add(c1 + c2 + c3, f)
-    results.append(res.result("decomposition_sum", exact, base_detail))
+        residual, scale = res.max, res.scale
+    results.append(_claim("decomposition_sum", residual, scale, exact, base_detail))
 
     # Wave equation per component and for the composite objective. Each
     # neighborhood is listed once: (c1, c2, c3, f) at each neighbor comes
@@ -167,24 +154,27 @@ def run_verification(
     names = ("wave_component_1", "wave_component_2", "wave_component_3",
              "neighborhood_average")
     for name, res in zip(names, wave):
-        results.append(res.result(name, exact, wave_detail))
+        results.append(_claim(name, res.max, res.scale, exact, wave_detail))
 
     # Closed-form means and variance additivity need the full space.
     if exhaustive:
-        (mean1, var1), (mean2, var2), (mean3, var3), (_, var_f) = map(moments, columns)
-        for m, mean, closed_mean in zip((1, 2, 3), (mean1, mean2, mean3), averages):
+        var1, var2, var3, var_f = space.variances
+        for m, mean, closed_mean in zip((1, 2, 3), space.means, averages):
             res = _Residual()
             res.add(mean, closed_mean)
-            results.append(res.result(f"closed_form_mean_{m}", exact, base_detail))
+            results.append(_claim(f"closed_form_mean_{m}", res.max, res.scale,
+                                  exact, base_detail))
         # Scaled by Var(f): a component's variance may be tiny beside it.
         closed = component_variances(problem)
         for m, var in zip((1, 2, 3), (var1, var2, var3)):
             res = _Residual(scale=max(1, abs(var_f)))
             res.add(var, closed[m - 1])
-            results.append(res.result(f"closed_form_variance_{m}", exact, base_detail))
+            results.append(_claim(f"closed_form_variance_{m}", res.max, res.scale,
+                                  exact, base_detail))
         res = _Residual()
         res.add(var1 + var2 + var3, var_f)
-        results.append(res.result("variance_orthogonality", exact, base_detail))
+        results.append(_claim("variance_orthogonality", res.max, res.scale,
+                              exact, base_detail))
     else:
         why = f"n={n} beyond enumeration cap {cap}"
         for claim in ("closed_form_mean", "closed_form_variance"):
@@ -208,8 +198,7 @@ def run_verification(
         for x in xs:
             for fast, ref in zip(decompose(problem, x)[:3], decompose(tensor, x)[:3]):
                 res.add(fast, ref)
-        results.append(
-            res.result("fast_vs_reference", exact, f"{len(xs)} permutations, all components")
-        )
+        results.append(_claim("fast_vs_reference", res.max, res.scale, exact,
+                              f"{len(xs)} permutations, all components"))
 
     return results

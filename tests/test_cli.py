@@ -552,6 +552,37 @@ class TestHelp:
         assert "also seeds verify's sampling" in text
 
 
+class TestParserReuse:
+    """One parser serves every run_cli call of a process; each call must
+    print what it prints with a parser of its own."""
+
+    SEQUENCE = [
+        ["decompose", "--n", "5", "--perm", "4,0,3,1,2"],
+        ["stats", "--n", "5"],
+        ["autocorr", "--n", "5", "--steps", "2000", "--max-lag", "2"],
+        ["autocorr", "--n", "5", "--steps", "2000"],
+        ["autocorr", "--n", "5", "--steps", "50", "--format", "csv"],
+        ["stats", "--n", "6", "--cap", "5", "--format", "json"],
+        ["stats", "--n", "6", "--format", "json"],
+        ["verify", "--n", "5", "--cap", "0", "--mode", "float"],
+        ["verify", "--n", "5"],
+        ["decompose", "--n", "5"],
+        ["avg", "--gen", "5,2,0,9", "--perm", "4,0,3,1,2", "--flow-first"],
+        ["avg", "--gen", "5,2,0,9", "--perm", "4,0,3,1,2"],
+    ]
+
+    def test_shared_parser_prints_what_fresh_ones_print(self, capsys):
+        fresh = []
+        for argv in self.SEQUENCE:
+            cli.build_parser.cache_clear()
+            fresh.append(run(capsys, *argv))
+        cli.build_parser.cache_clear()
+        shared = [run(capsys, *argv) for argv in self.SEQUENCE]
+        assert cli.build_parser.cache_info().misses == 1
+        assert shared == fresh
+        assert [code for code, _, _ in shared] == [0] * 9 + [1, 0, 0]
+
+
 class TestModuleEntryPoints:
     """`python -m qaplandscape` and `python -m qaplandscape.cli` run the CLI
     from a source checkout, exit codes included."""

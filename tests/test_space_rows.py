@@ -31,9 +31,8 @@ from qaplandscape.oracle import (
     evaluate_points,
     heap_swaps,
     lexicographic_point,
-    moments,
     neighbor_rows,
-    space_columns,
+    space_moments,
     space_points,
     space_rows,
 )
@@ -130,7 +129,7 @@ def test_streamed_rows_equal_evaluate_points(n, kind):
 
 def test_streamed_moments_equal_variance_triple_at_n8():
     inst = seeded_instance(8, 3, -5, 9)
-    variances = tuple(moments(col)[1] for col in space_columns(inst))
+    variances = space_moments(inst).variances
     assert variances == variance_triple(inst)
     assert all(isinstance(v, Fraction) for v in variances)
 
