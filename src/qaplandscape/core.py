@@ -13,7 +13,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from typing import Iterator, Sequence, Union
+from itertools import chain
+from operator import sub
+from typing import Iterable, Iterator, Sequence, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -43,12 +45,20 @@ def passes(residual: Scalar, scale: Scalar, exact: bool) -> bool:
 
 def fsum(values) -> float:
     """math.fsum, or NaN where it raises: on infinities of both signs, or on
-    an intermediate overflow. The one summation rule of every float sum over
-    a sample: correctly rounded, so independent of order and interpreter."""
+    an intermediate overflow. Correctly rounded, so independent of order and
+    interpreter; sum_of forms every float sum with it."""
     try:
         return math.fsum(values)
     except (ValueError, OverflowError):
         return math.nan
+
+
+def sum_of(values: Iterable[Scalar], exact: bool) -> Scalar:
+    """The one reduction rule of every sum in the library: the builtin sum
+    in exact mode, which is exact for int and Fraction, and fsum in float
+    mode. Neither depends on the order of the terms or on the interpreter
+    (the builtin float sum is compensated from Python 3.12 on)."""
+    return sum(values) if exact else fsum(values)
 
 
 def neighborhood_size(n: int) -> int:
@@ -164,12 +174,14 @@ class QapInstance:
 
     No symmetry or zero diagonal is assumed. Instances whose entries are all
     int or Fraction run in exact rational mode; any float entry switches the
-    whole instance to float mode. Row/column marginals are precomputed for
-    the O(n^2) component evaluators.
+    whole instance to float mode. Precomputed once for the O(n^2) kernels:
+    r flattened row by row (_r_flat), its transpose flattened the same way
+    (_rt_flat), the diagonals of r and w, and the off-diagonal row/column
+    marginals of both.
     """
 
     __slots__ = (
-        "n", "r", "w", "exact",
+        "n", "r", "w", "exact", "_r_flat", "_rt_flat", "_r_diag", "_w_diag",
         "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
         "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
     )
@@ -193,18 +205,22 @@ class QapInstance:
         self.w = wt
         self.exact = exact
 
-        row_r = [sum(row) for row in rt]
-        col_r = [sum(col) for col in zip(*rt)]
-        row_w = [sum(row) for row in wt]
-        col_w = [sum(col) for col in zip(*wt)]
-        self._row_off_r = tuple(row_r[i] - rt[i][i] for i in range(n))
-        self._col_off_r = tuple(col_r[j] - rt[j][j] for j in range(n))
-        self._row_off_w = tuple(row_w[p] - wt[p][p] for p in range(n))
-        self._col_off_w = tuple(col_w[q] - wt[q][q] for q in range(n))
-        self._r_diag_sum = sum(rt[i][i] for i in range(n))
-        self._w_diag_sum = sum(wt[p][p] for p in range(n))
-        self._off_total_r = sum(row_r) - self._r_diag_sum
-        self._off_total_w = sum(row_w) - self._w_diag_sum
+        self._r_flat = tuple(chain.from_iterable(rt))
+        self._rt_flat = tuple(chain.from_iterable(zip(*rt)))
+        self._r_diag = r_diag = tuple(rt[i][i] for i in range(n))
+        self._w_diag = w_diag = tuple(wt[p][p] for p in range(n))
+        row_r = [sum_of(row, exact) for row in rt]
+        col_r = [sum_of(col, exact) for col in zip(*rt)]
+        row_w = [sum_of(row, exact) for row in wt]
+        col_w = [sum_of(col, exact) for col in zip(*wt)]
+        self._row_off_r = tuple(map(sub, row_r, r_diag))
+        self._col_off_r = tuple(map(sub, col_r, r_diag))
+        self._row_off_w = tuple(map(sub, row_w, w_diag))
+        self._col_off_w = tuple(map(sub, col_w, w_diag))
+        self._r_diag_sum = sum_of(r_diag, exact)
+        self._w_diag_sum = sum_of(w_diag, exact)
+        self._off_total_r = sum_of(row_r, exact) - self._r_diag_sum
+        self._off_total_w = sum_of(row_w, exact) - self._w_diag_sum
 
     def __eq__(self, other) -> bool:
         return (
@@ -235,12 +251,14 @@ class QapInstance:
         if x.n != self.n:
             raise ValueError(f"permutation size {x.n} != instance size {self.n}")
         xm = x.mapping
-        w = self.w
-        total = 0
-        for ri, xi in zip(self.r, xm):
-            wrow = w[xi]
-            total += sum(a * wrow[b] for a, b in zip(ri, xm))
-        return total
+        return sum_of(
+            (
+                a * wrow[b]
+                for ri, wrow in zip(self.r, map(self.w.__getitem__, xm))
+                for a, b in zip(ri, xm)
+            ),
+            self.exact,
+        )
 
     def swap_delta(self, mapping: Sequence[int], u: int, v: int) -> Scalar:
         """fitness(x.swap(u, v)) - fitness(x) for the permutation x with this
@@ -368,19 +386,20 @@ class GeneralTensor:
     def coefficient_sums(self):
         """(sum of psi over i != j and p != q, sum of psi[i][i][p][p])."""
         if self._sums is None:
-            n = self.n
-            diag = sum(
-                self.psi[i][i][p][p] for i in range(n) for p in range(n)
+            psi, exact = self.psi, self.exact
+            diag = sum_of(
+                (psi[i][i][p][p] for i in range(self.n) for p in range(self.n)),
+                exact,
             )
-            off = 0
-            for i in range(n):
-                block = self.psi[i]
-                for j in range(n):
-                    if j == i:
-                        continue
-                    plane = block[j]
-                    for p in range(n):
-                        row = plane[p]
-                        off += sum(row[q] for q in range(n) if q != p)
+            off = sum_of(
+                (
+                    v
+                    for i, block in enumerate(psi)
+                    for j, plane in enumerate(block) if j != i
+                    for p, row in enumerate(plane)
+                    for q, v in enumerate(row) if q != p
+                ),
+                exact,
+            )
             self._sums = (off, diag)
         return self._sums

@@ -26,7 +26,8 @@ All functions are pure; callers may parallelize across permutations.
 from __future__ import annotations
 
 from functools import cache
-from operator import mul
+from itertools import chain
+from operator import itemgetter, mul
 from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 from .core import (
@@ -36,6 +37,7 @@ from .core import (
     Scalar,
     div,
     neighborhood_size,
+    sum_of,
 )
 
 Problem = Union[QapInstance, GeneralTensor]
@@ -187,7 +189,7 @@ def _tensor_case_totals(tensor: GeneralTensor, x: Permutation):
                         se += v
                     else:
                         sz += v
-    diag = sum(psi[i][i][xm[i]][xm[i]] for i in range(n))
+    diag = sum_of((psi[i][i][xm[i]][xm[i]] for i in range(n)), tensor.exact)
     return sa, sb, sg, se, sz, diag
 
 
@@ -200,33 +202,29 @@ def _raw_sums(inst: QapInstance, mapping):
     w_{x(i)x(i)}; p1, p2, q1 and q2 pair the off-diagonal row and column
     sums of r with those of w at the images: row with row, column with
     column, row with column and column with row.
-    """
-    n = inst.n
-    r = inst.r
-    w = inst.w
-    wx = [w[v] for v in mapping]
-    f_same = 0
-    f_swapped = 0
-    diag = 0
-    for i in range(n):
-        ri = r[i]
-        xi = mapping[i]
-        wxi = wx[i]
-        perm_row = [wxi[v] for v in mapping]
-        perm_col = [wx[j][xi] for j in range(n)]
-        f_same += sum(map(mul, ri, perm_row))
-        f_swapped += sum(map(mul, ri, perm_col))
-        diag += ri[i] * wxi[xi]
 
-    row_off_r = inst._row_off_r
-    col_off_r = inst._col_off_r
-    row_off_wx = [inst._row_off_w[v] for v in mapping]
-    col_off_wx = [inst._col_off_w[v] for v in mapping]
-    p1 = sum(map(mul, row_off_r, row_off_wx))
-    p2 = sum(map(mul, col_off_r, col_off_wx))
-    q1 = sum(map(mul, row_off_r, col_off_wx))
-    q2 = sum(map(mul, col_off_r, row_off_wx))
-    return f_same, f_swapped, diag, p1, p2, q1, q2
+    Every sum is a dot product with the instance's cached flat rows: w is
+    gathered once at the mapping into its n^2 entries w_{x(i)x(j)}, row by
+    row, and dotted with the flat r (_r_flat) for f_same and with the flat
+    transpose of r (_rt_flat) for f_swapped; the diagonal and the four
+    marginal pairings gather the cached diagonal and marginals of w the
+    same way.
+    """
+    exact = inst.exact
+    # n >= MIN_SIZE, so the itemgetter of the mapping returns a tuple.
+    gather = itemgetter(*mapping)
+    permuted = tuple(chain.from_iterable(map(gather, gather(inst.w))))
+    row_off_r, col_off_r = inst._row_off_r, inst._col_off_r
+    row_off_wx, col_off_wx = gather(inst._row_off_w), gather(inst._col_off_w)
+    return (
+        sum_of(map(mul, inst._r_flat, permuted), exact),
+        sum_of(map(mul, inst._rt_flat, permuted), exact),
+        sum_of(map(mul, inst._r_diag, gather(inst._w_diag)), exact),
+        sum_of(map(mul, row_off_r, row_off_wx), exact),
+        sum_of(map(mul, col_off_r, col_off_wx), exact),
+        sum_of(map(mul, row_off_r, col_off_wx), exact),
+        sum_of(map(mul, col_off_r, row_off_wx), exact),
+    )
 
 
 def _swap_sum_deltas(inst: QapInstance, mapping, u: int, v: int):
@@ -464,25 +462,25 @@ def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
 # whose diagonal is ignored, onto its (n-2,1,1) and (n-2,2) isotypic parts,
 # scaled so that integer entries stay integers.
 
-def _project_211(m, n: int):
+def _project_211(m, n: int, exact: bool):
     """2n times: the antisymmetric part a minus (R_i - R_j)/n, where R holds
     the row sums of a."""
     rng = range(n)
     anti = [[m[i][j] - m[j][i] if j != i else 0 for j in rng] for i in rng]
-    rows = [sum(row) for row in anti]
+    rows = [sum_of(row, exact) for row in anti]
     return [
         [n * anti[i][j] - rows[i] + rows[j] if j != i else 0 for j in rng]
         for i in rng
     ]
 
 
-def _project_22(m, n: int):
+def _project_22(m, n: int, exact: bool):
     """4(n-1)(n-2) times: the symmetric part s minus v_i + v_j, where
     v_i = (S_i - V)/(n-2), S holds the row sums of s and V = sum S/(2(n-1))."""
     rng = range(n)
     sym = [[m[i][j] + m[j][i] if j != i else 0 for j in rng] for i in rng]
-    rows = [sum(row) for row in sym]
-    total = sum(rows)
+    rows = [sum_of(row, exact) for row in sym]
+    total = sum_of(rows, exact)
     v = [2 * (n - 1) * s - total for s in rows]
     c = 2 * (n - 1) * (n - 2)
     return [
@@ -491,8 +489,8 @@ def _project_22(m, n: int):
     ]
 
 
-def _sum_sq(m) -> Scalar:
-    return sum(v * v for row in m for v in row)
+def _sum_sq(m, exact: bool) -> Scalar:
+    return sum_of((v * v for row in m for v in row), exact)
 
 
 def _schur_variance(norm_sq: Scalar, scale: int, m: int, n: int,
@@ -509,9 +507,9 @@ def _schur_variance(norm_sq: Scalar, scale: int, m: int, n: int,
 def _first_order_variance(b, n: int, exact: bool) -> Scalar:
     """Variance of c3(x) = sum_i b[i][x(i)] / (n(n-2)) plus a constant:
     the squared norm of the double-centred b over n-1, scaled back."""
-    rows = [sum(row) for row in b]
-    cols = [sum(col) for col in zip(*b)]
-    total = sum(rows)
+    rows = [sum_of(row, exact) for row in b]
+    cols = [sum_of(col, exact) for col in zip(*b)]
+    total = sum_of(rows, exact)
     nn = n * n
     # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
     centred = (
@@ -519,7 +517,7 @@ def _first_order_variance(b, n: int, exact: bool) -> Scalar:
         for i in range(n)
         for p in range(n)
     )
-    sq = sum(v * v for v in centred)
+    sq = sum_of((v * v for v in centred), exact)
     consts = KIND_CONSTANTS[3](n)
     return div(sq, nn * nn * consts.den * consts.den * consts.dim, exact)
 
@@ -541,7 +539,7 @@ def _c3_coefficients(t1, t2, t3, t4, diag, n: int):
 
 
 def _qap_variances(inst: QapInstance):
-    n = inst.n
+    n, exact = inst.n, inst.exact
     r, w = inst.r, inst.w
     ro_r, co_r = inst._row_off_r, inst._col_off_r
     ro_w, co_w = inst._row_off_w, inst._col_off_w
@@ -554,13 +552,15 @@ def _qap_variances(inst: QapInstance):
         [[r[i][i] * w[p][p] for p in rng] for i in rng],
         n,
     )
-    n211 = _sum_sq(_project_211(r, n)) * _sum_sq(_project_211(w, n))
-    n22 = _sum_sq(_project_22(r, n)) * _sum_sq(_project_22(w, n))
+    n211 = _sum_sq(_project_211(r, n, exact), exact) \
+        * _sum_sq(_project_211(w, n, exact), exact)
+    n22 = _sum_sq(_project_22(r, n, exact), exact) \
+        * _sum_sq(_project_22(w, n, exact), exact)
     return n211, n22, b
 
 
 def _tensor_variances(tensor: GeneralTensor):
-    n = tensor.n
+    n, exact = tensor.n, tensor.exact
     psi = tensor.psi
     rng = range(n)
     t1, t2, t3, t4 = ([[0] * n for _ in rng] for _ in range(4))
@@ -572,8 +572,8 @@ def _tensor_variances(tensor: GeneralTensor):
             if q == p:
                 continue
             col = [[psi[i][j][p][q] for j in rng] for i in rng]
-            left211[p, q] = _project_211(col, n)
-            left22[p, q] = _project_22(col, n)
+            left211[p, q] = _project_211(col, n, exact)
+            left22[p, q] = _project_22(col, n, exact)
             for i in rng:
                 for j in rng:
                     if j != i:
@@ -589,8 +589,8 @@ def _tensor_variances(tensor: GeneralTensor):
                 continue
             row211 = [[left211[p, q][i][j] if q != p else 0 for q in rng] for p in rng]
             row22 = [[left22[p, q][i][j] if q != p else 0 for q in rng] for p in rng]
-            n211 += _sum_sq(_project_211(row211, n))
-            n22 += _sum_sq(_project_22(row22, n))
+            n211 += _sum_sq(_project_211(row211, n, exact), exact)
+            n22 += _sum_sq(_project_22(row22, n, exact), exact)
     diag = [[psi[i][i][p][p] for p in rng] for i in rng]
     return n211, n22, _c3_coefficients(t1, t2, t3, t4, diag, n)
 

@@ -45,6 +45,7 @@ from .core import (
     fsum,
     neighborhood_size,
     passes,
+    sum_of,
 )
 from .decomposition import (
     KIND_CONSTANTS,
@@ -427,11 +428,12 @@ def check_elementary(
     else:
         # Least squares on centred values, whose squares stay positive
         # where float raw moments can cancel.
-        mean = div(sum(values), count, exact)
-        mean_avg = div(sum(averages), count, exact)
+        mean = div(sum_of(values, exact), count, exact)
+        mean_avg = div(sum_of(averages, exact), count, exact)
         dev = [v - mean for v in values]
         dev_avg = [g - mean_avg for g in averages]
-        a = div(sum(map(mul, dev, dev_avg)), sum(map(mul, dev, dev)), exact)
+        a = div(sum_of(map(mul, dev, dev_avg), exact),
+                sum_of(map(mul, dev, dev), exact), exact)
         b = mean_avg - a * mean
 
     max_residual = 0

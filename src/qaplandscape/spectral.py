@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
-from .core import Permutation, Scalar, div, fsum, neighborhood_size
+from .core import Permutation, Scalar, div, fsum, neighborhood_size, sum_of
 from .decomposition import KIND_CONSTANTS, Problem, component_variances
 
 
@@ -174,14 +174,16 @@ def decay_rates(n: int, exact: bool = True) -> Tuple[Scalar, Scalar, Scalar]:
 def _predicted_autocorr(weights, n: int, exact: bool, max_lag: int) -> List[Scalar]:
     lams = decay_rates(n, exact=exact)
     return [
-        sum(wv * lam**s for wv, lam in zip(weights, lams))
+        sum_of((wv * lam**s for wv, lam in zip(weights, lams)), exact)
         for s in range(max_lag + 1)
     ]
 
 
 def _coefficient(weights, n: int, exact: bool) -> CoefficientBounds:
     d = neighborhood_size(n)
-    rate = sum(div(wv * k, d, exact) for wv, k in zip(weights, _wave_constants(n)))
+    rate = sum_of(
+        (div(wv * k, d, exact) for wv, k in zip(weights, _wave_constants(n))), exact
+    )
     return CoefficientBounds(1 / rate, div(n - 1, 4, exact), div(n - 1, 2, exact))
 
 

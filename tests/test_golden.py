@@ -8,15 +8,19 @@ is meant to change), run from the repository root:
     PYTHONPATH=src python tests/test_golden.py
 """
 
+import builtins
 import contextlib
 import io
 import json
+import math
 import random
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import qaplandscape
 from qaplandscape.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -90,6 +94,49 @@ def test_golden_output(name, argv, instance_path, exit_codes):
     code, out = run_case(argv, instance_path)
     assert code == exit_codes[name]
     assert out == (GOLDEN / f"{name}.txt").read_text()
+
+
+def compensated_sum(iterable, /, start=0):
+    """The builtin sum as Python 3.12 and later form it: int and Fraction
+    terms add exactly, floats with Neumaier's compensation, and the
+    compensation is added at the end where it is finite."""
+    items = list(iterable)
+    if all(isinstance(v, (int, Fraction)) for v in [start, *items]):
+        return builtins.sum(items, start)
+    result, c = float(start), 0.0
+    for v in items:
+        x = float(v)
+        t = result + x
+        if abs(result) >= abs(x):
+            c += (result - t) + x
+        else:
+            c += (x - t) + result
+        result = t
+    if c and math.isfinite(c):
+        result += c
+    return result
+
+
+def test_compensated_sum_differs_from_the_plain_sum():
+    values = [0.1] * 10
+    assert builtins.sum(values) != 1.0
+    assert compensated_sum(values) == 1.0
+    assert compensated_sum([1, Fraction(1, 3)]) == Fraction(4, 3)
+
+
+def test_goldens_hold_under_compensated_sum(instance_path, exit_codes, monkeypatch):
+    """Every golden replays byte for byte when each library module's sum is
+    the compensated one of Python 3.12 and later: no output depends on how
+    the interpreter sums floats."""
+    modules = [m for name, m in sys.modules.items()
+               if name == "qaplandscape" or name.startswith("qaplandscape.")]
+    assert qaplandscape.core in modules and qaplandscape.decomposition in modules
+    for module in modules:
+        monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
+    for name, argv in CASES:
+        code, out = run_case(argv, instance_path)
+        assert code == exit_codes[name], name
+        assert out == (GOLDEN / f"{name}.txt").read_text(), name
 
 
 def _record() -> None:
