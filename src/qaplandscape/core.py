@@ -13,9 +13,9 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain
-from operator import sub
-from typing import Iterable, Iterator, Sequence, Union
+from itertools import chain, repeat
+from operator import mul, sub
+from typing import Iterable, Iterator, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -81,21 +81,62 @@ def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
         raise ValueError("swap positions must differ")
 
 
-def _entries_are_exact(rows) -> bool:
-    """True when every entry is int or Fraction, False when some are floats.
+def _entry_types(rows) -> set:
+    """The set of entry types, each int, Fraction or float (or a subclass).
 
     Anything else, a bool included, and any NaN or infinity, is refused.
+    The common cases are settled at C speed: the set of types first, then,
+    for all-float entries, one finiteness pass.
     """
-    exact = True
+    rows = tuple(rows)
+    types = set(map(type, chain.from_iterable(rows)))
+    if types == {int}:
+        return types
+    if types == {float} and all(map(math.isfinite, chain.from_iterable(rows))):
+        return types
     for row in rows:
         for v in row:
             if isinstance(v, float):
                 if not math.isfinite(v):
                     raise ValueError(f"matrix entries must be finite, got {v!r}")
-                exact = False
             elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"matrix entries must be numbers, got {v!r}")
-    return exact
+    return types
+
+
+def _entries_are_exact(rows) -> bool:
+    """True when every entry is int or Fraction, False when some are floats;
+    anything else is refused (_entry_types)."""
+    return not any(issubclass(t, float) for t in _entry_types(rows))
+
+
+def _integer_values(values, types=None) -> Tuple[Sequence[int], int]:
+    """A sequence of int, Fraction or finite float values as integers over
+    one common denominator, and that denominator d: each value times d,
+    exactly. Plain ints come back as they are, with d = 1. types is the set
+    of value types, when known.
+
+    Values are scaled through their as_integer_ratio. Floats take the power
+    of two that makes the smallest nonzero magnitude, and hence every value,
+    an integer, and are scaled by it in float arithmetic, which is exact for
+    a power of two short of overflow.
+    """
+    if types is None:
+        types = set(map(type, values))
+    if types == {int}:
+        return values, 1
+    if types == {float}:
+        if all(map(float.is_integer, values)):
+            return list(map(math.trunc, values)), 1
+        shift = 53 - math.frexp(min(map(abs, filter(None, values))))[1]
+        try:
+            scaled = map(mul, values, repeat(2.0 ** shift))
+            return list(map(math.trunc, scaled)), 1 << shift
+        except OverflowError:  # the values span beyond the float range
+            pass
+    ratios = [v.as_integer_ratio() for v in values]
+    d = math.lcm(*{den for _, den in ratios})
+    return [num * (d // den) for num, den in ratios], d
 
 
 class Permutation:
@@ -176,14 +217,15 @@ class QapInstance:
     int or Fraction run in exact rational mode; any float entry switches the
     whole instance to float mode. Precomputed once for the O(n^2) kernels:
     r flattened row by row (_r_flat), its transpose flattened the same way
-    (_rt_flat), the diagonals of r and w, and the off-diagonal row/column
-    marginals of both.
+    (_rt_flat), the diagonals of r and w, the off-diagonal row/column
+    marginals of both, and the set of entry types of each (_types).
     """
 
     __slots__ = (
         "n", "r", "w", "exact", "_r_flat", "_rt_flat", "_r_diag", "_w_diag",
         "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
         "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
+        "_types",
     )
 
     def __init__(self, r, w) -> None:
@@ -196,14 +238,17 @@ class QapInstance:
             raise ValueError("distance matrix is not square")
         if len(wt) != n or any(len(row) != n for row in wt):
             raise ValueError(f"flow matrix is not {n} x {n}")
-        exact = _entries_are_exact(rt) & _entries_are_exact(wt)
+        types = (_entry_types(rt), _entry_types(wt))
+        exact = not any(issubclass(t, float) for t in types[0] | types[1])
         if not exact:
-            rt = tuple(tuple(float(v) for v in row) for row in rt)
-            wt = tuple(tuple(float(v) for v in row) for row in wt)
+            rt = tuple(tuple(map(float, row)) for row in rt)
+            wt = tuple(tuple(map(float, row)) for row in wt)
+            types = ({float}, {float})
         self.n = n
         self.r = rt
         self.w = wt
         self.exact = exact
+        self._types = types
 
         self._r_flat = tuple(chain.from_iterable(rt))
         self._rt_flat = tuple(chain.from_iterable(zip(*rt)))

@@ -25,9 +25,11 @@ All functions are pure; callers may parallelize across permutations.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
 from functools import cache
 from itertools import chain
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul, sub
 from typing import Callable, Dict, NamedTuple, Tuple, Union
 
 from .core import (
@@ -35,6 +37,7 @@ from .core import (
     Permutation,
     QapInstance,
     Scalar,
+    _integer_values,
     div,
     neighborhood_size,
     sum_of,
@@ -458,9 +461,11 @@ def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
     return _wave_means(problem, x, average_triple(problem)).total
 
 
-# Projections of a function on ordered pairs i != j, given as an n x n array
-# whose diagonal is ignored, onto its (n-2,1,1) and (n-2,2) isotypic parts,
-# scaled so that integer entries stay integers.
+# The variances of a GeneralTensor: projections of a function on ordered
+# pairs i != j, given as an n x n array whose diagonal is ignored, onto its
+# (n-2,1,1) and (n-2,2) isotypic parts, scaled so that integer entries stay
+# integers, applied to both sides of the coefficients in O(n^4). They are
+# the independent oracle for the instance kernel below.
 
 def _project_211(m, n: int, exact: bool):
     """2n times: the antisymmetric part a minus (R_i - R_j)/n, where R holds
@@ -538,27 +543,6 @@ def _c3_coefficients(t1, t2, t3, t4, diag, n: int):
     ]
 
 
-def _qap_variances(inst: QapInstance):
-    n, exact = inst.n, inst.exact
-    r, w = inst.r, inst.w
-    ro_r, co_r = inst._row_off_r, inst._col_off_r
-    ro_w, co_w = inst._row_off_w, inst._col_off_w
-    rng = range(n)
-    b = _c3_coefficients(
-        [[a * e for e in ro_w] for a in ro_r],
-        [[a * e for e in co_w] for a in co_r],
-        [[a * e for e in co_w] for a in ro_r],
-        [[a * e for e in ro_w] for a in co_r],
-        [[r[i][i] * w[p][p] for p in rng] for i in rng],
-        n,
-    )
-    n211 = _sum_sq(_project_211(r, n, exact), exact) \
-        * _sum_sq(_project_211(w, n, exact), exact)
-    n22 = _sum_sq(_project_22(r, n, exact), exact) \
-        * _sum_sq(_project_22(w, n, exact), exact)
-    return n211, n22, b
-
-
 def _tensor_variances(tensor: GeneralTensor):
     n, exact = tensor.n, tensor.exact
     psi = tensor.psi
@@ -595,9 +579,106 @@ def _tensor_variances(tensor: GeneralTensor):
     return n211, n22, _c3_coefficients(t1, t2, t3, t4, diag, n)
 
 
+def _dot(a, b) -> int:
+    """Sum of the products of paired integers, exactly."""
+    return sum(map(mul, a, b))
+
+
+def _integer_matrix(flat, types, n: int, diag, rho, kappa):
+    """One matrix of an instance, flattened row by row, as integers, with
+    its diagonal, its off-diagonal row and column sums and the factor d that
+    scales it. Int entries are their own integer view, with the cached
+    marginals; others are scaled by core._integer_values."""
+    ints, d = _integer_values(flat, types)
+    if ints is not flat:
+        diag = ints[::n + 1]
+        rho = [sum(ints[k:k + n]) - x for k, x in zip(range(0, n * n, n), diag)]
+        kappa = [sum(ints[j::n]) - x for j, x in enumerate(diag)]
+    return ints, diag, rho, kappa, d
+
+
+def _pair_terms(flat, diag, rho, kappa, n: int):
+    """For one integer matrix m, flattened row by row, with off-diagonal row
+    and column sums rho and kappa: |2n Pi_211 m|^2, |4(n-1)(n-2) Pi_22 m|^2
+    and the Gram matrix of its centred first-order vectors
+    (n rho - sum rho, n kappa - sum kappa, n diag - sum diag). The only
+    O(n^2) work is two dot products over the entries, A = sum m_ij^2 and
+    B = sum m_ij m_ji, both over i != j; B is twice its sum over i < j, each
+    row right of the diagonal against the column below it."""
+    a = _dot(flat, flat) - _dot(diag, diag)
+    b = 2 * sum(_dot(flat[k + 1:k + n - i], flat[k + n::n])
+                for i, k in enumerate(range(0, n * n, n + 1)))
+    diff = list(map(sub, rho, kappa))
+    n211 = 2 * n * n * (a - b) - 2 * n * _dot(diff, diff)
+    s = list(map(add, rho, kappa))
+    total = sum(s)
+    v = [2 * (n - 1) * x - total for x in s]
+    sv = sum(v)
+    c = 2 * (n - 1) * (n - 2)
+    n22 = (2 * c * c * (a + b) - 4 * c * _dot(v, s)
+           + (2 * n - 4) * _dot(v, v) + 2 * sv * sv)
+    p, q, e = ([n * x - t for x in u] for u, t in
+               ((u, sum(u)) for u in (rho, kappa, diag)))
+    pq, pe, qe = _dot(p, q), _dot(p, e), _dot(q, e)
+    gram = ((_dot(p, p), pq, pe), (pq, _dot(q, q), qe), (pe, qe, _dot(e, e)))
+    return n211, n22, gram
+
+
+def _rounded(num: int, den: int) -> float:
+    """The float nearest num / den: int / int true division rounds
+    correctly. A variance, never negative, beyond the float range reads
+    +inf."""
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf
+
+
+def _instance_variances(inst: QapInstance) -> ComponentTriple:
+    """component_variances of a QapInstance, in integers: two dot products
+    per matrix over its entries, the rest O(n) algebra on the marginals.
+
+    With A and B as in _pair_terms, and S = rho + kappa,
+    v_i = 2(n-1) S_i - sum S and c = 2(n-1)(n-2):
+      |2n Pi_211 m|^2 = 2n^2 (A - B) - 2n sum (rho_i - kappa_i)^2,
+      |4(n-1)(n-2) Pi_22 m|^2
+          = 2c^2 (A + B) - 4c sum v_i S_i + (2n-4) sum v_i^2 + 2 (sum v)^2.
+    n(n-2) times the c3 coefficients are sum_xy M_xy u_x (x) u'_y over the
+    first-order vectors u = (rho, kappa, diag) of r and u' of w, with
+    M = [[n-1, 1, 0], [1, n-1, 0], [0, 0, n(n-2)]]; double centring takes
+    each u_x to n u_x - sum u_x, so
+      n^4 den_3^2 dim_3 Var(c3) = sum M_xy M_x'y' G^r_xx' G^w_yy'
+    over the Gram matrices G of the centred vectors.
+    """
+    n = inst.n
+    types_r, types_w = inst._types
+    *r, dr = _integer_matrix(inst._r_flat, types_r, n, inst._r_diag,
+                             inst._row_off_r, inst._col_off_r)
+    *w, dw = _integer_matrix(tuple(chain.from_iterable(inst.w)), types_w, n,
+                             inst._w_diag, inst._row_off_w, inst._col_off_w)
+    nr211, nr22, gr = _pair_terms(*r, n)
+    nw211, nw22, gw = _pair_terms(*w, n)
+    k1, k2, k3 = (KIND_CONSTANTS[m](n) for m in (1, 2, 3))
+    m = ((n - 1, 1, 0), (1, n - 1, 0), (0, 0, k3.den))
+    terms = [(x, y, v) for x, row in enumerate(m) for y, v in enumerate(row) if v]
+    n3 = sum(v * u * gr[x][z] * gw[y][t] for x, y, v in terms for z, t, u in terms)
+    dd = (dr * dw) ** 2
+    # Each variance as (numerator, denominator); c2 vanishes where dim_2 = 0.
+    parts = [
+        (nr211 * nw211, (2 * n) ** 4 * k1.dim * dd),
+        (nr22 * nw22, (4 * (n - 1) * (n - 2)) ** 4 * k2.dim * dd) if k2.dim else (0, 1),
+        (n3, n ** 4 * k3.den ** 2 * k3.dim * dd),
+    ]
+    if inst.exact:
+        return ComponentTriple.of(*(Fraction(*part) for part in parts))
+    (a, x), (b, y), (c, z) = parts
+    parts.append((a * y * z + b * x * z + c * x * y, x * y * z))
+    return ComponentTriple(*(_rounded(*part) for part in parts))
+
+
 def component_variances(problem: Problem) -> ComponentTriple:
     """Population variances of c1, c2, c3 and f over all n! permutations,
-    in closed form: O(n^2) for a QapInstance, O(n^4) for a GeneralTensor.
+    in closed form.
 
     The off-diagonal part of f is a matrix coefficient <r, rho(x) w> of the
     permutation action on ordered pairs (for a tensor, <Psi, rho(x)> with
@@ -607,18 +688,24 @@ def component_variances(problem: Problem) -> ComponentTriple:
     with d_1 = (n-1)(n-2)/2 and d_2 = n(n-3)/2. c3 is first order,
     sum_i A[i][x(i)] plus a constant, and Var(c3) = |double-centred A|^2/(n-1).
     The parts are orthogonal, so the three variances add up to Var(f).
-    Exact in rational mode.
+
+    A QapInstance costs two dot products per matrix over its n^2 entries
+    and O(n) besides (_instance_variances). Its entries are scaled to
+    integers exactly and every step is integer arithmetic, so rational mode
+    returns Fractions and float mode the correctly rounded float of each
+    exact variance, Var(f) included; a variance beyond the float range reads
+    inf. A GeneralTensor costs O(n^4) projections, in the problem's own
+    arithmetic: exact in rational mode.
     """
     if isinstance(problem, QapInstance):
-        n211, n22, b = _qap_variances(problem)
-    elif isinstance(problem, GeneralTensor):
-        n211, n22, b = _tensor_variances(problem)
-    else:
+        return _instance_variances(problem)
+    if not isinstance(problem, GeneralTensor):
         raise TypeError(
             f"expected QapInstance or GeneralTensor, got {type(problem)!r}"
         )
     n = problem.n
     exact = problem.exact
+    n211, n22, b = _tensor_variances(problem)
     v1 = _schur_variance(n211, 2 * n, 1, n, exact)
     v2 = _schur_variance(n22, 4 * (n - 1) * (n - 2), 2, n, exact)
     v3 = _first_order_variance(b, n, exact)

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import chain, permutations
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -41,6 +41,7 @@ from .core import (
     Permutation,
     QapInstance,
     Scalar,
+    _integer_values,
     div,
     fsum,
     neighborhood_size,
@@ -289,25 +290,29 @@ def neighbor_rows(
         yield y, _sums_row(problem, list(map(add, sums, deltas)))
 
 
-def _common_denominator(rows) -> int:
-    return math.lcm(*{v.denominator for row in rows for v in row})
-
-
-def _times(rows, d: int) -> list:
-    """Rows of exact entries times d, as ints; d is a common denominator."""
-    return [[v.numerator * (d // v.denominator) for v in row] for row in rows]
-
-
 def _integer_scaled(problem: Problem) -> Tuple[Problem, int]:
     """An exact problem with integer entries, and the factor d by which it
     scales every value: the common denominator of r times that of w for a
-    QapInstance, that of the coefficients for a GeneralTensor."""
+    QapInstance, that of the coefficients for a GeneralTensor
+    (core._integer_values). A problem with int entries is its own."""
+    n = problem.n
     if isinstance(problem, QapInstance):
-        dr, dw = _common_denominator(problem.r), _common_denominator(problem.w)
-        return QapInstance(_times(problem.r, dr), _times(problem.w, dw)), dr * dw
-    psi = problem.psi
-    d = _common_denominator(row for block in psi for plane in block for row in plane)
-    return GeneralTensor([[_times(plane, d) for plane in block] for block in psi]), d
+        r_flat, w_flat = problem._r_flat, tuple(chain.from_iterable(problem.w))
+        r, dr = _integer_values(r_flat, problem._types[0])
+        w, dw = _integer_values(w_flat, problem._types[1])
+        if r is r_flat and w is w_flat:
+            return problem, 1
+        return QapInstance(_rows(r, n), _rows(w, n)), dr * dw
+    flat = [v for block in problem.psi for plane in block for row in plane for v in row]
+    ints, d = _integer_values(flat)
+    if ints is flat:
+        return problem, 1
+    return GeneralTensor(_rows(_rows(_rows(ints, n), n), n)), d
+
+
+def _rows(values, n: int) -> list:
+    """values grouped n at a time, in order."""
+    return list(zip(*[iter(values)] * n))
 
 
 def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoments:

@@ -12,6 +12,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from itertools import repeat
 
 from .core import MIN_SIZE, QapInstance
 
@@ -113,10 +114,10 @@ def serialize_qaplib(inst: QapInstance) -> str:
 def generate_instance(n: int, seed: int, lo: int, hi: int) -> QapInstance:
     """Seeded instance with uniform integer entries in [lo, hi].
 
-    Entries come from random.Random(seed).randint, filling the distance
-    matrix row by row and then the flow matrix row by row; the stream is
-    platform-independent, so identical arguments always yield the identical
-    instance.
+    Entries come from random.Random(seed).randrange(lo, hi + 1), which is
+    what randint(lo, hi) draws, filling the distance matrix row by row and
+    then the flow matrix row by row; the stream is platform-independent, so
+    identical arguments always yield the identical instance.
     """
     if n < MIN_SIZE:
         raise ValueError(f"instance size must be at least {MIN_SIZE}, got {n}")
@@ -125,6 +126,6 @@ def generate_instance(n: int, seed: int, lo: int, hi: int) -> QapInstance:
     if lo > hi:
         raise ValueError(f"empty entry range [{lo}, {hi}]")
     rng = random.Random(seed)
-    r = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
-    w = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
-    return QapInstance(r, w)
+    draws = map(rng.randrange, repeat(lo, 2 * n * n), repeat(hi + 1))
+    rows = tuple(zip(*[draws] * n))
+    return QapInstance(rows[:n], rows[n:])

@@ -16,7 +16,11 @@ enumeration.
 
 The variances come from decomposition.component_variances, a closed form
 in the instance data, so the weights, r(s) and xi are exact (in rational
-mode) at every n.
+mode) at every n. For a QapInstance it costs two dot products per matrix
+over the n^2 entries and O(n) besides, in integer arithmetic: in float mode
+each variance is the correctly rounded float of the exact one (inf beyond
+the float range), so the weights are the float quotients of correctly
+rounded variances.
 
 The walk costs O(n) per step: it evaluates the objective once and then adds
 each swap's change (`swap_delta`). In float mode the recorded values are
