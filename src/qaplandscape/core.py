@@ -218,14 +218,16 @@ class QapInstance:
     whole instance to float mode. Precomputed once for the O(n^2) kernels:
     r flattened row by row (_r_flat), its transpose flattened the same way
     (_rt_flat), the diagonals of r and w, the off-diagonal row/column
-    marginals of both, and the set of entry types of each (_types).
+    marginals of both, and the set of entry types of each (_types). The
+    entry differences that the O(n) update of a whole-space or neighbor pass
+    reads are tabulated on first use (_swap_differences), in O(n^3).
     """
 
     __slots__ = (
         "n", "r", "w", "exact", "_r_flat", "_rt_flat", "_r_diag", "_w_diag",
         "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
         "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
-        "_types",
+        "_types", "_swap_tables",
     )
 
     def __init__(self, r, w) -> None:
@@ -266,6 +268,32 @@ class QapInstance:
         self._w_diag_sum = sum_of(w_diag, exact)
         self._off_total_r = sum_of(row_r, exact) - self._r_diag_sum
         self._off_total_w = sum_of(row_w, exact) - self._w_diag_sum
+        self._swap_tables = None
+
+    def _swap_differences(self):
+        """The entry differences that a swap of two images reads, built on
+        first use: for positions u != v, the (r_uk - r_vk, r_ku - r_kv, k) of
+        every other position k in order, and for images a != b, the
+        differences w_b. - w_a. of rows and w_.b - w_.a of columns, indexed
+        by image. Each is the value a direct subtraction gives."""
+        if self._swap_tables is None:
+            n, r, w = self.n, self.r, self.w
+            r_cols, w_cols = tuple(zip(*r)), tuple(zip(*w))
+            positions = [
+                [
+                    tuple((ru[k] - rv[k], cu[k] - cv[k], k)
+                          for k in range(n) if k != u and k != v)
+                    for v, (rv, cv) in enumerate(zip(r, r_cols))
+                ]
+                for u, (ru, cu) in enumerate(zip(r, r_cols))
+            ]
+            images = [
+                [(tuple(map(sub, wb, wa)), tuple(map(sub, cb, ca)))
+                 for wb, cb in zip(w, w_cols)]
+                for wa, ca in zip(w, w_cols)
+            ]
+            self._swap_tables = positions, images
+        return self._swap_tables
 
     def __eq__(self, other) -> bool:
         return (
@@ -448,3 +476,29 @@ class GeneralTensor:
             )
             self._sums = (off, diag)
         return self._sums
+
+
+def _integer_scaled(problem):
+    """An exact problem with integer entries, and the factor d by which it
+    scales every value: the common denominator of r times that of w for a
+    QapInstance, that of the coefficients for a GeneralTensor
+    (_integer_values). A problem with int entries is its own. Float entries
+    are taken at their exact values."""
+    n = problem.n
+    if isinstance(problem, QapInstance):
+        r_flat, w_flat = problem._r_flat, tuple(chain.from_iterable(problem.w))
+        r, dr = _integer_values(r_flat, problem._types[0])
+        w, dw = _integer_values(w_flat, problem._types[1])
+        if r is r_flat and w is w_flat:
+            return problem, 1
+        return QapInstance(_rows(r, n), _rows(w, n)), dr * dw
+    flat = [v for block in problem.psi for plane in block for row in plane for v in row]
+    ints, d = _integer_values(flat)
+    if ints is flat:
+        return problem, 1
+    return GeneralTensor(_rows(_rows(_rows(ints, n), n), n)), d
+
+
+def _rows(values, n: int) -> list:
+    """values grouped n at a time, in order."""
+    return list(zip(*[iter(values)] * n))

@@ -236,9 +236,10 @@ def _swap_sum_deltas(inst: QapInstance, mapping, u: int, v: int):
 
     f_same changes by swap_delta on (r, w) and f_swapped by swap_delta on
     (r, w^T); both are formed in one loop, since the two deltas pair the
-    same row and column differences of r and w crosswise. The other five
-    sums each change by one product of two differences. The mapping is
-    read, not changed.
+    same row and column differences of r and w crosswise. Those differences
+    are read from the instance's tables (QapInstance._swap_differences).
+    The other five sums each change by one product of two differences. The
+    mapping is read, not changed.
     """
     r, w = inst.r, inst.w
     a, b = mapping[u], mapping[v]
@@ -247,15 +248,14 @@ def _swap_sum_deltas(inst: QapInstance, mapping, u: int, v: int):
     cross = (ru[v] - rv[u]) * (wb[a] - wa[b])
     same = diag + cross
     swapped = diag - cross
-    for k, (rk, xk) in enumerate(zip(r, mapping)):
-        if k != u and k != v:
-            wk = w[xk]
-            dr = ru[k] - rv[k]
-            dc = rk[u] - rk[v]
-            dw_row = wb[xk] - wa[xk]
-            dw_col = wk[b] - wk[a]
-            same += dr * dw_row + dc * dw_col
-            swapped += dr * dw_col + dc * dw_row
+    positions, images = inst._swap_differences()
+    dw_rows, dw_cols = images[a][b]
+    for dr, dc, k in positions[u][v]:
+        xk = mapping[k]
+        dw_row = dw_rows[xk]
+        dw_col = dw_cols[xk]
+        same += dr * dw_row + dc * dw_col
+        swapped += dr * dw_col + dc * dw_row
     ro_r, co_r = inst._row_off_r, inst._col_off_r
     ro_w, co_w = inst._row_off_w, inst._col_off_w
     dro_r = ro_r[u] - ro_r[v]
@@ -313,6 +313,30 @@ def _numerator(m: int, consts: KindConstants, totals) -> Scalar:
     if m == 3:
         num = num + consts.den * diag
     return num
+
+
+def _numerator_rows(n: int):
+    """_numerator as fixed integer rows over the five quantities a
+    whole-space pass carries: L, the least common multiple of the three
+    kinds' weight denominators, and for m = 1, 2, 3 the row
+    (A, B, D, G, E, Z) with
+      (L / den_m) _numerator(m, ...)
+          = A f_same + B f_swapped + D diag + G P + E Q + Z T,
+    where P = p1 + p2 and Q = q1 + q2 (_raw_sums) and T is the off-diagonal
+    coefficient total. From _masses_from_sums, with the case values
+    (a, b, g, e, z): A = a - 2g + z, B = b - 2e + z, G = g - z, E = e - z,
+    Z = z and D = -(A + B), plus den_3 for m = 3; each times L / den_m.
+    Read from KIND_CONSTANTS at every call."""
+    kinds = [KIND_CONSTANTS[m](n) for m in (1, 2, 3)]
+    lcm = math.lcm(*(consts.den for consts in kinds))
+    rows = []
+    for m, consts in zip((1, 2, 3), kinds):
+        a, b, g, e, z = consts.params
+        same, swapped = a - 2 * g + z, b - 2 * e + z
+        diag = -(same + swapped) + (consts.den if m == 3 else 0)
+        scale = lcm // consts.den
+        rows.append(tuple(scale * c for c in (same, swapped, diag, g - z, e - z, z)))
+    return lcm, rows
 
 
 def _value_from_totals(problem: Problem, m: int, totals) -> Scalar:
@@ -625,18 +649,19 @@ def _pair_terms(flat, diag, rho, kappa, n: int):
 
 
 def _rounded(num: int, den: int) -> float:
-    """The float nearest num / den: int / int true division rounds
-    correctly. A variance, never negative, beyond the float range reads
-    +inf."""
+    """The float nearest num / den, for den > 0: int / int true division
+    rounds correctly. A quotient beyond the float range reads inf of its
+    sign."""
     try:
         return num / den
     except OverflowError:
-        return math.inf
+        return math.inf if num > 0 else -math.inf
 
 
-def _instance_variances(inst: QapInstance) -> ComponentTriple:
-    """component_variances of a QapInstance, in integers: two dot products
-    per matrix over its entries, the rest O(n) algebra on the marginals.
+def _instance_variances(inst: QapInstance) -> Tuple[int, int, int, int]:
+    """Var(c1), Var(c2) and Var(c3) of a QapInstance as integer numerators
+    over one common denominator, (v1, v2, v3, den): two dot products per
+    matrix over its entries, the rest O(n) algebra on the marginals.
 
     With A and B as in _pair_terms, and S = rho + kappa,
     v_i = 2(n-1) S_i - sum S and c = 2(n-1)(n-2):
@@ -663,17 +688,11 @@ def _instance_variances(inst: QapInstance) -> ComponentTriple:
     terms = [(x, y, v) for x, row in enumerate(m) for y, v in enumerate(row) if v]
     n3 = sum(v * u * gr[x][z] * gw[y][t] for x, y, v in terms for z, t, u in terms)
     dd = (dr * dw) ** 2
-    # Each variance as (numerator, denominator); c2 vanishes where dim_2 = 0.
-    parts = [
-        (nr211 * nw211, (2 * n) ** 4 * k1.dim * dd),
-        (nr22 * nw22, (4 * (n - 1) * (n - 2)) ** 4 * k2.dim * dd) if k2.dim else (0, 1),
-        (n3, n ** 4 * k3.den ** 2 * k3.dim * dd),
-    ]
-    if inst.exact:
-        return ComponentTriple.of(*(Fraction(*part) for part in parts))
-    (a, x), (b, y), (c, z) = parts
-    parts.append((a * y * z + b * x * z + c * x * y, x * y * z))
-    return ComponentTriple(*(_rounded(*part) for part in parts))
+    # Each variance as a / x, b / y and c / z; c2 vanishes where dim_2 = 0.
+    a, x = nr211 * nw211, (2 * n) ** 4 * k1.dim * dd
+    b, y = (nr22 * nw22, (4 * (n - 1) * (n - 2)) ** 4 * k2.dim * dd) if k2.dim else (0, 1)
+    c, z = n3, n ** 4 * k3.den ** 2 * k3.dim * dd
+    return a * y * z, b * x * z, c * x * y, x * y * z
 
 
 def component_variances(problem: Problem) -> ComponentTriple:
@@ -698,7 +717,9 @@ def component_variances(problem: Problem) -> ComponentTriple:
     arithmetic: exact in rational mode.
     """
     if isinstance(problem, QapInstance):
-        return _instance_variances(problem)
+        *nums, den = _instance_variances(problem)
+        value = Fraction if problem.exact else _rounded
+        return ComponentTriple(*(value(v, den) for v in nums), value(sum(nums), den))
     if not isinstance(problem, GeneralTensor):
         raise TypeError(
             f"expected QapInstance or GeneralTensor, got {type(problem)!r}"

@@ -7,23 +7,25 @@ equation and the component means and variances. The literal oracles
 permutations in lexicographic order and evaluate each point in full;
 evaluate_points and variance_triple do so through decompose and fitness.
 
-The streamed pass behind `stats` and `verify` (space_moments, over the
-points of space_rows) walks them in Heap's order instead, where
-consecutive permutations differ by one transposition, and carries
-decomposition's seven sums behind the case masses from point to point in
-O(n). In rational mode it keeps no values: the entries are scaled to
-integers, each component is an integer numerator over one denominator,
-c1 + c2 + c3 = f is checked as an integer identity, and the sums and sums
-of squares of the numerators are Python ints, turned into Fractions once
-at the end. Float mode keeps the four value columns and sums them with
-math.fsum. neighbor_rows builds each swap neighbor's sums from those at
-one point the same way, for verify's wave claims. Both share the mass
-formulas with the evaluators and are tested against the literal oracles.
-Every order is fixed, so float-mode reductions are deterministic.
+The streamed pass behind `stats` and `verify` (space_moments) walks them
+in Heap's order instead, where consecutive permutations differ by one
+transposition, and carries five integers from point to point in O(n):
+f_same, f_swapped, the diagonal sum and the two marginal pairings behind
+decomposition's case masses. It keeps no values, in either mode: the
+entries are scaled to integers, each component is an integer numerator
+over one denominator, formed from the five by fixed integer rows
+(decomposition._numerator_rows), c1 + c2 + c3 = f is checked as an integer
+identity, and the sums and sums of squares of the numerators are Python
+ints. Each mean and variance is formed once at the end: a Fraction in
+rational mode, the correctly rounded float in float mode. neighbor_rows
+builds each swap neighbor's seven sums from those at one point the same
+way, for verify's wave claims. Both share the mass formulas with the
+evaluators and are tested against the literal oracles. Every order is
+fixed, so float-mode reductions are deterministic.
 
 Exact means sum integer numerators over one common denominator. Float
-means over the whole space use math.fsum; a neighborhood mean sums left
-to right, in neighbor order.
+means of literal columns use math.fsum; a neighborhood mean sums left to
+right, in neighbor order.
 """
 
 from __future__ import annotations
@@ -32,16 +34,15 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import chain, permutations
+from itertools import permutations
 from operator import add, mul
-from typing import Callable, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
-    GeneralTensor,
     Permutation,
     QapInstance,
     Scalar,
-    _integer_values,
+    _integer_scaled,
     div,
     fsum,
     neighborhood_size,
@@ -49,14 +50,15 @@ from .core import (
     sum_of,
 )
 from .decomposition import (
-    KIND_CONSTANTS,
     ComponentTriple,
     Problem,
     _case_masses,
+    _coefficient_sums,
     _components,
     _masses_from_sums,
-    _numerator,
+    _numerator_rows,
     _raw_sums,
+    _rounded,
     _swap_sum_deltas,
     decompose,
 )
@@ -122,11 +124,13 @@ def _over_common_denominator(values) -> Tuple[Iterator[int], int]:
     return (v.numerator * scale[v.denominator] for v in values), d
 
 
-def _exact_moments(total: int, squares: int, count: int, d: int):
-    """Mean and population variance, as Fractions, of count values whose
-    integer numerators over d sum to total and their squares to squares."""
-    mean = Fraction(total, count * d)
-    return mean, Fraction(squares, count * d * d) - mean * mean
+def _integer_moments(total: int, squares: int, count: int, d: int, value=Fraction):
+    """Mean and population variance of count values whose integer
+    numerators over d sum to total and their squares to squares, each formed
+    once from its exact numerator and denominator by value: Fraction, or
+    decomposition._rounded for the correctly rounded float."""
+    return (value(total, count * d),
+            value(count * squares - total * total, (count * d) ** 2))
 
 
 def moments(values) -> Tuple[Scalar, Scalar]:
@@ -143,7 +147,7 @@ def moments(values) -> Tuple[Scalar, Scalar]:
     for num in numerators:
         total += num
         squares += num * num
-    return _exact_moments(total, squares, count, d)
+    return _integer_moments(total, squares, count, d)
 
 
 class _Residual:
@@ -232,37 +236,39 @@ def _sums_row(inst: QapInstance, sums) -> Tuple[Scalar, ...]:
     return (*_components(inst, _masses_from_sums(inst, sums)), sums[0])
 
 
-def _space_masses(problem: Problem) -> Iterator[Tuple[Sequence[int], tuple, Scalar]]:
-    """Every permutation's mapping with its case masses and objective value,
-    once each, in the order of space_rows. For a QapInstance the mapping is
-    the pass's own list, changed in place at the next step."""
-    if not isinstance(problem, QapInstance):
-        for x in space_points(problem.n):
-            yield x.mapping, _case_masses(problem, x), problem.fitness(x)
-        return
-    mapping = list(range(problem.n))
-    sums = _raw_sums(problem, mapping)
-    yield mapping, _masses_from_sums(problem, sums), sums[0]
-    for u, v in heap_swaps(problem.n):
-        sums = list(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
-        mapping[u], mapping[v] = mapping[v], mapping[u]
-        yield mapping, _masses_from_sums(problem, sums), sums[0]
-
-
-def space_rows(problem: Problem) -> Iterator[Tuple[tuple, Tuple[Scalar, ...]]]:
-    """Every permutation's mapping with its row (c1, c2, c3, f), once each.
+def _space_sums(problem: Problem):
+    """Every permutation's mapping with the five quantities behind its case
+    masses, (f_same, f_swapped, diag, P, Q), and its objective value, once
+    each; P = p1 + p2 and Q = q1 + q2 of decomposition._raw_sums.
 
     For a QapInstance the permutations come in Heap's order from the
-    identity. The seven sums behind the case masses are evaluated in full
-    once and then carried from point to point by
-    decomposition._swap_sum_deltas, in O(n) per point: rational rows equal
-    evaluate_points exactly, float rows are running sums, as in the walk,
-    and agree with a full evaluation to FLOAT_TOLERANCE. A GeneralTensor is
-    evaluated in full at each point, in lexicographic order. The caller
-    checks the enumeration cap.
+    identity: the seven sums are evaluated in full once, and then carried
+    from point to point by decomposition._swap_sum_deltas in O(n), P and Q
+    by one product pair each. The mapping is the pass's own list, changed in
+    place at the next step. A GeneralTensor's case masses are evaluated in
+    full at each point, in lexicographic order, and mapped to the same five
+    (f_same = s_alpha + diag, P = s_gamma + 2 s_alpha, ...).
     """
-    for mapping, masses, f in _space_masses(problem):
-        yield tuple(mapping), (*_components(problem, masses), f)
+    if not isinstance(problem, QapInstance):
+        for x in space_points(problem.n):
+            sa, sb, sg, se, _, diag = _case_masses(problem, x)
+            yield (x.mapping, sa + diag, sb + diag, diag, sg + 2 * sa, se + 2 * sb,
+                   problem.fitness(x))
+        return
+    mapping = list(range(problem.n))
+    same, swapped, diag, p1, p2, q1, q2 = _raw_sums(problem, mapping)
+    p, q = p1 + p2, q1 + q2
+    yield mapping, same, swapped, diag, p, q, same
+    for u, v in heap_swaps(problem.n):
+        d_same, d_swapped, d_diag, dp1, dp2, dq1, dq2 = _swap_sum_deltas(
+            problem, mapping, u, v)
+        mapping[u], mapping[v] = mapping[v], mapping[u]
+        same += d_same
+        swapped += d_swapped
+        diag += d_diag
+        p += dp1 + dp2
+        q += dq1 + dq2
+        yield mapping, same, swapped, diag, p, q, same
 
 
 def neighbor_rows(
@@ -290,71 +296,50 @@ def neighbor_rows(
         yield y, _sums_row(problem, list(map(add, sums, deltas)))
 
 
-def _integer_scaled(problem: Problem) -> Tuple[Problem, int]:
-    """An exact problem with integer entries, and the factor d by which it
-    scales every value: the common denominator of r times that of w for a
-    QapInstance, that of the coefficients for a GeneralTensor
-    (core._integer_values). A problem with int entries is its own."""
-    n = problem.n
-    if isinstance(problem, QapInstance):
-        r_flat, w_flat = problem._r_flat, tuple(chain.from_iterable(problem.w))
-        r, dr = _integer_values(r_flat, problem._types[0])
-        w, dw = _integer_values(w_flat, problem._types[1])
-        if r is r_flat and w is w_flat:
-            return problem, 1
-        return QapInstance(_rows(r, n), _rows(w, n)), dr * dw
-    flat = [v for block in problem.psi for plane in block for row in plane for v in row]
-    ints, d = _integer_values(flat)
-    if ints is flat:
-        return problem, 1
-    return GeneralTensor(_rows(_rows(_rows(ints, n), n), n)), d
-
-
-def _rows(values, n: int) -> list:
-    """values grouped n at a time, in order."""
-    return list(zip(*[iter(values)] * n))
-
-
 def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoments:
     """Means, variances and the decomposition_sum residual of (c1, c2, c3, f)
-    over all n! permutations, from one pass over the points of space_rows,
+    over all n! permutations, from one pass over the points of _space_sums,
     in its order; each point's row is also stored under its mapping in
     table, when one is given. The caller checks the enumeration cap.
 
-    In rational mode the pass runs on the problem scaled to integer entries
-    by d (_integer_scaled), and each component is its integer numerator over
-    L * d, where L is the least common multiple of the three kinds' weight
-    denominators. At each point the numerators are checked to add up to
-    L times f, and their sums and sums of squares are accumulated as ints;
-    no value is kept, and Fractions are formed only at the end (and for the
-    table's rows). Float mode keeps the four columns for moments' fsum.
+    The pass runs on the problem scaled to integer entries by d
+    (_integer_scaled), in both modes, and each component is its integer
+    numerator over L * d, formed from the five carried quantities by the
+    rows of decomposition._numerator_rows, where L is the least common
+    multiple of the three kinds' weight denominators. At each point the
+    numerators are checked to add up to L times f, and their sums and sums
+    of squares are accumulated as ints; no value is kept. Every mean,
+    variance and table value is formed once from its integer numerator and
+    denominator: a Fraction in rational mode, the correctly rounded float in
+    float mode (inf of its sign beyond the float range).
     """
-    if not problem.exact:
-        return _float_moments(problem, table)
-    n = problem.n
-    kinds = [KIND_CONSTANTS[m](n) for m in (1, 2, 3)]
-    lcm = math.lcm(*(consts.den for consts in kinds))
-    (k1, w1), (k2, w2), (k3, w3) = ((consts, lcm // consts.den) for consts in kinds)
+    value = Fraction if problem.exact else _rounded
+    lcm, rows = _numerator_rows(problem.n)
     scaled, d = _integer_scaled(problem)
     den = lcm * d
+    # Each row's last coefficient multiplies T, the off-diagonal coefficient
+    # total, a constant of the problem: fold it in once.
+    off_total = _coefficient_sums(scaled)[0]
+    (a1, b1, d1, g1, e1, z1), (a2, b2, d2, g2, e2, z2), (a3, b3, d3, g3, e3, z3) = (
+        (*row[:5], row[5] * off_total) for row in rows
+    )
     # Per column (c1, c2, c3, L f): the sum and the sum of squares of the
     # numerators over L d.
-    t1 = t2 = t3 = tf = q1 = q2 = q3 = qf = 0
+    t1 = t2 = t3 = tf = s1 = s2 = s3 = sf = 0
     worst = top = lo = hi = 0
-    count = 0
-    for count, (mapping, masses, f) in enumerate(_space_masses(scaled), 1):
-        c1 = w1 * _numerator(1, k1, masses)
-        c2 = w2 * _numerator(2, k2, masses)
-        c3 = w3 * _numerator(3, k3, masses)
+    for mapping, same, swapped, diag, p, q, f in _space_sums(scaled):
+        c1 = a1 * same + b1 * swapped + d1 * diag + g1 * p + e1 * q + z1
+        c2 = a2 * same + b2 * swapped + d2 * diag + g2 * p + e2 * q + z2
+        c3 = a3 * same + b3 * swapped + d3 * diag + g3 * p + e3 * q + z3
         lf = lcm * f
         t1 += c1
         t2 += c2
         t3 += c3
         tf += lf
-        q1 += c1 * c1
-        q2 += c2 * c2
-        q3 += c3 * c3
-        qf += lf * lf
+        s1 += c1 * c1
+        s2 += c2 * c2
+        s3 += c3 * c3
+        sf += lf * lf
         if f > hi:
             hi = f
         elif f < lo:
@@ -364,33 +349,16 @@ def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoment
             worst = max(worst, abs(got - lf))
             top = max(top, abs(got))
         if table is not None:
-            table[tuple(mapping)] = tuple(Fraction(v, den) for v in (c1, c2, c3, lf))
+            table[tuple(mapping)] = tuple(value(c, den) for c in (c1, c2, c3, lf))
     top = max(top, lcm * hi, -lcm * lo)
+    count = math.factorial(problem.n)
     means, variances = zip(*(
-        _exact_moments(total, sq, count, den)
-        for total, sq in ((t1, q1), (t2, q2), (t3, q3), (tf, qf))
+        _integer_moments(total, squares, count, den, value)
+        for total, squares in ((t1, s1), (t2, s2), (t3, s3), (tf, sf))
     ))
     return SpaceMoments(
         ComponentTriple(*means), ComponentTriple(*variances), count,
-        Fraction(worst, den), max(1, Fraction(top, den)),
-    )
-
-
-def _float_moments(problem: Problem, table: Optional[dict]) -> SpaceMoments:
-    """space_moments in float mode, from the four columns of space_rows."""
-    columns = ([], [], [], [])
-    res = _Residual()
-    for mapping, row in space_rows(problem):
-        for col, value in zip(columns, row):
-            col.append(value)
-        c1, c2, c3, f = row
-        res.add(c1 + c2 + c3, f)
-        if table is not None:
-            table[mapping] = row
-    means, variances = zip(*map(moments, columns))
-    return SpaceMoments(
-        ComponentTriple(*means), ComponentTriple(*variances), len(columns[3]),
-        res.max, res.scale,
+        value(worst, den), max(1, value(top, den)),
     )
 
 

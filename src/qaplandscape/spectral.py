@@ -19,8 +19,8 @@ in the instance data, so the weights, r(s) and xi are exact (in rational
 mode) at every n. For a QapInstance it costs two dot products per matrix
 over the n^2 entries and O(n) besides, in integer arithmetic: in float mode
 each variance is the correctly rounded float of the exact one (inf beyond
-the float range), so the weights are the float quotients of correctly
-rounded variances.
+the float range), and each weight the correctly rounded float of the exact
+share, so it stays finite where the variances overflow.
 
 The walk costs O(n) per step: it evaluates the objective once and then adds
 each swap's change (`swap_delta`). In float mode the recorded values are
@@ -37,10 +37,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
-from .core import Permutation, Scalar, div, fsum, neighborhood_size, sum_of
+from .core import Permutation, Scalar, _integer_scaled, div, fsum, neighborhood_size, sum_of
 from .decomposition import KIND_CONSTANTS, Problem, component_variances
 
 
@@ -158,11 +159,16 @@ def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
 
 def component_weights(problem: Problem) -> Tuple[Scalar, Scalar, Scalar]:
     """Variance shares W_m = Var(c_m) / Var(f) of the three components,
-    which add up to 1."""
-    vt = component_variances(problem)
+    which add up to 1. Each is the exact share of the closed-form variances
+    of the problem scaled to integers (core._integer_scaled), which scaling
+    leaves unchanged: a Fraction in rational mode, rounded once in float
+    mode, so that it is correctly rounded and finite where the float
+    variances overflow."""
+    vt = component_variances(_integer_scaled(problem)[0])
     if vt.total == 0:
         raise ValueError("objective has zero variance; weights are undefined")
-    return tuple(div(v, vt.total, problem.exact) for v in (vt.c1, vt.c2, vt.c3))
+    shares = [Fraction(v, vt.total) for v in (vt.c1, vt.c2, vt.c3)]
+    return tuple(shares if problem.exact else map(float, shares))
 
 
 def _wave_constants(n: int) -> List[int]:

@@ -1,9 +1,19 @@
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
+from operator import add
 
 from qaplandscape import GeneralTensor, Permutation, QapInstance
-from qaplandscape.decomposition import KIND_CONSTANTS
+from qaplandscape.decomposition import (
+    KIND_CONSTANTS,
+    _case_masses,
+    _components,
+    _masses_from_sums,
+    _raw_sums,
+    _swap_sum_deltas,
+)
+from qaplandscape.oracle import heap_swaps, space_points
 from qaplandscape.qaplib import generate_instance
 
 
@@ -34,6 +44,34 @@ def huge_instance(n, seed):
                  for _ in range(n)] for _ in range(n)]
 
     return QapInstance(square(), square())
+
+
+def two_decimal_instance(n, seed):
+    """Entries round(uniform(0, 10), 2): floats that are in general no short
+    binary fractions, so float arithmetic on them rounds."""
+    rng = random.Random(seed)
+
+    def square():
+        return [[round(rng.uniform(0, 10), 2) for _ in range(n)] for _ in range(n)]
+
+    return QapInstance(square(), square())
+
+
+def exact_twin(inst):
+    """The same entries as Fractions: the instance in rational mode."""
+    return QapInstance(
+        [[Fraction(v) for v in row] for row in inst.r],
+        [[Fraction(v) for v in row] for row in inst.w],
+    )
+
+
+def rounded(q):
+    """The float nearest the rational q, or inf of its sign beyond the
+    float range."""
+    try:
+        return float(q)
+    except OverflowError:
+        return math.inf if q > 0 else -math.inf
 
 
 def all_perms(n):
@@ -71,3 +109,29 @@ def perturb_kind(monkeypatch, m, column, change):
         return consts._replace(**{column: change(getattr(consts, column))})
 
     monkeypatch.setitem(KIND_CONSTANTS, m, perturbed)
+
+
+def space_rows(problem):
+    """Every permutation's mapping with its row (c1, c2, c3, f), once each,
+    in the order of oracle.space_moments: the reference for its table.
+
+    For a QapInstance the permutations come in Heap's order from the
+    identity, and the seven sums of decomposition._raw_sums are carried from
+    point to point by decomposition._swap_sum_deltas and turned into case
+    masses and components at each point, in the problem's own arithmetic: a
+    rational row equals a full evaluation exactly, a float row is a running
+    sum. A GeneralTensor is evaluated in full at each point, in
+    lexicographic order.
+    """
+    if not isinstance(problem, QapInstance):
+        for x in space_points(problem.n):
+            masses = _case_masses(problem, x)
+            yield x.mapping, (*_components(problem, masses), problem.fitness(x))
+        return
+    mapping = list(range(problem.n))
+    sums = _raw_sums(problem, mapping)
+    yield tuple(mapping), (*_components(problem, _masses_from_sums(problem, sums)), sums[0])
+    for u, v in heap_swaps(problem.n):
+        sums = list(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
+        mapping[u], mapping[v] = mapping[v], mapping[u]
+        yield tuple(mapping), (*_components(problem, _masses_from_sums(problem, sums)), sums[0])

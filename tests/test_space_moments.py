@@ -1,33 +1,53 @@
 """The streamed whole-space pass behind `stats` and `verify`
 (oracle.space_moments) against the literal oracles.
 
-In rational mode the pass keeps no values: each component is an integer
-numerator over one denominator, and only the sums and sums of squares of
-the numerators are carried. Its moments must equal those of the literal
-columns of evaluate_points, and variance_triple, exactly, on integer and
-Fraction entries, on a tensor that is not of product form, and on entries
-far beyond any machine integer. In float mode it keeps the four columns
-of space_rows, and its moments and residual must be bit-identical to
-summing those columns.
+The pass keeps no values: the entries are scaled to integers, each
+component is an integer numerator over one denominator, formed from five
+carried sums by the fixed rows of decomposition._numerator_rows, and only
+the sums and sums of squares of the numerators are carried. Its moments and
+table must equal those of the literal columns of evaluate_points, and
+variance_triple, exactly, on integer and Fraction entries, on a tensor that
+is not of product form, and on entries far beyond any machine integer. Float
+mode runs the same pass on the exact values of the float entries: every
+mean, variance and table value must be the correctly rounded float of the
+exact one, bit for bit.
 """
 
+import json
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qaplandscape import GeneralTensor, QapInstance, variance_triple
+from qaplandscape import GeneralTensor, Permutation, QapInstance, variance_triple
 from qaplandscape.cli import run_cli
-from qaplandscape.decomposition import OmegaParams
+from qaplandscape.decomposition import (
+    KIND_CONSTANTS,
+    OmegaParams,
+    _masses_from_sums,
+    _numerator,
+    _numerator_rows,
+)
 from qaplandscape.oracle import (
-    _Residual,
+    _full_row,
     evaluate_points,
     moments,
     space_moments,
     space_points,
-    space_rows,
 )
-from conftest import fraction_instance, huge_instance, perturb_kind, seeded_instance
+from conftest import (
+    exact_twin,
+    fraction_instance,
+    huge_instance,
+    perturb_kind,
+    rounded,
+    seeded_instance,
+    space_rows,
+    two_decimal_instance,
+)
 
 
 def general_tensor(n, seed, denominators=None):
@@ -85,32 +105,81 @@ def test_table_rows_equal_space_rows(kind):
     assert list(table.items()) == list(space_rows(problem))
 
 
-def float_instance(n, seed):
-    rng = random.Random(seed)
-
-    def square():
-        return [[rng.uniform(-1e3, 1e3) for _ in range(n)] for _ in range(n)]
-
-    return QapInstance(square(), square())
+def literal_table(problem):
+    """{mapping: (c1, c2, c3, f)} from evaluate_points."""
+    points = list(space_points(problem.n))
+    return dict(zip((x.mapping for x in points), zip(*evaluate_points(problem, points))))
 
 
-@pytest.mark.parametrize("n", range(3, 8))
-def test_float_moments_are_those_of_the_columns(n):
-    problem = float_instance(n, n)
-    columns = ([], [], [], [])
-    res = _Residual()
-    for _, row in space_rows(problem):
-        for col, value in zip(columns, row):
-            col.append(value)
-        res.add(row[0] + row[1] + row[2], row[3])
-    want = [*zip(*map(moments, columns)), (res.max, res.scale)]
-    space = space_moments(problem)
-    got = [space.means, space.variances, (space.residual, space.scale)]
-    assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
-    assert space.count == len(columns[0])
+# A tensor point is evaluated in full, in O(n^4), on both sides: the tensor
+# stops at n = 5.
+@pytest.mark.parametrize("kind, n", [
+    (kind, n) for kind in ("natural", "integer", "fraction", "tensor")
+    for n in range(3, 8) if kind != "tensor" or n <= 5
+])
+def test_table_equals_the_literal_rows(kind, n):
+    problem = seeded_instance(n, n, 0, 9) if kind == "natural" else PROBLEMS[kind](n)
     table = {}
-    space_moments(problem, table)
-    assert list(table.items()) == list(space_rows(problem))
+    space = space_moments(problem, table)
+    assert table == literal_table(problem)
+    assert space.count == len(table)
+
+
+# The rows are read from KIND_CONSTANTS at each call, so they are checked
+# against the case-mass rule itself, on sums that need not come from any
+# permutation.
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), seed=st.integers(0, 999),
+       sums=st.lists(st.integers(-10**12, 10**12), min_size=7, max_size=7))
+def test_numerator_rows_equal_the_case_mass_rule(n, seed, sums):
+    inst = seeded_instance(n, seed, -9, 9)
+    lcm, rows = _numerator_rows(n)
+    same, swapped, diag, p1, p2, q1, q2 = sums
+    carried = (same, swapped, diag, p1 + p2, q1 + q2,
+               inst._off_total_r * inst._off_total_w)
+    masses = _masses_from_sums(inst, sums)
+    for m, row in zip((1, 2, 3), rows):
+        consts = KIND_CONSTANTS[m](n)
+        assert sum(map(mul, row, carried)) == lcm // consts.den * _numerator(m, consts, masses)
+
+
+# Float mode runs the integer pass on the exact values of the float entries
+# and rounds each result once: bit for bit the correctly rounded moments and
+# rows of the exact twin, from the literal columns.
+@pytest.mark.parametrize("n", range(3, 8))
+def test_float_moments_are_the_rounded_exact_moments(n):
+    problem = two_decimal_instance(n, n)
+    twin = exact_twin(problem)
+    columns = evaluate_points(twin, space_points(n))
+    want = [tuple(map(rounded, t)) for t in zip(*map(moments, columns))]
+    table = {}
+    space = space_moments(problem, table)
+    got = [space.means, space.variances]
+    assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
+    assert space.residual == 0 and type(space.residual) is float
+    assert space.count == len(columns[0])
+    for mapping, row in table.items():
+        assert row == tuple(map(rounded, _full_row(twin, Permutation(mapping))))
+
+
+MIXED_INFINITIES = ("3\n0 0 0\n0 -1e154 0\n0 0 0\n"
+                    "0 -1e154 0\n1e154 1e154 0\n1e154 2e154 -1e154\n")
+
+
+# r is zero off the diagonal, so c1 and c2 vanish at every point and their
+# enumerated means and variances are exactly 0.0, although f takes values
+# of both signs near the float range. Var(c3) and Var(f) overflow, so the
+# command still fails.
+def test_mixed_infinities_enumerate_c1_and_c2_as_zero(tmp_path, capsys):
+    path = tmp_path / "mixed_infinities.dat"
+    path.write_text(MIXED_INFINITIES)
+    assert run_cli(["stats", "--instance", str(path), "--format", "json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    results = json.loads(captured.out)["results"]
+    for key in ("enumerated_means", "enumerated_variances"):
+        assert results[key]["c1"] == results[key]["c2"] == 0.0
+        assert type(results[key]["c1"]) is float
 
 
 # The pass checks c1 + c2 + c3 = f as an integer identity at every point,

@@ -1,6 +1,7 @@
-"""The streamed whole-space pass behind `stats` and `verify`
-(oracle.space_rows), and the neighbor rows of verify's wave claims
-(oracle.neighbor_rows), against the literal oracles.
+"""The seven-sum update behind the streamed whole-space pass of `stats` and
+`verify` (space_rows, the reference for oracle.space_moments' table), and
+the neighbor rows of verify's wave claims (oracle.neighbor_rows), against
+the literal oracles.
 
 space_rows visits the permutations in Heap's order and carries seven sums
 from point to point through decomposition._swap_sum_deltas. Its rows must
@@ -34,9 +35,8 @@ from qaplandscape.oracle import (
     neighbor_rows,
     space_moments,
     space_points,
-    space_rows,
 )
-from conftest import random_perms, seeded_instance
+from conftest import random_perms, seeded_instance, space_rows
 
 
 def literal_rows(problem):

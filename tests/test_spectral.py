@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction
@@ -18,10 +19,26 @@ from qaplandscape import (
     theoretical_autocorr,
     variance_triple,
 )
-from qaplandscape.decomposition import omega
+from qaplandscape.cli import run_cli
+from qaplandscape.decomposition import component_variances, omega
 from qaplandscape.qaplib import parse_qaplib
 from qaplandscape.spectral import component_weights, decay_rates
-from conftest import seeded_instance, tensor_with, zero_psi
+from conftest import (
+    exact_twin,
+    rounded,
+    seeded_instance,
+    tensor_with,
+    two_decimal_instance,
+    zero_psi,
+)
+from test_golden import decimal_instance_text
+
+SQUARE_OVERFLOW = (
+    "4\n2.9e80 1.8e80 4.2e80 2.2e80\n1.5e80 4.2e80 8.3e80 7.4e80\n"
+    "7.1e80 2.8e80 5.3e80 3.2e80\n2.4e80 1.8e80 2.7e80 8.4e80\n"
+    "7.6e80 7.5e80 7.4e80 2.5e80\n3.5e80 6.0e80 6.9e80 7.8e80\n"
+    "8.0e80 1.7e80 5.8e80 6.4e80\n5.0e80 2.4e80 4.8e80 1.7e80\n"
+)
 
 
 def diagonal_tensor(n, seed):
@@ -314,6 +331,41 @@ class TestTheoreticalAutocorr:
         assert component_weights(inst) == tuple(
             v / vt.total for v in (vt.c1, vt.c2, vt.c3)
         )
+
+
+class TestFloatWeights:
+    """Float weights are the exact shares of the float entries' exact
+    values, rounded once: not quotients of rounded variances."""
+
+    @staticmethod
+    def check_correctly_rounded(inst):
+        got = component_weights(inst)
+        want = tuple(map(rounded, component_weights(exact_twin(inst))))
+        assert [w.hex() for w in got] == [w.hex() for w in want]
+
+    @pytest.mark.parametrize("n", [3, 4, 6, 12, 24])
+    def test_shares_are_correctly_rounded(self, n):
+        self.check_correctly_rounded(two_decimal_instance(n, n))
+
+    def test_golden_instances(self):
+        self.check_correctly_rounded(parse_qaplib(decimal_instance_text()))
+        self.check_correctly_rounded(seeded_instance(5, 1).as_float())
+
+    # Every variance of this instance is beyond the float range, yet each
+    # share is a finite ratio.
+    def test_overflowing_variances_leave_finite_weights(self, tmp_path, capsys):
+        inst = parse_qaplib(SQUARE_OVERFLOW)
+        assert all(map(math.isinf, component_variances(inst)))
+        self.check_correctly_rounded(inst)
+        path = tmp_path / "square_overflow.dat"
+        path.write_text(SQUARE_OVERFLOW)
+        # The walk overflows, so the command still fails.
+        assert run_cli(["autocorr", "--instance", str(path), "--format", "json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        results = json.loads(captured.out)["results"]
+        assert all(type(w) is float and math.isfinite(w) for w in results["weights"])
+        assert type(results["xi"]) is float and math.isfinite(results["xi"])
 
 
 class TestDecayRates:

@@ -27,7 +27,7 @@ from qaplandscape.core import _entries_are_exact, _integer_values
 from qaplandscape.decomposition import component_variances
 from qaplandscape.oracle import variance_triple
 from qaplandscape.qaplib import generate_instance, parse_qaplib
-from conftest import fraction_instance, huge_instance, seeded_instance
+from conftest import exact_twin, fraction_instance, huge_instance, rounded, seeded_instance
 from strategies import DECIMAL_ENTRY, qap_instances
 from test_golden import decimal_instance_text
 
@@ -46,22 +46,6 @@ def check_against_tensor(inst):
     want = component_variances(GeneralTensor.from_qap(inst))
     assert got == want
     assert all(type(v) is Fraction for v in got)
-
-
-def exact_twin(inst):
-    """The same entries as Fractions: the instance in rational mode."""
-    return QapInstance(
-        [[Fraction(v) for v in row] for row in inst.r],
-        [[Fraction(v) for v in row] for row in inst.w],
-    )
-
-
-def rounded(q):
-    """The float nearest q, or inf beyond the float range."""
-    try:
-        return float(q)
-    except OverflowError:
-        return math.inf
 
 
 def check_correctly_rounded(inst):
