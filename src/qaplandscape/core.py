@@ -71,6 +71,20 @@ def div(value: Scalar, divisor: Scalar, exact: bool) -> Scalar:
     return Fraction(value, divisor) if exact else value / divisor
 
 
+def _ratio(num: int, den: int, exact: bool) -> Scalar:
+    """The one rule that forms every statistic of the whole instance, from
+    its exact integer numerator and denominator (den > 0): a Fraction in
+    exact mode, else the float nearest num / den, since int / int true
+    division rounds correctly. A quotient beyond the float range reads inf
+    of its sign."""
+    if exact:
+        return Fraction(num, den)
+    try:
+        return num / den
+    except OverflowError:
+        return math.inf if num > 0 else -math.inf
+
+
 def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
     """Refuse a swap whose mapping or positions do not fit size n."""
     if len(mapping) != n:
@@ -220,14 +234,15 @@ class QapInstance:
     (_rt_flat), the diagonals of r and w, the off-diagonal row/column
     marginals of both, and the set of entry types of each (_types). The
     entry differences that the O(n) update of a whole-space or neighbor pass
-    reads are tabulated on first use (_swap_differences), in O(n^3).
+    reads are tabulated on first use (_swap_differences), in O(n^3), and the
+    integer twin on first use too (_integer_scaled).
     """
 
     __slots__ = (
         "n", "r", "w", "exact", "_r_flat", "_rt_flat", "_r_diag", "_w_diag",
         "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
         "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
-        "_types", "_swap_tables",
+        "_types", "_swap_tables", "_twin",
     )
 
     def __init__(self, r, w) -> None:
@@ -269,6 +284,7 @@ class QapInstance:
         self._off_total_r = sum_of(row_r, exact) - self._r_diag_sum
         self._off_total_w = sum_of(row_w, exact) - self._w_diag_sum
         self._swap_tables = None
+        self._twin = None
 
     def _swap_differences(self):
         """The entry differences that a swap of two images reads, built on
@@ -365,7 +381,7 @@ class GeneralTensor:
     n = 32.
     """
 
-    __slots__ = ("n", "psi", "exact", "_sums")
+    __slots__ = ("n", "psi", "exact", "_sums", "_twin")
 
     def __init__(self, psi) -> None:
         t = tuple(
@@ -400,6 +416,7 @@ class GeneralTensor:
         self.psi = t
         self.exact = exact
         self._sums = None
+        self._twin = None
 
     @classmethod
     def from_qap(cls, inst: QapInstance) -> "GeneralTensor":
@@ -422,6 +439,7 @@ class GeneralTensor:
         )
         t.exact = inst.exact
         t._sums = None
+        t._twin = None
         return t
 
     def __repr__(self) -> str:
@@ -433,11 +451,11 @@ class GeneralTensor:
         if x.n != self.n:
             raise ValueError(f"permutation size {x.n} != tensor size {self.n}")
         xm = x.mapping
-        total = 0
-        for block, xi in zip(self.psi, xm):
-            for plane, xj in zip(block, xm):
-                total += plane[xi][xj]
-        return total
+        return sum_of(
+            (plane[xi][xj] for block, xi in zip(self.psi, xm)
+             for plane, xj in zip(block, xm)),
+            self.exact,
+        )
 
     def swap_delta(self, mapping: Sequence[int], u: int, v: int) -> Scalar:
         """fitness(x.swap(u, v)) - fitness(x) for the permutation x with this
@@ -479,11 +497,25 @@ class GeneralTensor:
 
 
 def _integer_scaled(problem):
-    """An exact problem with integer entries, and the factor d by which it
-    scales every value: the common denominator of r times that of w for a
-    QapInstance, that of the coefficients for a GeneralTensor
-    (_integer_values). A problem with int entries is its own. Float entries
-    are taken at their exact values."""
+    """The integer twin of a problem, on which every statistic of the whole
+    instance runs, and the factor d by which it scales every value: the
+    common denominator of r times that of w for a QapInstance, that of the
+    coefficients for a GeneralTensor (_integer_values). Float entries are
+    taken at their exact values; a problem with int entries is its own twin.
+    Built once and kept on the problem. A tensor coefficient that overflowed
+    to an infinity (from_qap of finite entries) has no exact value and is
+    refused by its index."""
+    if not isinstance(problem, (QapInstance, GeneralTensor)):
+        raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
+    if problem._twin is None:
+        twin, d = _scaled(problem)
+        # A problem that is its own twin keeps no reference to itself.
+        problem._twin = (None if twin is problem else twin), d
+    twin, d = problem._twin
+    return (problem if twin is None else twin), d
+
+
+def _scaled(problem):
     n = problem.n
     if isinstance(problem, QapInstance):
         r_flat, w_flat = problem._r_flat, tuple(chain.from_iterable(problem.w))
@@ -493,6 +525,11 @@ def _integer_scaled(problem):
             return problem, 1
         return QapInstance(_rows(r, n), _rows(w, n)), dr * dw
     flat = [v for block in problem.psi for plane in block for row in plane for v in row]
+    if not (problem.exact or all(map(math.isfinite, flat))):
+        k = next(k for k, v in enumerate(flat) if not math.isfinite(v))
+        index = "][".join(str(k // n**e % n) for e in (3, 2, 1, 0))
+        raise ValueError(
+            f"tensor coefficient psi[{index}] is {flat[k]}: it has no exact value")
     ints, d = _integer_values(flat)
     if ints is flat:
         return problem, 1

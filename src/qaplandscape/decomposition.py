@@ -17,8 +17,12 @@ diagonal sum; they are skipped.
 
 Over uniform permutations each component minus its mean is one isotypic
 part of f under the symmetric group: c1 the (n-2,1,1) part, c2 the (n-2,2)
-part and c3 the (n-1,1) part. The component variances follow in closed form
-from Schur orthogonality (see component_variances).
+part and c3 the (n-1,1) part. The component means and variances follow in
+closed form (average_triple, component_variances). On both problem types
+they run on the integer twin (core._integer_scaled) in Python ints, and each
+value is formed once by core._ratio: a Fraction in rational mode, the
+correctly rounded float in float mode. The per-point evaluators (decompose,
+the wave-equation means) run in the problem's own arithmetic.
 
 All functions are pure; callers may parallelize across permutations.
 """
@@ -37,7 +41,8 @@ from .core import (
     Permutation,
     QapInstance,
     Scalar,
-    _integer_values,
+    _integer_scaled,
+    _ratio,
     div,
     neighborhood_size,
     sum_of,
@@ -422,36 +427,34 @@ def _coefficient_sums(problem: Problem):
         off = problem._off_total_r * problem._off_total_w
         diag = problem._r_diag_sum * problem._w_diag_sum
         return off, diag
-    if isinstance(problem, GeneralTensor):
-        return problem.coefficient_sums()
-    raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
+    return problem.coefficient_sums()
 
 
 def component_average(problem: Problem, m: int) -> Scalar:
-    """Closed-form mean of component m over all n! permutations.
-
-    By linearity the mean is the total off-diagonal coefficient mass times
-    the kind's space mean over its weight denominator; component 3 adds the
-    diagonal mass divided by n.
-    """
+    """Closed-form mean of component m over all n! permutations: entry
+    m - 1 of average_triple."""
     _check_component(m)
-    n = problem.n
-    exact = problem.exact
-    off, diag = _coefficient_sums(problem)
-    consts = KIND_CONSTANTS[m](n)
-    num, den = consts.mean
-    value = div(off * num, consts.den * den, exact)
-    if m == 3:
-        value = value + div(diag, n, exact)
-    return value
+    return average_triple(problem)[m - 1]
 
 
 def average_triple(problem: Problem) -> ComponentTriple:
-    return ComponentTriple.of(
-        component_average(problem, 1),
-        component_average(problem, 2),
-        component_average(problem, 3),
-    )
+    """Closed-form means of c1, c2, c3 and f over all n! permutations.
+
+    By linearity the mean of c_m is the total off-diagonal coefficient mass
+    times the kind's space mean over its weight denominator; c3 adds the
+    diagonal mass divided by n. Both masses are summed on the integer twin
+    (core._integer_scaled), so every mean is exact before core._ratio forms
+    it once.
+    """
+    twin, d = _integer_scaled(problem)
+    n = problem.n
+    off, diag = _coefficient_sums(twin)
+    kinds = [KIND_CONSTANTS[m](n) for m in (1, 2, 3)]
+    means = [Fraction(off * c.mean[0], c.den * c.mean[1] * d) for c in kinds]
+    means[2] += Fraction(diag, n * d)
+    return ComponentTriple(*(
+        _ratio(q.numerator, q.denominator, problem.exact) for q in (*means, sum(means))
+    ))
 
 
 def _wave_means(problem: Problem, x: Permutation,
@@ -486,30 +489,31 @@ def neighborhood_avg_wave(problem: Problem, x: Permutation) -> Scalar:
 
 
 # The variances of a GeneralTensor: projections of a function on ordered
-# pairs i != j, given as an n x n array whose diagonal is ignored, onto its
-# (n-2,1,1) and (n-2,2) isotypic parts, scaled so that integer entries stay
-# integers, applied to both sides of the coefficients in O(n^4). They are
-# the independent oracle for the instance kernel below.
+# pairs i != j, given as an n x n array of integers whose diagonal is
+# ignored, onto its (n-2,1,1) and (n-2,2) isotypic parts, scaled so that
+# they stay integers, applied to both sides of the integer twin's
+# coefficients in O(n^4). They read no marginal of r or w, and are the
+# independent oracle for the instance kernel below.
 
-def _project_211(m, n: int, exact: bool):
+def _project_211(m, n: int):
     """2n times: the antisymmetric part a minus (R_i - R_j)/n, where R holds
     the row sums of a."""
     rng = range(n)
     anti = [[m[i][j] - m[j][i] if j != i else 0 for j in rng] for i in rng]
-    rows = [sum_of(row, exact) for row in anti]
+    rows = [sum(row) for row in anti]
     return [
         [n * anti[i][j] - rows[i] + rows[j] if j != i else 0 for j in rng]
         for i in rng
     ]
 
 
-def _project_22(m, n: int, exact: bool):
+def _project_22(m, n: int):
     """4(n-1)(n-2) times: the symmetric part s minus v_i + v_j, where
     v_i = (S_i - V)/(n-2), S holds the row sums of s and V = sum S/(2(n-1))."""
     rng = range(n)
     sym = [[m[i][j] + m[j][i] if j != i else 0 for j in rng] for i in rng]
-    rows = [sum_of(row, exact) for row in sym]
-    total = sum_of(rows, exact)
+    rows = [sum(row) for row in sym]
+    total = sum(rows)
     v = [2 * (n - 1) * s - total for s in rows]
     c = 2 * (n - 1) * (n - 2)
     return [
@@ -518,57 +522,26 @@ def _project_22(m, n: int, exact: bool):
     ]
 
 
-def _sum_sq(m, exact: bool) -> Scalar:
-    return sum_of((v * v for row in m for v in row), exact)
-
-
-def _schur_variance(norm_sq: Scalar, scale: int, m: int, n: int,
-                    exact: bool) -> Scalar:
-    """Variance of a multiplicity-one isotypic part: the squared norms of
-    both projected sides over the irreducible dimension. norm_sq carries the
-    projections' scale on each side, hence scale**4."""
-    dim = KIND_CONSTANTS[m](n).dim
-    if dim == 0:
-        return div(0, 1, exact)
-    return div(norm_sq, scale**4 * dim, exact)
-
-
-def _first_order_variance(b, n: int, exact: bool) -> Scalar:
-    """Variance of c3(x) = sum_i b[i][x(i)] / (n(n-2)) plus a constant:
-    the squared norm of the double-centred b over n-1, scaled back."""
-    rows = [sum_of(row, exact) for row in b]
-    cols = [sum_of(col, exact) for col in zip(*b)]
-    total = sum_of(rows, exact)
+def _first_order_variance(b, n: int) -> int:
+    """|n^2 times the double-centred b|^2: the numerator of the variance of
+    sum_i b[i][x(i)] / (n(n-2)) over n^4 den_3^2 dim_3."""
+    rows = [sum(row) for row in b]
+    cols = [sum(col) for col in zip(*b)]
+    total = sum(rows)
     nn = n * n
-    # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
-    centred = (
-        nn * b[i][p] - n * rows[i] - n * cols[p] + total
+    return sum(
+        (nn * b[i][p] - n * rows[i] - n * cols[p] + total) ** 2
         for i in range(n)
         for p in range(n)
     )
-    sq = sum_of((v * v for v in centred), exact)
-    consts = KIND_CONSTANTS[3](n)
-    return div(sq, nn * nn * consts.den * consts.den * consts.dim, exact)
 
 
-def _c3_coefficients(t1, t2, t3, t4, diag, n: int):
-    """n(n-2) times the first-order coefficients of c3. The kind-3 value is
-    (n-1)([x(i)=p] + [x(j)=q]) + [x(i)=q] + [x(j)=p] - 1, so position i and
-    target p collect (n-1)(t1 + t2) + t3 + t4, where t1..t4 sum the
-    off-diagonal coefficients having i and p in the roles (first, first),
-    (second, second), (first, second) and (second, first)."""
-    c = KIND_CONSTANTS[3](n).den
-    return [
-        [
-            (n - 1) * (t1[i][p] + t2[i][p]) + t3[i][p] + t4[i][p] + c * diag[i][p]
-            for p in range(n)
-        ]
-        for i in range(n)
-    ]
-
-
-def _tensor_variances(tensor: GeneralTensor):
-    n, exact = tensor.n, tensor.exact
+def _tensor_variances(tensor: GeneralTensor) -> Tuple[int, int, int]:
+    """The numerators of Var(c1), Var(c2) and Var(c3) of a tensor with
+    integer coefficients, over the denominators of _variance_numerators:
+    |Pi_211 Psi Pi_211|^2 and |Pi_22 Psi Pi_22|^2 at the projections'
+    scales, and _first_order_variance of n(n-2) times the c3 coefficients."""
+    n = tensor.n
     psi = tensor.psi
     rng = range(n)
     t1, t2, t3, t4 = ([[0] * n for _ in rng] for _ in range(4))
@@ -580,8 +553,8 @@ def _tensor_variances(tensor: GeneralTensor):
             if q == p:
                 continue
             col = [[psi[i][j][p][q] for j in rng] for i in rng]
-            left211[p, q] = _project_211(col, n, exact)
-            left22[p, q] = _project_22(col, n, exact)
+            left211[p, q] = _project_211(col, n)
+            left22[p, q] = _project_22(col, n)
             for i in rng:
                 for j in rng:
                     if j != i:
@@ -597,28 +570,22 @@ def _tensor_variances(tensor: GeneralTensor):
                 continue
             row211 = [[left211[p, q][i][j] if q != p else 0 for q in rng] for p in rng]
             row22 = [[left22[p, q][i][j] if q != p else 0 for q in rng] for p in rng]
-            n211 += _sum_sq(_project_211(row211, n, exact), exact)
-            n22 += _sum_sq(_project_22(row22, n, exact), exact)
-    diag = [[psi[i][i][p][p] for p in rng] for i in rng]
-    return n211, n22, _c3_coefficients(t1, t2, t3, t4, diag, n)
+            n211 += sum(v * v for row in _project_211(row211, n) for v in row)
+            n22 += sum(v * v for row in _project_22(row22, n) for v in row)
+    # The kind-3 value is (n-1)([x(i)=p] + [x(j)=q]) + [x(i)=q] + [x(j)=p]
+    # - 1, so position i and target p collect (n-1)(t1 + t2) + t3 + t4, where
+    # t1..t4 sum the off-diagonal coefficients having i and p in the roles
+    # (first, first), (second, second), (first, second) and (second, first);
+    # the diagonal coefficients add den_3 times themselves.
+    c = KIND_CONSTANTS[3](n).den
+    b = [[(n - 1) * (t1[i][p] + t2[i][p]) + t3[i][p] + t4[i][p] + c * psi[i][i][p][p]
+          for p in rng] for i in rng]
+    return n211, n22, _first_order_variance(b, n)
 
 
 def _dot(a, b) -> int:
     """Sum of the products of paired integers, exactly."""
     return sum(map(mul, a, b))
-
-
-def _integer_matrix(flat, types, n: int, diag, rho, kappa):
-    """One matrix of an instance, flattened row by row, as integers, with
-    its diagonal, its off-diagonal row and column sums and the factor d that
-    scales it. Int entries are their own integer view, with the cached
-    marginals; others are scaled by core._integer_values."""
-    ints, d = _integer_values(flat, types)
-    if ints is not flat:
-        diag = ints[::n + 1]
-        rho = [sum(ints[k:k + n]) - x for k, x in zip(range(0, n * n, n), diag)]
-        kappa = [sum(ints[j::n]) - x for j, x in enumerate(diag)]
-    return ints, diag, rho, kappa, d
 
 
 def _pair_terms(flat, diag, rho, kappa, n: int):
@@ -648,26 +615,18 @@ def _pair_terms(flat, diag, rho, kappa, n: int):
     return n211, n22, gram
 
 
-def _rounded(num: int, den: int) -> float:
-    """The float nearest num / den, for den > 0: int / int true division
-    rounds correctly. A quotient beyond the float range reads inf of its
-    sign."""
-    try:
-        return num / den
-    except OverflowError:
-        return math.inf if num > 0 else -math.inf
-
-
-def _instance_variances(inst: QapInstance) -> Tuple[int, int, int, int]:
-    """Var(c1), Var(c2) and Var(c3) of a QapInstance as integer numerators
-    over one common denominator, (v1, v2, v3, den): two dot products per
-    matrix over its entries, the rest O(n) algebra on the marginals.
+def _instance_variances(inst: QapInstance) -> Tuple[int, int, int]:
+    """The numerators of Var(c1), Var(c2) and Var(c3) of a QapInstance with
+    integer entries, over the denominators of _variance_numerators: two dot
+    products per matrix over its entries, the rest O(n) algebra on its
+    cached marginals.
 
     With A and B as in _pair_terms, and S = rho + kappa,
     v_i = 2(n-1) S_i - sum S and c = 2(n-1)(n-2):
       |2n Pi_211 m|^2 = 2n^2 (A - B) - 2n sum (rho_i - kappa_i)^2,
       |4(n-1)(n-2) Pi_22 m|^2
-          = 2c^2 (A + B) - 4c sum v_i S_i + (2n-4) sum v_i^2 + 2 (sum v)^2.
+          = 2c^2 (A + B) - 4c sum v_i S_i + (2n-4) sum v_i^2 + 2 (sum v)^2,
+    and the numerator of Var(c_m) is that of r times that of w.
     n(n-2) times the c3 coefficients are sum_xy M_xy u_x (x) u'_y over the
     first-order vectors u = (rho, kappa, diag) of r and u' of w, with
     M = [[n-1, 1, 0], [1, n-1, 0], [0, 0, n(n-2)]]; double centring takes
@@ -676,22 +635,31 @@ def _instance_variances(inst: QapInstance) -> Tuple[int, int, int, int]:
     over the Gram matrices G of the centred vectors.
     """
     n = inst.n
-    types_r, types_w = inst._types
-    *r, dr = _integer_matrix(inst._r_flat, types_r, n, inst._r_diag,
-                             inst._row_off_r, inst._col_off_r)
-    *w, dw = _integer_matrix(tuple(chain.from_iterable(inst.w)), types_w, n,
-                             inst._w_diag, inst._row_off_w, inst._col_off_w)
-    nr211, nr22, gr = _pair_terms(*r, n)
-    nw211, nw22, gw = _pair_terms(*w, n)
-    k1, k2, k3 = (KIND_CONSTANTS[m](n) for m in (1, 2, 3))
-    m = ((n - 1, 1, 0), (1, n - 1, 0), (0, 0, k3.den))
+    nr211, nr22, gr = _pair_terms(inst._r_flat, inst._r_diag,
+                                  inst._row_off_r, inst._col_off_r, n)
+    nw211, nw22, gw = _pair_terms(tuple(chain.from_iterable(inst.w)), inst._w_diag,
+                                  inst._row_off_w, inst._col_off_w, n)
+    m = ((n - 1, 1, 0), (1, n - 1, 0), (0, 0, KIND_CONSTANTS[3](n).den))
     terms = [(x, y, v) for x, row in enumerate(m) for y, v in enumerate(row) if v]
     n3 = sum(v * u * gr[x][z] * gw[y][t] for x, y, v in terms for z, t, u in terms)
-    dd = (dr * dw) ** 2
-    # Each variance as a / x, b / y and c / z; c2 vanishes where dim_2 = 0.
-    a, x = nr211 * nw211, (2 * n) ** 4 * k1.dim * dd
-    b, y = (nr22 * nw22, (4 * (n - 1) * (n - 2)) ** 4 * k2.dim * dd) if k2.dim else (0, 1)
-    c, z = n3, n ** 4 * k3.den ** 2 * k3.dim * dd
+    return nr211 * nw211, nr22 * nw22, n3
+
+
+def _variance_numerators(problem: Problem) -> Tuple[int, int, int, int]:
+    """Var(c1), Var(c2) and Var(c3) of either problem type as integer
+    numerators over one common denominator, (v1, v2, v3, den), from the
+    kernel of its type run on its integer twin (core._integer_scaled),
+    whose variances are d^2 times its own. Var(c_m) is the kernel's m-th
+    numerator over d^2 dim_m times (2n)^4, (4(n-1)(n-2))^4 and n^4 den_3^2,
+    the scales of the projections; c2 vanishes where dim_2 = 0."""
+    twin, d = _integer_scaled(problem)
+    kernel = _instance_variances if isinstance(twin, QapInstance) else _tensor_variances
+    a, b, c = kernel(twin)
+    n = problem.n
+    k1, k2, k3 = (KIND_CONSTANTS[m](n) for m in (1, 2, 3))
+    x = (2 * n) ** 4 * k1.dim * d * d
+    b, y = (b, (4 * (n - 1) * (n - 2)) ** 4 * k2.dim * d * d) if k2.dim else (0, 1)
+    z = n ** 4 * k3.den ** 2 * k3.dim * d * d
     return a * y * z, b * x * z, c * x * y, x * y * z
 
 
@@ -708,26 +676,13 @@ def component_variances(problem: Problem) -> ComponentTriple:
     sum_i A[i][x(i)] plus a constant, and Var(c3) = |double-centred A|^2/(n-1).
     The parts are orthogonal, so the three variances add up to Var(f).
 
-    A QapInstance costs two dot products per matrix over its n^2 entries
-    and O(n) besides (_instance_variances). Its entries are scaled to
-    integers exactly and every step is integer arithmetic, so rational mode
-    returns Fractions and float mode the correctly rounded float of each
-    exact variance, Var(f) included; a variance beyond the float range reads
-    inf. A GeneralTensor costs O(n^4) projections, in the problem's own
-    arithmetic: exact in rational mode.
+    Both problem types run on their integer twin (_variance_numerators), so
+    every variance is exact and formed once by core._ratio: a Fraction in
+    rational mode, the correctly rounded float of the exact variance in float
+    mode, Var(f) included, and inf beyond the float range. A QapInstance costs
+    two dot products per matrix over its n^2 entries and O(n) besides
+    (_instance_variances); a GeneralTensor costs O(n^4) projections of its
+    coefficients (_tensor_variances), the kernel's independent oracle.
     """
-    if isinstance(problem, QapInstance):
-        *nums, den = _instance_variances(problem)
-        value = Fraction if problem.exact else _rounded
-        return ComponentTriple(*(value(v, den) for v in nums), value(sum(nums), den))
-    if not isinstance(problem, GeneralTensor):
-        raise TypeError(
-            f"expected QapInstance or GeneralTensor, got {type(problem)!r}"
-        )
-    n = problem.n
-    exact = problem.exact
-    n211, n22, b = _tensor_variances(problem)
-    v1 = _schur_variance(n211, 2 * n, 1, n, exact)
-    v2 = _schur_variance(n22, 4 * (n - 1) * (n - 2), 2, n, exact)
-    v3 = _first_order_variance(b, n, exact)
-    return ComponentTriple.of(v1, v2, v3)
+    *nums, den = _variance_numerators(problem)
+    return ComponentTriple(*(_ratio(v, den, problem.exact) for v in (*nums, sum(nums))))

@@ -11,17 +11,17 @@ The streamed pass behind `stats` and `verify` (space_moments) walks them
 in Heap's order instead, where consecutive permutations differ by one
 transposition, and carries five integers from point to point in O(n):
 f_same, f_swapped, the diagonal sum and the two marginal pairings behind
-decomposition's case masses. It keeps no values, in either mode: the
-entries are scaled to integers, each component is an integer numerator
-over one denominator, formed from the five by fixed integer rows
+decomposition's case masses. It keeps no values, in either mode: it runs
+on the integer twin (core._integer_scaled), each component is an integer
+numerator over one denominator, formed from the five by fixed integer rows
 (decomposition._numerator_rows), c1 + c2 + c3 = f is checked as an integer
 identity, and the sums and sums of squares of the numerators are Python
-ints. Each mean and variance is formed once at the end: a Fraction in
-rational mode, the correctly rounded float in float mode. neighbor_rows
-builds each swap neighbor's seven sums from those at one point the same
-way, for verify's wave claims. Both share the mass formulas with the
-evaluators and are tested against the literal oracles. Every order is
-fixed, so float-mode reductions are deterministic.
+ints. Each mean and variance is formed once at the end by core._ratio, as
+are the closed forms: a Fraction in rational mode, the correctly rounded
+float in float mode. neighbor_rows builds each swap neighbor's seven sums
+from those at one point the same way, for verify's wave claims. Both share
+the mass formulas with the evaluators and are tested against the literal
+oracles. Every order is fixed, so float-mode reductions are deterministic.
 
 Exact means sum integer numerators over one common denominator. Float
 means of literal columns use math.fsum; a neighborhood mean sums left to
@@ -43,6 +43,7 @@ from .core import (
     QapInstance,
     Scalar,
     _integer_scaled,
+    _ratio,
     div,
     fsum,
     neighborhood_size,
@@ -58,7 +59,6 @@ from .decomposition import (
     _masses_from_sums,
     _numerator_rows,
     _raw_sums,
-    _rounded,
     _swap_sum_deltas,
     decompose,
 )
@@ -124,13 +124,12 @@ def _over_common_denominator(values) -> Tuple[Iterator[int], int]:
     return (v.numerator * scale[v.denominator] for v in values), d
 
 
-def _integer_moments(total: int, squares: int, count: int, d: int, value=Fraction):
+def _integer_moments(total: int, squares: int, count: int, d: int, exact: bool = True):
     """Mean and population variance of count values whose integer
     numerators over d sum to total and their squares to squares, each formed
-    once from its exact numerator and denominator by value: Fraction, or
-    decomposition._rounded for the correctly rounded float."""
-    return (value(total, count * d),
-            value(count * squares - total * total, (count * d) ** 2))
+    once from its exact numerator and denominator by core._ratio."""
+    return (_ratio(total, count * d, exact),
+            _ratio(count * squares - total * total, (count * d) ** 2, exact))
 
 
 def moments(values) -> Tuple[Scalar, Scalar]:
@@ -302,7 +301,7 @@ def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoment
     in its order; each point's row is also stored under its mapping in
     table, when one is given. The caller checks the enumeration cap.
 
-    The pass runs on the problem scaled to integer entries by d
+    The pass runs on the problem's integer twin, scaled by d
     (_integer_scaled), in both modes, and each component is its integer
     numerator over L * d, formed from the five carried quantities by the
     rows of decomposition._numerator_rows, where L is the least common
@@ -310,10 +309,10 @@ def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoment
     numerators are checked to add up to L times f, and their sums and sums
     of squares are accumulated as ints; no value is kept. Every mean,
     variance and table value is formed once from its integer numerator and
-    denominator: a Fraction in rational mode, the correctly rounded float in
-    float mode (inf of its sign beyond the float range).
+    denominator by core._ratio: a Fraction in rational mode, the correctly
+    rounded float in float mode (inf of its sign beyond the float range).
     """
-    value = Fraction if problem.exact else _rounded
+    exact = problem.exact
     lcm, rows = _numerator_rows(problem.n)
     scaled, d = _integer_scaled(problem)
     den = lcm * d
@@ -349,16 +348,16 @@ def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoment
             worst = max(worst, abs(got - lf))
             top = max(top, abs(got))
         if table is not None:
-            table[tuple(mapping)] = tuple(value(c, den) for c in (c1, c2, c3, lf))
+            table[tuple(mapping)] = tuple(_ratio(c, den, exact) for c in (c1, c2, c3, lf))
     top = max(top, lcm * hi, -lcm * lo)
     count = math.factorial(problem.n)
     means, variances = zip(*(
-        _integer_moments(total, squares, count, den, value)
+        _integer_moments(total, squares, count, den, exact)
         for total, squares in ((t1, s1), (t2, s2), (t3, s3), (tf, sf))
     ))
     return SpaceMoments(
         ComponentTriple(*means), ComponentTriple(*variances), count,
-        value(worst, den), max(1, value(top, den)),
+        _ratio(worst, den, exact), max(1, _ratio(top, den, exact)),
     )
 
 

@@ -14,13 +14,12 @@ example a fitted exponential correlation length); this module commits to
 the 1/(1 - r(1)) form and validates it against walks and small-n
 enumeration.
 
-The variances come from decomposition.component_variances, a closed form
-in the instance data, so the weights, r(s) and xi are exact (in rational
-mode) at every n. For a QapInstance it costs two dot products per matrix
-over the n^2 entries and O(n) besides, in integer arithmetic: in float mode
-each variance is the correctly rounded float of the exact one (inf beyond
-the float range), and each weight the correctly rounded float of the exact
-share, so it stays finite where the variances overflow.
+The weights and xi are exact ratios of the integer numerators of the
+closed-form variances (decomposition._variance_numerators), formed once by
+core._ratio: Fractions in rational mode, the correctly rounded floats in
+float mode, finite where the float variances overflow. The predicted r(s)
+sums the formed weights' geometric terms in the problem's own arithmetic:
+an exact power (1 - k_m/d)^s grows by O(log d) bits per lag.
 
 The walk costs O(n) per step: it evaluates the objective once and then adds
 each swap's change (`swap_delta`). In float mode the recorded values are
@@ -37,12 +36,11 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
-from .core import Permutation, Scalar, _integer_scaled, div, fsum, neighborhood_size, sum_of
-from .decomposition import KIND_CONSTANTS, Problem, component_variances
+from .core import Permutation, Scalar, _ratio, div, fsum, neighborhood_size, sum_of
+from .decomposition import KIND_CONSTANTS, Problem, _variance_numerators
 
 
 @dataclass(frozen=True)
@@ -157,18 +155,29 @@ def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
     return [1.0] + [fsum(map(mul, dev, dev[s:])) / denom for s in range(1, max_lag + 1)]
 
 
+def _weights_and_coefficient(problem: Problem):
+    """The variance shares W_m = Var(c_m) / Var(f), and xi = 1/(sum_m W_m
+    k_m/d) = d sum_m v_m / sum_m v_m k_m with its bounds, from the integer
+    variance numerators v_m (decomposition._variance_numerators). Each is
+    exact before core._ratio forms it once."""
+    *nums, _ = _variance_numerators(problem)
+    total = sum(nums)
+    if total == 0:
+        raise ValueError("objective has zero variance; weights are undefined")
+    n, exact = problem.n, problem.exact
+    rate = sum(map(mul, nums, _wave_constants(n)))
+    return tuple(_ratio(v, total, exact) for v in nums), CoefficientBounds(
+        _ratio(neighborhood_size(n) * total, rate, exact),
+        _ratio(n - 1, 4, exact), _ratio(n - 1, 2, exact),
+    )
+
+
 def component_weights(problem: Problem) -> Tuple[Scalar, Scalar, Scalar]:
     """Variance shares W_m = Var(c_m) / Var(f) of the three components,
-    which add up to 1. Each is the exact share of the closed-form variances
-    of the problem scaled to integers (core._integer_scaled), which scaling
-    leaves unchanged: a Fraction in rational mode, rounded once in float
-    mode, so that it is correctly rounded and finite where the float
-    variances overflow."""
-    vt = component_variances(_integer_scaled(problem)[0])
-    if vt.total == 0:
-        raise ValueError("objective has zero variance; weights are undefined")
-    shares = [Fraction(v, vt.total) for v in (vt.c1, vt.c2, vt.c3)]
-    return tuple(shares if problem.exact else map(float, shares))
+    which add up to 1: Fractions in rational mode, and in float mode each
+    the correctly rounded exact share, finite where the float variances
+    overflow."""
+    return _weights_and_coefficient(problem)[0]
 
 
 def _wave_constants(n: int) -> List[int]:
@@ -189,14 +198,6 @@ def _predicted_autocorr(weights, n: int, exact: bool, max_lag: int) -> List[Scal
     ]
 
 
-def _coefficient(weights, n: int, exact: bool) -> CoefficientBounds:
-    d = neighborhood_size(n)
-    rate = sum_of(
-        (div(wv * k, d, exact) for wv, k in zip(weights, _wave_constants(n))), exact
-    )
-    return CoefficientBounds(1 / rate, div(n - 1, 4, exact), div(n - 1, 2, exact))
-
-
 def theoretical_autocorr(problem: Problem, max_lag: int) -> List[Scalar]:
     """Predicted walk autocorrelation r(s) = sum_m W_m (1 - k_m/d)^s
     for s = 0..max_lag."""
@@ -209,7 +210,7 @@ def theoretical_autocorr(problem: Problem, max_lag: int) -> List[Scalar]:
 def autocorr_coefficient(problem: Problem) -> CoefficientBounds:
     """Ruggedness coefficient xi = 1/(1 - r(1)) with its guaranteed bounds
     ((n-1)/4, (n-1)/2)."""
-    return _coefficient(component_weights(problem), problem.n, problem.exact)
+    return _weights_and_coefficient(problem)[1]
 
 
 def analyze_autocorr(
@@ -222,8 +223,7 @@ def analyze_autocorr(
     empirical-vs-theoretical report."""
     series = random_walk(problem, steps, walk_seed)
     empirical = empirical_autocorr(series, max_lag)
-    weights = component_weights(problem)
-    coeff = _coefficient(weights, problem.n, problem.exact)
+    weights, coeff = _weights_and_coefficient(problem)
     report = AutocorrReport(
         empirical=empirical,
         theoretical=_predicted_autocorr(weights, problem.n, problem.exact, max_lag),

@@ -482,9 +482,9 @@ class TestAnalyzeAutocorr:
 
     def test_weights_computed_once(self, monkeypatch):
         calls = []
-        original = spectral.component_variances
+        original = spectral._variance_numerators
         monkeypatch.setattr(
-            spectral, "component_variances",
+            spectral, "_variance_numerators",
             lambda *a, **k: calls.append(1) or original(*a, **k),
         )
         inst = seeded_instance(5, 8)

@@ -15,6 +15,7 @@ from qaplandscape import (
     ComponentTriple,
     GeneralTensor,
     QapInstance,
+    average_triple,
     check_elementary,
     component_variances,
     variance_triple,
@@ -85,8 +86,9 @@ def test_named_tuple_is_shared_with_the_oracle():
 
 
 def test_rejects_other_types():
-    with pytest.raises(TypeError):
-        component_variances([[1, 2], [3, 4]])
+    for statistic in (component_variances, average_triple, component_weights):
+        with pytest.raises(TypeError):
+            statistic([[1, 2], [3, 4]])
 
 
 # Known special cases as regression oracles, each at n = 5, 7 and 12.
