@@ -22,7 +22,8 @@ closed form (average_triple, component_variances). On both problem types
 they run on the integer twin (core._integer_scaled) in Python ints, and each
 value is formed once by core._ratio: a Fraction in rational mode, the
 correctly rounded float in float mode. The per-point evaluators (decompose,
-the wave-equation means) run in the problem's own arithmetic.
+the wave-equation means) run in the problem's own arithmetic, by one rule
+(_numerator_rows) from five sums of the point (_sums) to the components.
 
 All functions are pure; callers may parallelize across permutations.
 """
@@ -159,12 +160,13 @@ def _check_component(m: int) -> None:
 
 
 def _tensor_case_totals(tensor: GeneralTensor, x: Permutation):
-    """Coefficient mass of each of the five cases at x, by a direct O(n^4)
-    pass over the coefficients: the independent oracle for _case_totals.
+    """Masses (s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag) of the five
+    cases and of the diagonal at x, by a direct O(n^4) pass over the
+    coefficients: the independent oracle for _raw_sums.
 
     Every psi[i][j][p][q] with i != j and p != q is classified on its own
     and added to the mass of its case; the diagonal mass is the sum of
-    psi[i][i][x(i)][x(i)]. Returns the same 6-tuple as _case_totals.
+    psi[i][i][x(i)][x(i)].
     """
     n = tensor.n
     xm = x.mapping
@@ -202,21 +204,20 @@ def _tensor_case_totals(tensor: GeneralTensor, x: Permutation):
 
 
 def _raw_sums(inst: QapInstance, mapping):
-    """The seven sums behind the case masses at the permutation with this
-    mapping, in O(n^2): (f_same, f_swapped, diag, p1, p2, q1, q2).
+    """The five sums that give the components at the permutation with this
+    mapping, in O(n^2): (f_same, f_swapped, diag, P, Q).
 
     f_same = sum r_ij w_{x(i)x(j)} and f_swapped = sum r_ij w_{x(j)x(i)},
     both over all (i, j), the diagonal included; diag = sum_i r_ii
-    w_{x(i)x(i)}; p1, p2, q1 and q2 pair the off-diagonal row and column
-    sums of r with those of w at the images: row with row, column with
-    column, row with column and column with row.
+    w_{x(i)x(i)}; P pairs the off-diagonal row and column sums of r with
+    those of w at the images, row with row plus column with column, and Q
+    row with column plus column with row.
 
     Every sum is a dot product with the instance's cached flat rows: w is
     gathered once at the mapping into its n^2 entries w_{x(i)x(j)}, row by
     row, and dotted with the flat r (_r_flat) for f_same and with the flat
-    transpose of r (_rt_flat) for f_swapped; the diagonal and the four
-    marginal pairings gather the cached diagonal and marginals of w the
-    same way.
+    transpose of r (_rt_flat) for f_swapped; the diagonal and the marginal
+    pairings gather the cached diagonal and marginals of w the same way.
     """
     exact = inst.exact
     # n >= MIN_SIZE, so the itemgetter of the mapping returns a tuple.
@@ -228,23 +229,23 @@ def _raw_sums(inst: QapInstance, mapping):
         sum_of(map(mul, inst._r_flat, permuted), exact),
         sum_of(map(mul, inst._rt_flat, permuted), exact),
         sum_of(map(mul, inst._r_diag, gather(inst._w_diag)), exact),
-        sum_of(map(mul, row_off_r, row_off_wx), exact),
-        sum_of(map(mul, col_off_r, col_off_wx), exact),
-        sum_of(map(mul, row_off_r, col_off_wx), exact),
-        sum_of(map(mul, col_off_r, row_off_wx), exact),
+        sum_of(chain(map(mul, row_off_r, row_off_wx),
+                     map(mul, col_off_r, col_off_wx)), exact),
+        sum_of(chain(map(mul, row_off_r, col_off_wx),
+                     map(mul, col_off_r, row_off_wx)), exact),
     )
 
 
 def _swap_sum_deltas(inst: QapInstance, mapping, u: int, v: int):
-    """Change of each of the seven sums of _raw_sums when positions u and v
+    """Change of each of the five sums of _raw_sums when positions u and v
     of this mapping exchange their images, in O(n).
 
     f_same changes by swap_delta on (r, w) and f_swapped by swap_delta on
     (r, w^T); both are formed in one loop, since the two deltas pair the
     same row and column differences of r and w crosswise. Those differences
     are read from the instance's tables (QapInstance._swap_differences).
-    The other five sums each change by one product of two differences. The
-    mapping is read, not changed.
+    The diagonal sum changes by one product of two differences, P and Q by
+    two each. The mapping is read, not changed.
     """
     r, w = inst.r, inst.w
     a, b = mapping[u], mapping[v]
@@ -271,103 +272,71 @@ def _swap_sum_deltas(inst: QapInstance, mapping, u: int, v: int):
         same,
         swapped,
         diag,
-        dro_r * dro_w,
-        dco_r * dco_w,
-        dro_r * dco_w,
-        dco_r * dro_w,
+        dro_r * dro_w + dco_r * dco_w,
+        dro_r * dco_w + dco_r * dro_w,
     )
 
 
-def _masses_from_sums(inst: QapInstance, sums):
-    """The 6-tuple of case masses from the seven sums of _raw_sums.
-
-    For product-form coefficients r[i][j] * w[p][q] the five case sums
-    factor through row/column marginals of r and w:
-      alpha case: sum r_ij w_{x(i)x(j)} over i != j,
-      beta case:  sum r_ij w_{x(j)x(i)} over i != j,
-    and the one-sided cases reduce to marginal sums minus those two.
-    """
-    f_same, f_swapped, diag, p1, p2, q1, q2 = sums
-    s_alpha = f_same - diag
-    s_beta = f_swapped - diag
-    s_gamma = p1 + p2 - 2 * s_alpha
-    s_epsilon = q1 + q2 - 2 * s_beta
-    s_zeta = (
-        inst._off_total_r * inst._off_total_w
-        - s_alpha - s_beta - s_gamma - s_epsilon
-    )
-    return s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag
-
-
-def _case_totals(inst: QapInstance, x: Permutation):
-    """Coefficient mass of each of the five cases at x, in O(n^2).
-
-    Returns (s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag) where diag
-    is the diagonal mass sum_i r_ii w_{x(i)x(i)}.
-    """
-    return _masses_from_sums(inst, _raw_sums(inst, x.mapping))
-
-
-def _numerator(m: int, consts: KindConstants, totals) -> Scalar:
-    """consts.den times component m, from the five case masses and the
-    diagonal mass: the masses weighted by the kind's case values. Component
-    3 also carries the diagonal mass."""
-    a, b, g, e, z = consts.params
-    sa, sb, sg, se, sz, diag = totals
-    num = a * sa + b * sb + g * sg + e * se + z * sz
-    if m == 3:
-        num = num + consts.den * diag
-    return num
+def _sums(problem: Problem, x: Permutation):
+    """The five sums of _raw_sums at x: O(n^2) for a QapInstance, and for a
+    GeneralTensor the case masses of the O(n^4) reference pass mapped to
+    the same five (f_same = s_alpha + diag, P = s_gamma + 2 s_alpha, ...)."""
+    if not isinstance(problem, (QapInstance, GeneralTensor)):
+        raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
+    if x.n != problem.n:
+        noun = "instance" if isinstance(problem, QapInstance) else "tensor"
+        raise ValueError(f"permutation size {x.n} != {noun} size {problem.n}")
+    if isinstance(problem, QapInstance):
+        return _raw_sums(problem, x.mapping)
+    sa, sb, sg, se, _, diag = _tensor_case_totals(problem, x)
+    return sa + diag, sb + diag, diag, sg + 2 * sa, se + 2 * sb
 
 
 def _numerator_rows(n: int):
-    """_numerator as fixed integer rows over the five quantities a
-    whole-space pass carries: L, the least common multiple of the three
-    kinds' weight denominators, and for m = 1, 2, 3 the row
-    (A, B, D, G, E, Z) with
-      (L / den_m) _numerator(m, ...)
-          = A f_same + B f_swapped + D diag + G P + E Q + Z T,
-    where P = p1 + p2 and Q = q1 + q2 (_raw_sums) and T is the off-diagonal
-    coefficient total. From _masses_from_sums, with the case values
-    (a, b, g, e, z): A = a - 2g + z, B = b - 2e + z, G = g - z, E = e - z,
-    Z = z and D = -(A + B), plus den_3 for m = 3; each times L / den_m.
-    Read from KIND_CONSTANTS at every call."""
-    kinds = [KIND_CONSTANTS[m](n) for m in (1, 2, 3)]
+    """The one rule from the five sums to the components: L, the least
+    common multiple of the kinds' weight denominators, and for m = 1, 2, 3
+    the integer row (A, B, D, G, E, Z) with
+      L c_m = A f_same + B f_swapped + D diag + G P + E Q + Z T,
+    T the off-diagonal coefficient total. den_m c_m weights the case masses
+    by the kind's case values (a, b, g, e, z), plus den_3 diag for m = 3, and
+    the masses are alpha = f_same - diag, beta = f_swapped - diag,
+    gamma = P - 2 alpha, epsilon = Q - 2 beta, zeta = T less the other four.
+    So A = a - 2g + z, B = b - 2e + z, G = g - z, E = e - z, Z = z and
+    D = -(A + B) (+ den_3 for m = 3), each times L / den_m. Read from
+    KIND_CONSTANTS at every call; formed once per n and factory of it."""
+    return _rows_of(n, KIND_CONSTANTS[1], KIND_CONSTANTS[2], KIND_CONSTANTS[3])
+
+
+@cache
+def _rows_of(n: int, *factories: Callable[[int], KindConstants]):
+    kinds = [factory(n) for factory in factories]
     lcm = math.lcm(*(consts.den for consts in kinds))
     rows = []
-    for m, consts in zip((1, 2, 3), kinds):
+    for m, consts in enumerate(kinds, 1):
         a, b, g, e, z = consts.params
         same, swapped = a - 2 * g + z, b - 2 * e + z
         diag = -(same + swapped) + (consts.den if m == 3 else 0)
         scale = lcm // consts.den
         rows.append(tuple(scale * c for c in (same, swapped, diag, g - z, e - z, z)))
-    return lcm, rows
+    return lcm, tuple(rows)
 
 
-def _value_from_totals(problem: Problem, m: int, totals) -> Scalar:
-    """Component m from the five case masses and the diagonal mass, over
-    its weight denominator."""
-    consts = KIND_CONSTANTS[m](problem.n)
-    return div(_numerator(m, consts, totals), consts.den, problem.exact)
-
-
-def _case_masses(problem: Problem, x: Permutation):
-    """The 6-tuple of case masses at x: O(n^2) for a QapInstance, the
-    O(n^4) reference pass for a GeneralTensor."""
-    if isinstance(problem, QapInstance):
-        noun, totals = "instance", _case_totals
-    elif isinstance(problem, GeneralTensor):
-        noun, totals = "tensor", _tensor_case_totals
-    else:
-        raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
-    if x.n != problem.n:
-        raise ValueError(f"permutation size {x.n} != {noun} size {problem.n}")
-    return totals(problem, x)
+def _components(problem: Problem, sums) -> Tuple[Scalar, Scalar, Scalar]:
+    """(c1, c2, c3) from the five sums of _sums: the rows of _numerator_rows
+    dotted with the sums and T, over L, in the problem's own arithmetic."""
+    exact = problem.exact
+    lcm, (r1, r2, r3) = _numerator_rows(problem.n)
+    values = (*sums, _coefficient_sums(problem)[0])
+    return (
+        div(sum_of(map(mul, r1, values), exact), lcm, exact),
+        div(sum_of(map(mul, r2, values), exact), lcm, exact),
+        div(sum_of(map(mul, r3, values), exact), lcm, exact),
+    )
 
 
 def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar:
     """Reference component evaluator: the case masses of a direct O(n^4)
-    sum over the coefficients, weighted by kind m's case values."""
+    sum over the coefficients, through the same rule as the fast path."""
     if not isinstance(tensor, GeneralTensor):
         raise TypeError("reference path is defined for general tensors only")
     return component_value(tensor, m, x)
@@ -385,18 +354,9 @@ def component_value_fast(inst: QapInstance, m: int, x: Permutation) -> Scalar:
 
 
 def component_value(problem: Problem, m: int, x: Permutation) -> Scalar:
-    """Component m of the objective at x, from the problem type's case masses."""
+    """Component m of the objective at x, from the problem's five sums."""
     _check_component(m)
-    return _value_from_totals(problem, m, _case_masses(problem, x))
-
-
-def _components(problem: Problem, totals) -> Tuple[Scalar, Scalar, Scalar]:
-    """(c1, c2, c3) from the five case masses and the diagonal mass."""
-    return (
-        _value_from_totals(problem, 1, totals),
-        _value_from_totals(problem, 2, totals),
-        _value_from_totals(problem, 3, totals),
-    )
+    return _components(problem, _sums(problem, x))[m - 1]
 
 
 class ComponentTriple(NamedTuple):
@@ -419,7 +379,7 @@ def decompose(problem: Problem, x: Permutation) -> ComponentTriple:
     The total equals the plain objective value, exactly in rational mode
     and to 1e-9 relative in float mode.
     """
-    return ComponentTriple.of(*_components(problem, _case_masses(problem, x)))
+    return ComponentTriple.of(*_components(problem, _sums(problem, x)))
 
 
 def _coefficient_sums(problem: Problem):

@@ -9,19 +9,20 @@ evaluate_points and variance_triple do so through decompose and fitness.
 
 The streamed pass behind `stats` and `verify` (space_moments) walks them
 in Heap's order instead, where consecutive permutations differ by one
-transposition, and carries five integers from point to point in O(n):
-f_same, f_swapped, the diagonal sum and the two marginal pairings behind
-decomposition's case masses. It keeps no values, in either mode: it runs
-on the integer twin (core._integer_scaled), each component is an integer
-numerator over one denominator, formed from the five by fixed integer rows
-(decomposition._numerator_rows), c1 + c2 + c3 = f is checked as an integer
-identity, and the sums and sums of squares of the numerators are Python
-ints. Each mean and variance is formed once at the end by core._ratio, as
-are the closed forms: a Fraction in rational mode, the correctly rounded
-float in float mode. neighbor_rows builds each swap neighbor's seven sums
-from those at one point the same way, for verify's wave claims. Both share
-the mass formulas with the evaluators and are tested against the literal
-oracles. Every order is fixed, so float-mode reductions are deterministic.
+transposition, and carries the five sums of decomposition._raw_sums from
+point to point in O(n): f_same, f_swapped, the diagonal sum and the two
+marginal pairings P and Q. It keeps no values, in either mode: it runs on
+the integer twin (core._integer_scaled), each component is an integer
+numerator over one denominator, formed from the five by the fixed integer
+rows of decomposition._numerator_rows, c1 + c2 + c3 = f is checked as an
+integer identity, and the sums and sums of squares of the numerators are
+Python ints. Each mean and variance is formed once at the end by
+core._ratio, as are the closed forms: a Fraction in rational mode, the
+correctly rounded float in float mode. neighbor_rows builds each swap
+neighbor's five sums from those at one point the same way, for verify's
+wave claims, and its components by the same rule as decompose. Both are
+tested against the literal oracles. Every order is fixed, so float-mode
+reductions are deterministic.
 
 Exact means sum integer numerators over one common denominator. Float
 means of literal columns use math.fsum; a neighborhood mean sums left to
@@ -34,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from itertools import permutations
+from itertools import combinations, permutations
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
@@ -53,12 +54,11 @@ from .core import (
 from .decomposition import (
     ComponentTriple,
     Problem,
-    _case_masses,
     _coefficient_sums,
     _components,
-    _masses_from_sums,
     _numerator_rows,
     _raw_sums,
+    _sums,
     _swap_sum_deltas,
     decompose,
 )
@@ -230,43 +230,33 @@ def _full_row(problem: Problem, x: Permutation) -> Tuple[Scalar, ...]:
     return decompose(problem, x)[:3] + (problem.fitness(x),)
 
 
-def _sums_row(inst: QapInstance, sums) -> Tuple[Scalar, ...]:
-    """The row (c1, c2, c3, f) from the seven sums of decomposition._raw_sums."""
-    return (*_components(inst, _masses_from_sums(inst, sums)), sums[0])
-
-
 def _space_sums(problem: Problem):
-    """Every permutation's mapping with the five quantities behind its case
-    masses, (f_same, f_swapped, diag, P, Q), and its objective value, once
-    each; P = p1 + p2 and Q = q1 + q2 of decomposition._raw_sums.
+    """Every permutation's mapping with its five sums of
+    decomposition._sums, (f_same, f_swapped, diag, P, Q), and its objective
+    value, once each.
 
     For a QapInstance the permutations come in Heap's order from the
-    identity: the seven sums are evaluated in full once, and then carried
-    from point to point by decomposition._swap_sum_deltas in O(n), P and Q
-    by one product pair each. The mapping is the pass's own list, changed in
-    place at the next step. A GeneralTensor's case masses are evaluated in
-    full at each point, in lexicographic order, and mapped to the same five
-    (f_same = s_alpha + diag, P = s_gamma + 2 s_alpha, ...).
+    identity: the five sums are evaluated in full once, and then carried
+    from point to point by decomposition._swap_sum_deltas in O(n). The
+    mapping is the pass's own list, changed in place at the next step. A
+    GeneralTensor's sums are evaluated in full at each point, in
+    lexicographic order.
     """
     if not isinstance(problem, QapInstance):
         for x in space_points(problem.n):
-            sa, sb, sg, se, _, diag = _case_masses(problem, x)
-            yield (x.mapping, sa + diag, sb + diag, diag, sg + 2 * sa, se + 2 * sb,
-                   problem.fitness(x))
+            yield (x.mapping, *_sums(problem, x), problem.fitness(x))
         return
     mapping = list(range(problem.n))
-    same, swapped, diag, p1, p2, q1, q2 = _raw_sums(problem, mapping)
-    p, q = p1 + p2, q1 + q2
+    same, swapped, diag, p, q = _raw_sums(problem, mapping)
     yield mapping, same, swapped, diag, p, q, same
     for u, v in heap_swaps(problem.n):
-        d_same, d_swapped, d_diag, dp1, dp2, dq1, dq2 = _swap_sum_deltas(
-            problem, mapping, u, v)
+        d_same, d_swapped, d_diag, dp, dq = _swap_sum_deltas(problem, mapping, u, v)
         mapping[u], mapping[v] = mapping[v], mapping[u]
         same += d_same
         swapped += d_swapped
         diag += d_diag
-        p += dp1 + dp2
-        q += dq1 + dq2
+        p += dp
+        q += dq
         yield mapping, same, swapped, diag, p, q, same
 
 
@@ -276,8 +266,8 @@ def neighbor_rows(
     """Every swap neighbor y of x with its row (c1, c2, c3, f), in
     x.neighbors() order.
 
-    For a QapInstance the seven sums behind the case masses are evaluated
-    in full at x, and each neighbor's sums are those plus
+    For a QapInstance the five sums of decomposition._raw_sums are
+    evaluated in full at x, and each neighbor's sums are those plus
     decomposition._swap_sum_deltas of its swap, in O(n) per neighbor:
     rational rows equal _full_row exactly, float rows agree with it to
     FLOAT_TOLERANCE. A GeneralTensor is evaluated in full at each neighbor.
@@ -288,11 +278,9 @@ def neighbor_rows(
         return
     mapping = x.mapping
     sums = _raw_sums(problem, mapping)
-    n = problem.n
-    swaps = ((u, v) for u in range(n) for v in range(u + 1, n))
-    for y, (u, v) in zip(x.neighbors(), swaps):
-        deltas = _swap_sum_deltas(problem, mapping, u, v)
-        yield y, _sums_row(problem, list(map(add, sums, deltas)))
+    for y, (u, v) in zip(x.neighbors(), combinations(range(problem.n), 2)):
+        moved = tuple(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
+        yield y, (*_components(problem, moved), moved[0])
 
 
 def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoments:

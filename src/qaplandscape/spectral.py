@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
@@ -155,7 +156,9 @@ def empirical_autocorr(series: WalkSeries, max_lag: int) -> List[float]:
     return [1.0] + [fsum(map(mul, dev, dev[s:])) / denom for s in range(1, max_lag + 1)]
 
 
-def _weights_and_coefficient(problem: Problem):
+def _weights_and_coefficient(
+    problem: Problem, undefined: str = "objective has zero variance; weights are undefined"
+):
     """The variance shares W_m = Var(c_m) / Var(f), and xi = 1/(sum_m W_m
     k_m/d) = d sum_m v_m / sum_m v_m k_m with its bounds, from the integer
     variance numerators v_m (decomposition._variance_numerators). Each is
@@ -163,7 +166,7 @@ def _weights_and_coefficient(problem: Problem):
     *nums, _ = _variance_numerators(problem)
     total = sum(nums)
     if total == 0:
-        raise ValueError("objective has zero variance; weights are undefined")
+        raise ValueError(undefined)
     n, exact = problem.n, problem.exact
     rate = sum(map(mul, nums, _wave_constants(n)))
     return tuple(_ratio(v, total, exact) for v in nums), CoefficientBounds(
@@ -219,14 +222,24 @@ def analyze_autocorr(
     walk_seed: int,
     max_lag: int,
 ) -> Tuple[AutocorrReport, WalkSeries]:
-    """Run a walk from a random start and assemble the
-    empirical-vs-theoretical report."""
+    """Walk from a random start and report the empirical against the
+    predicted r(s). The prediction is formed first, so that a refused one
+    costs no walk: a zero-variance objective, every walk of which is
+    constant, and in rational mode an r(max_lag) with more digits than
+    Python writes as text (sys.get_int_max_str_digits(), 0 for no limit)."""
+    check_max_lag(max_lag, steps)
+    weights, coeff = _weights_and_coefficient(
+        problem, "series is constant; autocorrelation is undefined")
+    theoretical = _predicted_autocorr(weights, problem.n, problem.exact, max_lag)
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    last = theoretical[-1]
+    if problem.exact and limit and max(abs(last.numerator), last.denominator) >= 10**limit:
+        raise ValueError(f"the exact predicted r({max_lag}) has more than {limit} "
+                         "digits, too many to print; use float mode (--mode float)")
     series = random_walk(problem, steps, walk_seed)
-    empirical = empirical_autocorr(series, max_lag)
-    weights, coeff = _weights_and_coefficient(problem)
     report = AutocorrReport(
-        empirical=empirical,
-        theoretical=_predicted_autocorr(weights, problem.n, problem.exact, max_lag),
+        empirical=empirical_autocorr(series, max_lag),
+        theoretical=theoretical,
         weights=weights,
         coefficient=coeff.xi,
         bounds=(coeff.lo, coeff.hi),

@@ -6,15 +6,15 @@ In rational mode every residual must be literally zero; in float mode a
 claim passes when its residual stays within 1e-9 of the magnitude of the
 values compared. Exhaustive enumeration is used up to the configured cap
 and seeded sampling beyond it, except that a space of at most SAMPLE_SIZE
-points is always taken whole; the claims that need the full space still
-skip beyond the cap.
+points is always taken whole. On a space taken whole every claim runs; on
+a sampled one the claims that need the full space skip.
 
 Each wave point is evaluated once, and each neighborhood visited once:
 one evaluation of the point, with the closed-form means formed once per
 run, gives the wave-equation predictions of all four neighborhood means
 (c1, c2, c3, f). The brute-force side lists the neighbors' rows
 (c1, c2, c3, f) once, from the streamed table for n <= 6 and otherwise
-from the point's seven sums plus each swap's O(n) update
+from the point's five sums plus each swap's O(n) update
 (oracle.neighbor_rows), and sums each column once.
 
 The five-case family behind the components also obeys two lemmas in n
@@ -103,8 +103,7 @@ def run_verification(
     rng = random.Random(seed)
     results: List[ClaimResult] = []
 
-    exhaustive = n <= cap
-    whole_space = exhaustive or math.factorial(n) <= SAMPLE_SIZE
+    whole_space = n <= cap or math.factorial(n) <= SAMPLE_SIZE
     # Whole-space values come from one streamed pass in Heap's order; the
     # wave claims read them back from a table for n <= 6.
     wave_exhaustive = whole_space and n <= 6
@@ -133,14 +132,13 @@ def run_verification(
     # lexicographic ranks of the whole space.
     if wave_exhaustive:
         wave_points = [Permutation._wrap(mapping) for mapping in table]
-        wave_detail = base_detail
+    elif whole_space:
+        ranks = rng.sample(range(math.factorial(n)), 20)
+        wave_points = [lexicographic_point(n, rank) for rank in ranks]
     else:
-        if whole_space:
-            ranks = rng.sample(range(math.factorial(n)), 20)
-            wave_points = [lexicographic_point(n, rank) for rank in ranks]
-        else:
-            wave_points = rng.sample(points, 20)
-        wave_detail = f"{len(wave_points)} sampled permutations"
+        wave_points = rng.sample(points, 20)
+    wave_detail = (base_detail if wave_exhaustive
+                   else f"{len(wave_points)} sampled permutations")
 
     averages = average_triple(problem)
     wave = [_Residual() for _ in range(4)]
@@ -158,7 +156,7 @@ def run_verification(
         results.append(_claim(name, res.max, res.scale, exact, wave_detail))
 
     # Closed-form means and variance additivity need the full space.
-    if exhaustive:
+    if whole_space:
         var1, var2, var3, var_f = space.variances
         for m, mean, closed_mean in zip((1, 2, 3), space.means, averages):
             res = _Residual()

@@ -7,10 +7,9 @@ from operator import add
 from qaplandscape import GeneralTensor, Permutation, QapInstance
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
-    _case_masses,
     _components,
-    _masses_from_sums,
     _raw_sums,
+    _sums,
     _swap_sum_deltas,
 )
 from qaplandscape.oracle import heap_swaps, space_points
@@ -116,22 +115,22 @@ def space_rows(problem):
     in the order of oracle.space_moments: the reference for its table.
 
     For a QapInstance the permutations come in Heap's order from the
-    identity, and the seven sums of decomposition._raw_sums are carried from
-    point to point by decomposition._swap_sum_deltas and turned into case
-    masses and components at each point, in the problem's own arithmetic: a
-    rational row equals a full evaluation exactly, a float row is a running
-    sum. A GeneralTensor is evaluated in full at each point, in
-    lexicographic order.
+    identity, and the five sums of decomposition._raw_sums are carried from
+    point to point by decomposition._swap_sum_deltas and turned into
+    components at each point by decomposition._components, in the problem's
+    own arithmetic: a rational row equals a full evaluation exactly, a float
+    row is a running sum. A GeneralTensor is evaluated in full at each
+    point, in lexicographic order.
     """
     if not isinstance(problem, QapInstance):
         for x in space_points(problem.n):
-            masses = _case_masses(problem, x)
-            yield x.mapping, (*_components(problem, masses), problem.fitness(x))
+            sums = _sums(problem, x)
+            yield x.mapping, (*_components(problem, sums), problem.fitness(x))
         return
     mapping = list(range(problem.n))
     sums = _raw_sums(problem, mapping)
-    yield tuple(mapping), (*_components(problem, _masses_from_sums(problem, sums)), sums[0])
+    yield tuple(mapping), (*_components(problem, sums), sums[0])
     for u, v in heap_swaps(problem.n):
-        sums = list(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
+        sums = tuple(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
         mapping[u], mapping[v] = mapping[v], mapping[u]
-        yield tuple(mapping), (*_components(problem, _masses_from_sums(problem, sums)), sums[0])
+        yield tuple(mapping), (*_components(problem, sums), sums[0])

@@ -11,6 +11,10 @@ values follow from the five case counts. Both checkers look up
 `omega_neighborhood_sum_oracle` and `KIND_CONSTANTS` on the decomposition
 module at call time, so a monkeypatched replacement is what they check.
 See tests/test_five_case.py for why the tested points suffice.
+
+`weighted_masses` is the same weighting applied to coefficient masses: the
+definition of each component that decomposition._numerator_rows rewrites
+over five sums, kept here as the rows' reference.
 """
 
 from fractions import Fraction
@@ -75,3 +79,13 @@ def space_mean_mismatches(n, tuples):
             if mean != Fraction(*decomposition.KIND_CONSTANTS[m](n).mean):
                 failed.append((m, t, mean))
     return failed
+
+
+def weighted_masses(m, n, masses):
+    """den_m times component m, from the six masses of
+    decomposition._tensor_case_totals: the five case masses weighted by kind
+    m's case values, plus den_3 times the diagonal mass for m = 3."""
+    consts = decomposition.KIND_CONSTANTS[m](n)
+    *cases, diag = masses
+    total = sum(map(mul, consts.params, cases))
+    return total + consts.den * diag if m == 3 else total

@@ -13,6 +13,7 @@ from qaplandscape import (
     component_variances,
     generate_instance,
     serialize_qaplib,
+    spectral,
 )
 from qaplandscape.cli import run_cli
 from qaplandscape.spectral import AutocorrReport, component_weights
@@ -491,6 +492,42 @@ class TestAutocorr:
         assert res["variance_source"] == "exact"
         weights = [Fraction(w) for w in res["weights"]]
         assert weights == list(component_weights(generate_instance(9, 1, 0, 9)))
+
+    # At n = 200 each lag adds about four digits to the exact predicted
+    # r(s): r(1100) has about 4,410, more than Python writes as text
+    # (4,300 by default), and is refused before the walk; r(900) prints.
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_unprintable_exact_lag_is_refused_before_the_walk(
+        self, capsys, monkeypatch, fmt
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk ran for an unprintable --max-lag")
+
+        monkeypatch.setattr(spectral, "random_walk", refuse)
+        code, out, err = run(
+            capsys, "autocorr", "--n", "200", "--steps", "12000",
+            "--max-lag", "1100", "--format", fmt,
+        )
+        assert code == 1 and out == ""
+        assert "r(1100) has more than" in err and "--mode float" in err
+
+    def test_printable_exact_lag_still_prints(self, capsys):
+        code, out, err = run(
+            capsys, "autocorr", "--n", "200", "--steps", "12000",
+            "--max-lag", "900", "--format", "json",
+        )
+        assert code == 2 and err == ""
+        theoretical = json.loads(out)["results"]["theoretical"]
+        assert len(theoretical) == 901
+        assert len(theoretical[900].split("/")[1]) > 3000
+
+    def test_float_mode_is_never_refused_a_lag(self, capsys):
+        code, out, err = run(
+            capsys, "autocorr", "--n", "200", "--steps", "12000",
+            "--max-lag", "1100", "--mode", "float", "--format", "json",
+        )
+        assert code == 2 and err == ""
+        assert len(json.loads(out)["results"]["theoretical"]) == 1101
 
     # Every distance equal makes the objective constant. The float twin's
     # walk repeats one value exactly and is refused like the integer one.

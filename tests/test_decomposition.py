@@ -19,7 +19,7 @@ from qaplandscape import decomposition
 from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
-    _case_totals,
+    _sums,
     _tensor_case_totals,
     _omega_case,
     component_average,
@@ -130,12 +130,14 @@ def test_components_add_up_to_the_objective(problems, data):
     assert t.c1 + t.c2 + t.c3 == problem.fitness(x)
 
 
+# The product form's five sums, from flat dot products, against the tensor
+# classifier's masses mapped to the same five, exactly.
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_tensor_masses_equal_the_product_form_masses(data):
     inst = data.draw(qap_instances())
     x = Permutation(data.draw(st.permutations(range(inst.n))))
-    assert _tensor_case_totals(GeneralTensor.from_qap(inst), x) == _case_totals(inst, x)
+    assert _sums(GeneralTensor.from_qap(inst), x) == _sums(inst, x)
 
 
 @settings(max_examples=40, deadline=None)

@@ -36,10 +36,12 @@ ENTRIES = {
 
 
 def literal_terms(inst, mapping):
-    """The products behind the seven sums of _raw_sums and behind fitness,
-    from literal loops over the entries: (same, swapped, diag, p1, p2, q1,
-    q2), each a list of terms. The marginals are the instance's cached
-    ones; literal_marginals checks those on their own."""
+    """The products behind the five sums of _raw_sums and behind fitness,
+    from literal loops over the entries: (same, swapped, diag, P, Q), each a
+    list of terms. P pairs the marginals of r and w row with row and column
+    with column, Q row with column and column with row. The marginals are
+    the instance's cached ones; literal_marginals checks those on their
+    own."""
     n, r, w = inst.n, inst.r, inst.w
     x = mapping
     rng = range(n)
@@ -50,10 +52,8 @@ def literal_terms(inst, mapping):
         [r[i][j] * w[x[i]][x[j]] for i in rng for j in rng],
         [r[i][j] * w[x[j]][x[i]] for i in rng for j in rng],
         [r[i][i] * w[x[i]][x[i]] for i in rng],
-        [ro_r[i] * ro_w[x[i]] for i in rng],
-        [co_r[i] * co_w[x[i]] for i in rng],
-        [ro_r[i] * co_w[x[i]] for i in rng],
-        [co_r[i] * ro_w[x[i]] for i in rng],
+        [ro_r[i] * ro_w[x[i]] for i in rng] + [co_r[i] * co_w[x[i]] for i in rng],
+        [ro_r[i] * co_w[x[i]] for i in rng] + [co_r[i] * ro_w[x[i]] for i in rng],
     )
 
 
@@ -72,7 +72,8 @@ def check_kernels(inst, mapping):
     reduce = sum if inst.exact else math.fsum
     want = tuple(reduce(t) for t in terms)
     got = _raw_sums(inst, mapping)
-    for name, g, v in zip(("same", "swapped", "diag", "p1", "p2", "q1", "q2"), got, want):
+    assert len(got) == len(want)
+    for name, g, v in zip(("same", "swapped", "diag", "P", "Q"), got, want):
         assert g == v and type(g) is type(v), (name, g, v)
     f = inst.fitness(Permutation(mapping))
     assert f == want[0] and type(f) is type(want[0])

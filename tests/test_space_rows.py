@@ -1,13 +1,13 @@
-"""The seven-sum update behind the streamed whole-space pass of `stats` and
+"""The five-sum update behind the streamed whole-space pass of `stats` and
 `verify` (space_rows, the reference for oracle.space_moments' table), and
 the neighbor rows of verify's wave claims (oracle.neighbor_rows), against
 the literal oracles.
 
-space_rows visits the permutations in Heap's order and carries seven sums
+space_rows visits the permutations in Heap's order and carries five sums
 from point to point through decomposition._swap_sum_deltas. Its rows must
 equal evaluate_points exactly in rational mode and stay within the float
 tolerance of it in float mode. neighbor_rows adds each swap's update of the
-same seven sums to those at one point, and its rows are held to a full
+same five sums to those at one point, and its rows are held to a full
 evaluation of each neighbor by the same standard.
 """
 
@@ -21,12 +21,7 @@ from hypothesis import strategies as st
 
 from qaplandscape import GeneralTensor, Permutation, QapInstance, variance_triple
 from qaplandscape.core import FLOAT_TOLERANCE
-from qaplandscape.decomposition import (
-    _case_totals,
-    _masses_from_sums,
-    _raw_sums,
-    _swap_sum_deltas,
-)
+from qaplandscape.decomposition import _raw_sums, _sums, _swap_sum_deltas
 from qaplandscape.oracle import (
     _full_row,
     evaluate_points,
@@ -36,7 +31,13 @@ from qaplandscape.oracle import (
     space_moments,
     space_points,
 )
-from conftest import random_perms, seeded_instance, space_rows
+from conftest import (
+    exact_twin,
+    random_perms,
+    seeded_instance,
+    space_rows,
+    two_decimal_instance,
+)
 
 
 def literal_rows(problem):
@@ -78,7 +79,7 @@ def test_heap_order_visits_every_permutation_once(n):
 
 
 # Entries mix integers and Fractions; the diagonals are nonzero and each
-# matrix is asymmetric by construction, so every one of the seven sums moves.
+# matrix is asymmetric by construction, so every one of the five sums moves.
 ENTRY = st.one_of(
     st.integers(-9, 9),
     st.fractions(min_value=-5, max_value=5, max_denominator=6),
@@ -101,12 +102,13 @@ def asymmetric_instances(draw):
 
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_seven_sum_update_equals_the_case_totals_after_every_swap(data):
+def test_five_sum_update_equals_the_tensor_sums_after_every_swap(data):
     inst = data.draw(asymmetric_instances())
     n = inst.n
     mapping = list(data.draw(st.permutations(range(n))))
     pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
         lambda uv: uv[0] != uv[1])
+    tensor = GeneralTensor.from_qap(inst)
     sums = _raw_sums(inst, mapping)
     for u, v in data.draw(st.lists(pair, min_size=1, max_size=12)):
         deltas = _swap_sum_deltas(inst, mapping, u, v)
@@ -114,7 +116,7 @@ def test_seven_sum_update_equals_the_case_totals_after_every_swap(data):
         mapping[u], mapping[v] = mapping[v], mapping[u]
         assert sums == _raw_sums(inst, mapping)
         x = Permutation(mapping)
-        assert _masses_from_sums(inst, sums) == _case_totals(inst, x)
+        assert sums == _sums(tensor, x)
         assert sums[0] == inst.fitness(x)
 
 
@@ -178,6 +180,21 @@ def test_float_neighbor_rows_stay_within_tolerance(n):
             scale = max(1.0, abs(want[3]))
             for got, expected in zip(row, want):
                 assert abs(got - expected) <= FLOAT_TOLERANCE * scale
+
+
+# Float decompose and float neighbor rows against the exact components of
+# the same float entries, on entries that are no short binary fractions:
+# each value within FLOAT_TOLERANCE of the largest magnitude compared.
+@pytest.mark.parametrize("n", range(3, 13))
+def test_float_components_stay_within_tolerance_of_the_exact_ones(n):
+    inst = two_decimal_instance(n, n)
+    twin = exact_twin(inst)
+    for x in random_perms(n, 3, n):
+        for y, row in [(x, _full_row(inst, x)), *neighbor_rows(inst, x)]:
+            want = _full_row(twin, y)
+            scale = max(1, *map(abs, want))
+            for got, exact in zip(row, want):
+                assert abs(Fraction(got) - exact) <= FLOAT_TOLERANCE * scale
 
 
 def test_tensor_neighbor_rows_are_full_rows():

@@ -15,6 +15,7 @@ from qaplandscape import (
     autocorr_coefficient,
     average_triple,
     empirical_autocorr,
+    generate_instance,
     random_walk,
     theoretical_autocorr,
     variance_triple,
@@ -324,6 +325,20 @@ class TestTheoreticalAutocorr:
         inst = QapInstance(ones, ones)
         with pytest.raises(ValueError, match="variance"):
             theoretical_autocorr(inst, 3)
+
+    # At n = 200 the exact r(1100) has about 4,410 digits, more than Python
+    # writes as text by default (4,300). The prediction still forms it; only
+    # the report, which prints it, refuses the lag, and that before its walk.
+    def test_unprintable_exact_lag_is_refused_by_the_report_only(self, monkeypatch):
+        inst = generate_instance(200, 0, 0, 9)
+        assert theoretical_autocorr(inst, 1100)[-1].denominator > 10**4300
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the walk ran for an unprintable max_lag")
+
+        monkeypatch.setattr(spectral, "random_walk", refuse)
+        with pytest.raises(ValueError, match=r"r\(1100\) has more than .*--mode float"):
+            analyze_autocorr(inst, steps=12000, walk_seed=0, max_lag=1100)
 
     def test_closed_form_weights_equal_enumeration(self):
         inst = seeded_instance(6, 3)

@@ -25,14 +25,14 @@ def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
 
 
 # Each wave point's neighborhood is listed once (one neighbors() call) and
-# its masses come from one _case_masses call; the whole space comes from the
+# its components come from one _sums call; the whole space comes from the
 # streamed pass and the neighbor rows beyond n = 6 from the O(n) swap update,
 # which make none. fast_vs_reference adds 20 points each on the instance and
 # its tensor. The closed-form means are formed once per run.
 def _wave_calls(monkeypatch, n):
-    """Calls of _case_masses, Permutation.neighbors and average_triple
-    made by one passing run_verification at size n."""
-    calls = {"masses": 0, "neighbors": 0, "averages": 0}
+    """Calls of _sums, Permutation.neighbors and average_triple made by one
+    passing run_verification at size n."""
+    calls = {"sums": 0, "neighbors": 0, "averages": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -40,8 +40,7 @@ def _wave_calls(monkeypatch, n):
             return real(*args)
         return wrapper
 
-    monkeypatch.setattr(decomposition, "_case_masses",
-                        counted("masses", decomposition._case_masses))
+    monkeypatch.setattr(decomposition, "_sums", counted("sums", decomposition._sums))
     monkeypatch.setattr(Permutation, "neighbors",
                         counted("neighbors", Permutation.neighbors))
     average_triple = counted("averages", decomposition.average_triple)
@@ -54,7 +53,7 @@ def _wave_calls(monkeypatch, n):
 
 def test_each_wave_point_is_evaluated_once(monkeypatch):
     assert _wave_calls(monkeypatch, 5) == {
-        "masses": 120 + 2 * 20, "neighbors": 120, "averages": 1,
+        "sums": 120 + 2 * 20, "neighbors": 120, "averages": 1,
     }
 
 
@@ -62,7 +61,7 @@ def test_each_wave_point_is_evaluated_once(monkeypatch):
 # the O(n) update.
 def test_each_sampled_wave_point_is_evaluated_once(monkeypatch):
     assert _wave_calls(monkeypatch, 7) == {
-        "masses": 20 + 2 * 20, "neighbors": 20, "averages": 1,
+        "sums": 20 + 2 * 20, "neighbors": 20, "averages": 1,
     }
 
 
@@ -109,42 +108,69 @@ def test_every_case_value_is_caught(monkeypatch, case, m):
     }
 
 
+def p_q_exchanged(sums):
+    same, swapped, diag, p, q = sums
+    return same, swapped, diag, q, p
+
+
+def gamma_epsilon_exchanged(masses):
+    sa, sb, sg, se, sz, diag = masses
+    return sa, sb, se, sg, sz, diag
+
+
 # Exhaustive at n=5; beyond cap 4 at n=7, where only 20 points are compared.
-# The same exchange of the gamma and epsilon masses is made on the fast path
-# and, separately, on the reference pass.
-@pytest.mark.parametrize("totals, n, cap", [
-    pytest.param("_case_totals", 5, DEFAULT_ENUMERATION_CAP, id="5-8"),
-    pytest.param("_case_totals", 7, 4, id="7-4"),
-    pytest.param("_tensor_case_totals", 5, DEFAULT_ENUMERATION_CAP, id="reference-5-8"),
-    pytest.param("_tensor_case_totals", 7, 4, id="reference-7-4"),
+# The fast path's P and Q sums are exchanged in decompose's _raw_sums and,
+# separately, the reference pass's gamma and epsilon masses.
+@pytest.mark.parametrize("target, exchange, n, cap", [
+    pytest.param("_raw_sums", p_q_exchanged, 5, DEFAULT_ENUMERATION_CAP, id="5-8"),
+    pytest.param("_raw_sums", p_q_exchanged, 7, 4, id="7-4"),
+    pytest.param("_tensor_case_totals", gamma_epsilon_exchanged, 5,
+                 DEFAULT_ENUMERATION_CAP, id="reference-5-8"),
+    pytest.param("_tensor_case_totals", gamma_epsilon_exchanged, 7, 4,
+                 id="reference-7-4"),
 ])
-def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, totals, n, cap):
-    case_totals = getattr(decomposition, totals)
-
-    def gamma_epsilon_exchanged(problem, x):
-        sa, sb, sg, se, sz, diag = case_totals(problem, x)
-        return sa, sb, se, sg, sz, diag
-
-    monkeypatch.setattr(decomposition, totals, gamma_epsilon_exchanged)
+def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, target, exchange, n, cap):
+    real = getattr(decomposition, target)
+    monkeypatch.setattr(decomposition, target, lambda *args: exchange(real(*args)))
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert "fast_vs_reference" in failed
 
 
-# The components (and whether f) that move when one term of the seven-sum
+# The components (and whether f) that move when one term of the five-sum
 # update (decomposition._swap_sum_deltas) is dropped from the streamed pass
-# and the wave claims' neighbor rows.
+# and the wave claims' neighbor rows: one whole sum's change, or one of the
+# two products that each of P's and Q's changes adds up (p1 and p2 pair the
+# marginal differences of r and w row with row and column with column, q1
+# and q2 row with column and column with row).
 # decomposition_sum never catches it: c1 + c2 + c3 = f_same holds for any
-# seven sums. c3 is first order and does not read f_same or f_swapped; c1
+# five sums. c3 is first order and does not read f_same or f_swapped; c1
 # does not read the diagonal sum.
 DROPPED_TERMS = {
     "f_same": ({1, 2}, True),
     "f_swapped": ({1, 2}, False),
     "diag": ({2, 3}, False),
+    "P": ({1, 2, 3}, False),
+    "Q": ({1, 2, 3}, False),
     "p1": ({1, 2, 3}, False),
     "p2": ({1, 2, 3}, False),
     "q1": ({1, 2, 3}, False),
     "q2": ({1, 2, 3}, False),
 }
+SUMS = ("f_same", "f_swapped", "diag", "P", "Q")
+
+
+def dropped_change(term, inst, mapping, u, v):
+    """(index of the sum, the change dropped from it) for one term of the
+    update of the swap (u, v)."""
+    if term in SUMS:
+        return SUMS.index(term), None
+    a, b = mapping[u], mapping[v]
+    row_r = inst._row_off_r[u] - inst._row_off_r[v]
+    col_r = inst._col_off_r[u] - inst._col_off_r[v]
+    row_w = inst._row_off_w[b] - inst._row_off_w[a]
+    col_w = inst._col_off_w[b] - inst._col_off_w[a]
+    return {"p1": (3, row_r * row_w), "p2": (3, col_r * col_w),
+            "q1": (4, row_r * col_w), "q2": (4, col_r * row_w)}[term]
 
 
 # At n=5 the wave claims read the streamed table; at n=7 they build each
@@ -153,12 +179,12 @@ DROPPED_TERMS = {
 @pytest.mark.parametrize("n", [5, 7, 9])
 @pytest.mark.parametrize("term", DROPPED_TERMS)
 def test_every_term_of_the_streamed_update_is_caught(monkeypatch, capsys, n, term):
-    index = list(DROPPED_TERMS).index(term)
     real = oracle._swap_sum_deltas
 
     def dropped(*args):
         deltas = list(real(*args))
-        deltas[index] = 0
+        index, change = dropped_change(term, *args)
+        deltas[index] = 0 if change is None else deltas[index] - change
         return tuple(deltas)
 
     monkeypatch.setattr(oracle, "_swap_sum_deltas", dropped)
@@ -177,7 +203,7 @@ def test_every_term_of_the_streamed_update_is_caught(monkeypatch, capsys, n, ter
 
 
 # Beyond the cap a space of at most SAMPLE_SIZE points is taken whole, each
-# permutation once; the claims that need the full space still skip.
+# permutation once, and every claim runs on it.
 @pytest.mark.parametrize("n, size", [(3, 6), (4, 24), (5, 120)])
 def test_small_space_beyond_the_cap_is_taken_whole(n, size):
     results = run_verification(generate_instance(n, 1, 0, 9), cap=0)
@@ -187,8 +213,11 @@ def test_small_space_beyond_the_cap_is_taken_whole(n, size):
     assert details == dict.fromkeys([
         "decomposition_sum", "wave_component_1", "wave_component_2",
         "wave_component_3", "neighborhood_average",
+        *(f"{claim}_{m}" for claim in ("closed_form_mean", "closed_form_variance")
+          for m in (1, 2, 3)),
+        "variance_orthogonality",
     ], f"all {size} permutations")
-    assert sum(r.skipped for r in results) == 7
+    assert sum(r.skipped for r in results) == 0
 
 
 def test_larger_space_beyond_the_cap_is_sampled():
