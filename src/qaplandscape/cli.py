@@ -28,7 +28,7 @@ from .decomposition import (
 from .oracle import DEFAULT_ENUMERATION_CAP, neighborhood_avg_brute, space_moments
 from .qaplib import generate_instance, parse_qaplib
 from .spectral import analyze_autocorr, check_max_lag, random_walk
-from .verification import run_verification
+from .verification import _whole_space, run_verification
 
 
 # Resource limits on flag values, checked before any instance is built.
@@ -102,7 +102,8 @@ def _check_args(args) -> None:
 
 
 def _check_verify_size(n: int) -> None:
-    # verify's sampled checks grow as n^4 beyond the enumeration cap.
+    # The limit is the dense tensor's storage: fast_vs_reference builds the
+    # instance's tensor, n^4 entries, which GeneralTensor refuses beyond it.
     if n > MAX_TENSOR_SIZE:
         raise CliError(f"verify size {n} exceeds the limit {MAX_TENSOR_SIZE}")
 
@@ -378,8 +379,8 @@ def _cmd_stats(problem, args) -> int:
     # Fails closed: an overflowed closed form is never a result.
     finite = problem.exact or all(math.isfinite(x) for x in (*a, *v))
     exit_code = 0 if finite else 2
-    within_cap = problem.n <= args.cap
-    if within_cap:
+    whole_space = _whole_space(problem.n, args.cap)
+    if whole_space:
         space = space_moments(problem)
         results["enumerated_means"] = dict(zip(keys, space.means))
         results["enumerated_variances"] = dict(zip(keys, space.variances))
@@ -405,7 +406,7 @@ def _cmd_stats(problem, args) -> int:
             print(f"  c2 = {triple[1]}")
             print(f"  c3 = {triple[2]}")
             print(f"  f  = {triple[3]}")
-        if within_cap:
+        if whole_space:
             print(f"enumerated over {results['count']} permutations:")
             for key in keys:
                 print(

@@ -159,50 +159,6 @@ def _check_component(m: int) -> None:
         raise ValueError(f"component index must be 1, 2 or 3, got {m}")
 
 
-def _tensor_case_totals(tensor: GeneralTensor, x: Permutation):
-    """Masses (s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag) of the five
-    cases and of the diagonal at x, by a direct O(n^4) pass over the
-    coefficients: the independent oracle for _raw_sums.
-
-    Every psi[i][j][p][q] with i != j and p != q is classified on its own
-    and added to the mass of its case; the diagonal mass is the sum of
-    psi[i][i][x(i)][x(i)].
-    """
-    n = tensor.n
-    xm = x.mapping
-    psi = tensor.psi
-    sa = sb = sg = se = sz = 0
-    for i in range(n):
-        xi = xm[i]
-        block = psi[i]
-        for j in range(n):
-            if j == i:
-                continue
-            xj = xm[j]
-            for p, row in enumerate(block[j]):
-                for q, v in enumerate(row):
-                    if q == p:
-                        continue
-                    if p == xi:  # x(i) = p: alpha if also x(j) = q
-                        if q == xj:
-                            sa += v
-                        else:
-                            sg += v
-                    elif q == xj:  # x(j) = q alone
-                        sg += v
-                    elif p == xj:  # x(j) = p: beta if also x(i) = q
-                        if q == xi:
-                            sb += v
-                        else:
-                            se += v
-                    elif q == xi:  # x(i) = q alone
-                        se += v
-                    else:
-                        sz += v
-    diag = sum_of((psi[i][i][xm[i]][xm[i]] for i in range(n)), tensor.exact)
-    return sa, sb, sg, se, sz, diag
-
-
 def _raw_sums(inst: QapInstance, mapping):
     """The five sums that give the components at the permutation with this
     mapping, in O(n^2): (f_same, f_swapped, diag, P, Q).
@@ -277,19 +233,50 @@ def _swap_sum_deltas(inst: QapInstance, mapping, u: int, v: int):
     )
 
 
+def _tensor_sums(tensor: GeneralTensor, mapping):
+    """The five sums of _raw_sums, read from the tensor's blocks in O(n^3).
+    For each ordered pair i != j, with B = psi[i][j], a = x(i), b = x(j):
+    f_same takes B[a][b] and f_swapped B[b][a], each besides the diagonal
+    sum of psi[i][i][x(i)][x(i)]; P takes the off-diagonal entries of row a
+    and column b of B, and Q those of row b and column a. Each sum is one
+    sum_of over its entries, so a float sum is correctly rounded and f_same
+    is fitness bit for bit. Only psi is read, never a marginal of r or w:
+    the independent reference of _raw_sums."""
+    psi, exact = tensor.psi, tensor.exact
+    blocks = [(block, a, b) for i, (row, a) in enumerate(zip(psi, mapping))
+              for j, (block, b) in enumerate(zip(row, mapping)) if j != i]
+    diag = [psi[i][i][a][a] for i, a in enumerate(mapping)]
+    return (
+        sum_of(chain(diag, (block[a][b] for block, a, b in blocks)), exact),
+        sum_of(chain(diag, (block[b][a] for block, a, b in blocks)), exact),
+        sum_of(diag, exact),
+        sum_of(chain.from_iterable(_off_diagonal_lines(blocks)), exact),
+        sum_of(chain.from_iterable(_off_diagonal_lines(
+            (block, b, a) for block, a, b in blocks)), exact),
+    )
+
+
+def _off_diagonal_lines(blocks):
+    """For each (block, p, q): row p and column q of the block, each
+    without its diagonal entry."""
+    for block, p, q in blocks:
+        row, column = block[p], itemgetter(q)
+        yield row[:p]
+        yield row[p + 1:]
+        yield map(column, block[:q])
+        yield map(column, block[q + 1:])
+
+
 def _sums(problem: Problem, x: Permutation):
-    """The five sums of _raw_sums at x: O(n^2) for a QapInstance, and for a
-    GeneralTensor the case masses of the O(n^4) reference pass mapped to
-    the same five (f_same = s_alpha + diag, P = s_gamma + 2 s_alpha, ...)."""
+    """The five sums (f_same, f_swapped, diag, P, Q) at x: _raw_sums in
+    O(n^2) for a QapInstance, _tensor_sums in O(n^3) for a GeneralTensor."""
     if not isinstance(problem, (QapInstance, GeneralTensor)):
         raise TypeError(f"expected QapInstance or GeneralTensor, got {type(problem)!r}")
+    instance = isinstance(problem, QapInstance)
     if x.n != problem.n:
-        noun = "instance" if isinstance(problem, QapInstance) else "tensor"
+        noun = "instance" if instance else "tensor"
         raise ValueError(f"permutation size {x.n} != {noun} size {problem.n}")
-    if isinstance(problem, QapInstance):
-        return _raw_sums(problem, x.mapping)
-    sa, sb, sg, se, _, diag = _tensor_case_totals(problem, x)
-    return sa + diag, sb + diag, diag, sg + 2 * sa, se + 2 * sb
+    return (_raw_sums if instance else _tensor_sums)(problem, x.mapping)
 
 
 def _numerator_rows(n: int):
@@ -335,8 +322,8 @@ def _components(problem: Problem, sums) -> Tuple[Scalar, Scalar, Scalar]:
 
 
 def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar:
-    """Reference component evaluator: the case masses of a direct O(n^4)
-    sum over the coefficients, through the same rule as the fast path."""
+    """Reference component evaluator: the five sums read from the
+    tensor's blocks (_tensor_sums), through the same rule as the fast path."""
     if not isinstance(tensor, GeneralTensor):
         raise TypeError("reference path is defined for general tensors only")
     return component_value(tensor, m, x)

@@ -6,8 +6,9 @@ In rational mode every residual must be literally zero; in float mode a
 claim passes when its residual stays within 1e-9 of the magnitude of the
 values compared. Exhaustive enumeration is used up to the configured cap
 and seeded sampling beyond it, except that a space of at most SAMPLE_SIZE
-points is always taken whole. On a space taken whole every claim runs; on
-a sampled one the claims that need the full space skip.
+points is always taken whole (_whole_space, the rule stats shares). On a
+space taken whole every claim runs; on a sampled one the claims that need
+the full space skip.
 
 Each wave point is evaluated once, and each neighborhood visited once:
 one evaluation of the point, with the closed-form means formed once per
@@ -61,6 +62,12 @@ from .oracle import (
 SAMPLE_SIZE = 200
 
 
+def _whole_space(n: int, cap: int) -> bool:
+    """Whether a space of size n is taken whole under this enumeration cap:
+    the one rule of stats and verify."""
+    return n <= cap or math.factorial(n) <= SAMPLE_SIZE
+
+
 @dataclass(frozen=True)
 class ClaimResult:
     """One verified identity: its worst residual and whether it passed."""
@@ -103,7 +110,7 @@ def run_verification(
     rng = random.Random(seed)
     results: List[ClaimResult] = []
 
-    whole_space = n <= cap or math.factorial(n) <= SAMPLE_SIZE
+    whole_space = _whole_space(n, cap)
     # Whole-space values come from one streamed pass in Heap's order; the
     # wave claims read them back from a table for n <= 6.
     wave_exhaustive = whole_space and n <= 6
@@ -181,9 +188,10 @@ def run_verification(
                 results.append(_skipped(f"{claim}_{m}", why))
         results.append(_skipped("variance_orthogonality", why))
 
-    # Fast product-form evaluator against the direct O(n^4) reference
-    # evaluator, both through decompose: once on the instance, once on its
-    # tensor.
+    # Fast product-form evaluator against the reference evaluator, both
+    # through decompose: once on the instance, from its cached marginals in
+    # O(n^2) per point, once on its dense tensor, whose blocks alone give
+    # the five sums in O(n^3) per point (decomposition._tensor_sums).
     if not isinstance(problem, QapInstance):
         results.append(_skipped("fast_vs_reference", "fast path is product-form only"))
     elif n > MAX_TENSOR_SIZE:

@@ -56,6 +56,32 @@ def two_decimal_instance(n, seed):
     return QapInstance(square(), square())
 
 
+def general_tensor(n, seed, denominators=None):
+    """Random coefficients, not of product form: integers, or Fractions
+    over the given denominators."""
+    rng = random.Random(seed)
+
+    def entry():
+        v = rng.randint(-5, 9)
+        return v if denominators is None else Fraction(v, rng.choice(denominators))
+
+    return GeneralTensor([
+        [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
+        for _ in range(n)
+    ])
+
+
+def two_decimal_tensor(n, seed):
+    """Random coefficients round(uniform(-10, 10), 2), not of product form:
+    a tensor in float mode whose sums round."""
+    rng = random.Random(seed)
+    return GeneralTensor([
+        [[[round(rng.uniform(-10, 10), 2) for _ in range(n)] for _ in range(n)]
+         for _ in range(n)]
+        for _ in range(n)
+    ])
+
+
 def exact_twin(inst):
     """The same entries as Fractions: the instance in rational mode."""
     return QapInstance(

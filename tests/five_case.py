@@ -12,9 +12,13 @@ values follow from the five case counts. Both checkers look up
 module at call time, so a monkeypatched replacement is what they check.
 See tests/test_five_case.py for why the tested points suffice.
 
-`weighted_masses` is the same weighting applied to coefficient masses: the
-definition of each component that decomposition._numerator_rows rewrites
-over five sums, kept here as the rows' reference.
+`tensor_case_totals` is the literal classifier: it sorts every coefficient
+of a tensor into the mass of its case at x, in O(n^4). `weighted_masses` is
+the same weighting applied to those masses: the definition of each
+component that decomposition._numerator_rows rewrites over five sums, kept
+here as the rows' reference. `sums_from_masses` maps the masses to the five
+sums that decomposition._tensor_sums reads from the tensor's blocks, and so
+is that pass's reference.
 """
 
 from fractions import Fraction
@@ -81,10 +85,62 @@ def space_mean_mismatches(n, tuples):
     return failed
 
 
+def tensor_case_totals(tensor, x):
+    """Masses (s_alpha, s_beta, s_gamma, s_epsilon, s_zeta, diag) of the five
+    cases and of the diagonal at x, by a direct O(n^4) pass over the
+    coefficients.
+
+    Every psi[i][j][p][q] with i != j and p != q is classified on its own
+    and added to the mass of its case; the diagonal mass is the sum of
+    psi[i][i][x(i)][x(i)].
+    """
+    n = tensor.n
+    xm = x.mapping
+    psi = tensor.psi
+    sa = sb = sg = se = sz = 0
+    for i in range(n):
+        xi = xm[i]
+        block = psi[i]
+        for j in range(n):
+            if j == i:
+                continue
+            xj = xm[j]
+            for p, row in enumerate(block[j]):
+                for q, v in enumerate(row):
+                    if q == p:
+                        continue
+                    if p == xi:  # x(i) = p: alpha if also x(j) = q
+                        if q == xj:
+                            sa += v
+                        else:
+                            sg += v
+                    elif q == xj:  # x(j) = q alone
+                        sg += v
+                    elif p == xj:  # x(j) = p: beta if also x(i) = q
+                        if q == xi:
+                            sb += v
+                        else:
+                            se += v
+                    elif q == xi:  # x(i) = q alone
+                        se += v
+                    else:
+                        sz += v
+    diag = sum(psi[i][i][xm[i]][xm[i]] for i in range(n))
+    return sa, sb, sg, se, sz, diag
+
+
+def sums_from_masses(masses):
+    """The five sums (f_same, f_swapped, diag, P, Q) from the six masses of
+    tensor_case_totals: f_same = s_alpha + diag, f_swapped = s_beta + diag,
+    P = s_gamma + 2 s_alpha and Q = s_epsilon + 2 s_beta."""
+    sa, sb, sg, se, _, diag = masses
+    return sa + diag, sb + diag, diag, sg + 2 * sa, se + 2 * sb
+
+
 def weighted_masses(m, n, masses):
-    """den_m times component m, from the six masses of
-    decomposition._tensor_case_totals: the five case masses weighted by kind
-    m's case values, plus den_3 times the diagonal mass for m = 3."""
+    """den_m times component m, from the six masses of tensor_case_totals:
+    the five case masses weighted by kind m's case values, plus den_3 times
+    the diagonal mass for m = 3."""
     consts = decomposition.KIND_CONSTANTS[m](n)
     *cases, diag = masses
     total = sum(map(mul, consts.params, cases))

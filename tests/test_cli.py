@@ -296,15 +296,19 @@ class TestVerify:
         assert residuals[f"var_c{m}"] != "0"
 
 
+def write_overflow_file(directory, n):
+    """An instance file of size n with finite entries whose products
+    overflow to inf, and whose sums of products then give NaN."""
+    path = directory / f"overflow{n}.dat"
+    row = " ".join(["1e200"] * n)
+    path.write_text(f"{n}\n" + "\n".join([row] * (2 * n)) + "\n")
+    return str(path)
+
+
 class TestFailClosed:
     @pytest.fixture
     def overflow_file(self, tmp_path):
-        # Finite entries whose products overflow to inf, and whose sums of
-        # products then give NaN.
-        path = tmp_path / "overflow.dat"
-        row = " ".join(["1e200"] * 4)
-        path.write_text("4\n" + "\n".join([row] * 8) + "\n")
-        return str(path)
+        return write_overflow_file(tmp_path, 4)
 
     def test_verify_fails_on_overflow(self, capsys, overflow_file):
         code, out, _ = run(capsys, "verify", "--instance", overflow_file)
@@ -318,12 +322,17 @@ class TestFailClosed:
         code, _, _ = run(capsys, "stats", "--instance", overflow_file)
         assert code == 2
 
-    def test_stats_beyond_cap_fails_on_overflow(self, capsys, overflow_file):
+    # Beyond cap 3, 6! = 720 points are sampled, not taken whole: only the
+    # closed forms print, and they overflowed. 4! = 24 points are taken whole.
+    def test_stats_beyond_cap_fails_on_overflow(self, capsys, tmp_path, overflow_file):
         code, out, _ = run(
-            capsys, "stats", "--instance", overflow_file, "--cap", "3"
+            capsys, "stats", "--instance", write_overflow_file(tmp_path, 6), "--cap", "3"
         )
         assert code == 2
         assert "enumerated" not in out
+        code, out, _ = run(capsys, "stats", "--instance", overflow_file, "--cap", "3")
+        assert code == 2
+        assert "enumerated over 24 permutations" in out
 
     @pytest.mark.parametrize("command", [
         ["verify"], ["stats"],
@@ -564,6 +573,14 @@ class TestStats:
             k: str(v) for k, v in zip(("c1", "c2", "c3", "total"), closed)
         }
         assert payload["residuals"] == {}
+
+    # A space of at most 200 points is taken whole at any cap, as by verify.
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_small_space_is_taken_whole_beyond_the_cap(self, capsys, fmt):
+        code, whole, _ = run(capsys, "stats", "--n", "5", "--cap", "0", "--format", fmt)
+        assert code == 0
+        assert "enumerated" in whole
+        assert run(capsys, "stats", "--n", "5", "--cap", "8", "--format", fmt) == (0, whole, "")
 
     def test_closed_form_matches_enumeration(self, capsys):
         code, out, _ = run(

@@ -20,7 +20,7 @@ from qaplandscape.core import neighborhood_size
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
     _sums,
-    _tensor_case_totals,
+    _tensor_sums,
     _omega_case,
     component_average,
     component_value_fast,
@@ -32,13 +32,22 @@ from qaplandscape.decomposition import (
 from qaplandscape.oracle import evaluate_points, space_points
 from conftest import (
     all_perms,
+    general_tensor,
     random_perms,
+    rounded,
     seeded_instance,
     single_entry_tensor,
     tensor_with,
+    two_decimal_tensor,
     zero_psi,
 )
-from five_case import case_sum_mismatches, pair_tuples, space_mean_mismatches
+from five_case import (
+    case_sum_mismatches,
+    pair_tuples,
+    space_mean_mismatches,
+    sums_from_masses,
+    tensor_case_totals,
+)
 from strategies import qap_instances, sparse_tensors
 
 KINDS = [1, 2, 3]
@@ -130,8 +139,8 @@ def test_components_add_up_to_the_objective(problems, data):
     assert t.c1 + t.c2 + t.c3 == problem.fitness(x)
 
 
-# The product form's five sums, from flat dot products, against the tensor
-# classifier's masses mapped to the same five, exactly.
+# The product form's five sums, from flat dot products, against the same
+# five read from the blocks of its tensor, exactly.
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
 def test_tensor_masses_equal_the_product_form_masses(data):
@@ -140,13 +149,36 @@ def test_tensor_masses_equal_the_product_form_masses(data):
     assert _sums(GeneralTensor.from_qap(inst), x) == _sums(inst, x)
 
 
+# The block pass against the literal classifier of tests/five_case.py, its
+# case masses mapped to the five sums, exactly: on dense tensors not of
+# product form, with negative entries and nonzero diagonals, in integers and
+# in Fractions, and on sparse ones.
+DENSE_TENSORS = st.builds(general_tensor, st.integers(3, 8), st.integers(0, 999),
+                          st.sampled_from([None, (1, 2, 3), (3, 7)]))
+
+
+@pytest.mark.parametrize("tensors", [DENSE_TENSORS, sparse_tensors(max_n=8)],
+                         ids=["dense", "sparse"])
 @settings(max_examples=40, deadline=None)
 @given(data=st.data())
-def test_tensor_masses_add_up_to_the_off_diagonal_sum(data):
-    tensor = data.draw(sparse_tensors())
+def test_tensor_sums_equal_the_classifier_masses(tensors, data):
+    tensor = data.draw(tensors)
     x = Permutation(data.draw(st.permutations(range(tensor.n))))
-    masses = _tensor_case_totals(tensor, x)[:5]
-    assert sum(masses) == tensor.coefficient_sums()[0]
+    assert _tensor_sums(tensor, x.mapping) == sums_from_masses(tensor_case_totals(tensor, x))
+
+
+# Each float sum is one fsum over its entries: the correctly rounded exact
+# sum of the float coefficients, and f_same is fitness bit for bit.
+@pytest.mark.parametrize("n", range(3, 9))
+def test_float_tensor_sums_are_the_rounded_exact_sums(n):
+    tensor = two_decimal_tensor(n, n)
+    twin = GeneralTensor([[[[Fraction(v) for v in row] for row in plane]
+                           for plane in block] for block in tensor.psi])
+    for x in random_perms(n, 5, n):
+        sums = _tensor_sums(tensor, x.mapping)
+        exact = _tensor_sums(twin, x.mapping)
+        assert [v.hex() for v in sums] == [rounded(q).hex() for q in exact]
+        assert sums[0].hex() == tensor.fitness(x).hex()
 
 
 @pytest.mark.parametrize("problems", [qap_instances(max_n=6), sparse_tensors()],
@@ -175,15 +207,15 @@ def test_closed_form_means_match_enumeration(problems, data):
 def test_tensor_decompose_makes_one_pass(monkeypatch):
     calls = []
 
-    def counted(tensor, x):
-        calls.append(x)
-        return _tensor_case_totals(tensor, x)
+    def counted(tensor, mapping):
+        calls.append(mapping)
+        return _tensor_sums(tensor, mapping)
 
-    monkeypatch.setattr(decomposition, "_tensor_case_totals", counted)
+    monkeypatch.setattr(decomposition, "_tensor_sums", counted)
     t = GeneralTensor.from_qap(seeded_instance(5, 3))
     x = Permutation.identity(5)
     assert decompose(t, x).total == t.fitness(x)
-    assert calls == [x]
+    assert calls == [x.mapping]
 
 
 class TestOmega:

@@ -29,11 +29,19 @@ points, which pin down a cubic.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qaplandscape import decomposition
+from qaplandscape import Permutation, decomposition
 from qaplandscape.decomposition import _omega_case
 from conftest import perturb_kind
-from five_case import case_sum_mismatches, pair_tuples, space_mean_mismatches
+from five_case import (
+    case_sum_mismatches,
+    pair_tuples,
+    space_mean_mismatches,
+    tensor_case_totals,
+)
+from strategies import sparse_tensors
 
 ONE_TUPLE = [(0, 1, 0, 1)]
 
@@ -67,3 +75,14 @@ def test_space_means_catch_a_wrong_mean(monkeypatch, m):
     perturb_kind(monkeypatch, m, "mean", lambda mean: (mean[0] + 1, mean[1]))
     failed = space_mean_mismatches(4, pair_tuples(4))
     assert failed and {kind for kind, _, _ in failed} == {m}
+
+
+# The literal classifier, the oracle of the block pass, loses no
+# coefficient: its five case masses add up to the off-diagonal total.
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_tensor_masses_add_up_to_the_off_diagonal_sum(data):
+    tensor = data.draw(sparse_tensors())
+    x = Permutation(data.draw(st.permutations(range(tensor.n))))
+    masses = tensor_case_totals(tensor, x)[:5]
+    assert sum(masses) == tensor.coefficient_sums()[0]

@@ -14,7 +14,6 @@ exact one, bit for bit.
 """
 
 import json
-import random
 from fractions import Fraction
 from operator import mul
 
@@ -22,14 +21,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qaplandscape import GeneralTensor, Permutation, QapInstance, variance_triple
+from qaplandscape import Permutation, variance_triple
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
     OmegaParams,
     _numerator_rows,
     _sums,
-    _tensor_case_totals,
 )
 from qaplandscape.oracle import (
     _full_row,
@@ -41,6 +39,7 @@ from qaplandscape.oracle import (
 from conftest import (
     exact_twin,
     fraction_instance,
+    general_tensor,
     huge_instance,
     perturb_kind,
     rounded,
@@ -48,22 +47,7 @@ from conftest import (
     space_rows,
     two_decimal_instance,
 )
-from five_case import weighted_masses
-
-
-def general_tensor(n, seed, denominators=None):
-    """Random coefficients, not of product form: integers, or Fractions
-    over the given denominators."""
-    rng = random.Random(seed)
-
-    def entry():
-        v = rng.randint(-5, 9)
-        return v if denominators is None else Fraction(v, rng.choice(denominators))
-
-    return GeneralTensor([
-        [[[entry() for _ in range(n)] for _ in range(n)] for _ in range(n)]
-        for _ in range(n)
-    ])
+from five_case import tensor_case_totals, weighted_masses
 
 
 PROBLEMS = {
@@ -136,7 +120,7 @@ def test_numerator_rows_equal_the_case_mass_rule(n, seed, data):
     x = Permutation(data.draw(st.permutations(range(n))))
     lcm, rows = _numerator_rows(n)
     values = (*_sums(tensor, x), tensor.coefficient_sums()[0])
-    masses = _tensor_case_totals(tensor, x)
+    masses = tensor_case_totals(tensor, x)
     for m, row in zip((1, 2, 3), rows):
         scale = lcm // KIND_CONSTANTS[m](n).den
         assert sum(map(mul, row, values)) == scale * weighted_masses(m, n, masses)

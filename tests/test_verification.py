@@ -113,25 +113,18 @@ def p_q_exchanged(sums):
     return same, swapped, diag, q, p
 
 
-def gamma_epsilon_exchanged(masses):
-    sa, sb, sg, se, sz, diag = masses
-    return sa, sb, se, sg, sz, diag
-
-
 # Exhaustive at n=5; beyond cap 4 at n=7, where only 20 points are compared.
-# The fast path's P and Q sums are exchanged in decompose's _raw_sums and,
-# separately, the reference pass's gamma and epsilon masses.
-@pytest.mark.parametrize("target, exchange, n, cap", [
-    pytest.param("_raw_sums", p_q_exchanged, 5, DEFAULT_ENUMERATION_CAP, id="5-8"),
-    pytest.param("_raw_sums", p_q_exchanged, 7, 4, id="7-4"),
-    pytest.param("_tensor_case_totals", gamma_epsilon_exchanged, 5,
-                 DEFAULT_ENUMERATION_CAP, id="reference-5-8"),
-    pytest.param("_tensor_case_totals", gamma_epsilon_exchanged, 7, 4,
-                 id="reference-7-4"),
+# The P and Q sums are exchanged in the fast path's _raw_sums and,
+# separately, in the reference's _tensor_sums.
+@pytest.mark.parametrize("target, n, cap", [
+    pytest.param("_raw_sums", 5, DEFAULT_ENUMERATION_CAP, id="5-8"),
+    pytest.param("_raw_sums", 7, 4, id="7-4"),
+    pytest.param("_tensor_sums", 5, DEFAULT_ENUMERATION_CAP, id="reference-5-8"),
+    pytest.param("_tensor_sums", 7, 4, id="reference-7-4"),
 ])
-def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, target, exchange, n, cap):
+def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, target, n, cap):
     real = getattr(decomposition, target)
-    monkeypatch.setattr(decomposition, target, lambda *args: exchange(real(*args)))
+    monkeypatch.setattr(decomposition, target, lambda *args: p_q_exchanged(real(*args)))
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert "fast_vs_reference" in failed
 
