@@ -262,6 +262,10 @@ def _cmd_decompose(problem, args) -> int:
 
 
 def _cmd_avg(problem, args) -> int:
+    # The brute-force side evaluates fitness in full at each of the d
+    # neighbors, O(n^4) in all, so avg shares the generator's size limit.
+    if problem.n > MAX_GENERATED_SIZE:
+        raise CliError(f"avg size {problem.n} exceeds the limit {MAX_GENERATED_SIZE}")
     x = _parse_perm(args.perm, problem.n)
     wave = neighborhood_avg_wave(problem, x)
     brute = neighborhood_avg_brute(problem.fitness, x)

@@ -95,19 +95,18 @@ def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
         raise ValueError("swap positions must differ")
 
 
-def _entry_types(rows) -> set:
-    """The set of entry types, each int, Fraction or float (or a subclass).
-
-    Anything else, a bool included, and any NaN or infinity, is refused.
-    The common cases are settled at C speed: the set of types first, then,
-    for all-float entries, one finiteness pass.
+def _entries_are_exact(rows) -> bool:
+    """True when every entry is int or Fraction (or a subclass), False when
+    some are floats. Anything else, a bool included, and any NaN or infinity,
+    is refused. The common cases are settled at C speed: the set of types
+    first, then, for all-float entries, one finiteness pass.
     """
     rows = tuple(rows)
     types = set(map(type, chain.from_iterable(rows)))
     if types == {int}:
-        return types
+        return True
     if types == {float} and all(map(math.isfinite, chain.from_iterable(rows))):
-        return types
+        return False
     for row in rows:
         for v in row:
             if isinstance(v, float):
@@ -115,28 +114,20 @@ def _entry_types(rows) -> set:
                     raise ValueError(f"matrix entries must be finite, got {v!r}")
             elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"matrix entries must be numbers, got {v!r}")
-    return types
+    return not any(issubclass(t, float) for t in types)
 
 
-def _entries_are_exact(rows) -> bool:
-    """True when every entry is int or Fraction, False when some are floats;
-    anything else is refused (_entry_types)."""
-    return not any(issubclass(t, float) for t in _entry_types(rows))
-
-
-def _integer_values(values, types=None) -> Tuple[Sequence[int], int]:
+def _integer_values(values) -> Tuple[Sequence[int], int]:
     """A sequence of int, Fraction or finite float values as integers over
     one common denominator, and that denominator d: each value times d,
-    exactly. Plain ints come back as they are, with d = 1. types is the set
-    of value types, when known.
+    exactly. Plain ints come back as they are, with d = 1.
 
     Values are scaled through their as_integer_ratio. Floats take the power
     of two that makes the smallest nonzero magnitude, and hence every value,
     an integer, and are scaled by it in float arithmetic, which is exact for
     a power of two short of overflow.
     """
-    if types is None:
-        types = set(map(type, values))
+    types = set(map(type, values))
     if types == {int}:
         return values, 1
     if types == {float}:
@@ -231,18 +222,18 @@ class QapInstance:
     int or Fraction run in exact rational mode; any float entry switches the
     whole instance to float mode. Precomputed once for the O(n^2) kernels:
     r flattened row by row (_r_flat), its transpose flattened the same way
-    (_rt_flat), the diagonals of r and w, the off-diagonal row/column
-    marginals of both, and the set of entry types of each (_types). The
-    entry differences that the O(n) update of a whole-space or neighbor pass
-    reads are tabulated on first use (_swap_differences), in O(n^3), and the
-    integer twin on first use too (_integer_scaled).
+    (_rt_flat), the diagonals of r and w, and the off-diagonal row/column
+    marginals of both. The entry differences that the O(n) update of a
+    whole-space or neighbor pass reads are tabulated on first use
+    (_swap_differences), in O(n^3), and the integer twin on first use too
+    (_integer_scaled).
     """
 
     __slots__ = (
         "n", "r", "w", "exact", "_r_flat", "_rt_flat", "_r_diag", "_w_diag",
         "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
         "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
-        "_types", "_swap_tables", "_twin",
+        "_swap_tables", "_twin",
     )
 
     def __init__(self, r, w) -> None:
@@ -255,17 +246,15 @@ class QapInstance:
             raise ValueError("distance matrix is not square")
         if len(wt) != n or any(len(row) != n for row in wt):
             raise ValueError(f"flow matrix is not {n} x {n}")
-        types = (_entry_types(rt), _entry_types(wt))
-        exact = not any(issubclass(t, float) for t in types[0] | types[1])
+        # Both matrices are validated (&, not and), each on its own fast path.
+        exact = _entries_are_exact(rt) & _entries_are_exact(wt)
         if not exact:
             rt = tuple(tuple(map(float, row)) for row in rt)
             wt = tuple(tuple(map(float, row)) for row in wt)
-            types = ({float}, {float})
         self.n = n
         self.r = rt
         self.w = wt
         self.exact = exact
-        self._types = types
 
         self._r_flat = tuple(chain.from_iterable(rt))
         self._rt_flat = tuple(chain.from_iterable(zip(*rt)))
@@ -519,8 +508,8 @@ def _scaled(problem):
     n = problem.n
     if isinstance(problem, QapInstance):
         r_flat, w_flat = problem._r_flat, tuple(chain.from_iterable(problem.w))
-        r, dr = _integer_values(r_flat, problem._types[0])
-        w, dw = _integer_values(w_flat, problem._types[1])
+        r, dr = _integer_values(r_flat)
+        w, dw = _integer_values(w_flat)
         if r is r_flat and w is w_flat:
             return problem, 1
         return QapInstance(_rows(r, n), _rows(w, n)), dr * dw

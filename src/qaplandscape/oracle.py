@@ -24,17 +24,17 @@ wave claims, and its components by the same rule as decompose. Both are
 tested against the literal oracles. Every order is fixed, so float-mode
 reductions are deterministic.
 
-Exact means sum integer numerators over one common denominator. Float
-means of literal columns use math.fsum; a neighborhood mean sums left to
-right, in neighbor order.
+The literal means and variances (moments, the neighborhood mean) take
+their values' integer numerators over one common denominator from
+core._integer_values and are formed once by core._ratio in both modes, so
+a float result is the exact one correctly rounded, whatever the order of
+the values.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import reduce
 from itertools import combinations, permutations
 from operator import add, mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
@@ -44,6 +44,7 @@ from .core import (
     QapInstance,
     Scalar,
     _integer_scaled,
+    _integer_values,
     _ratio,
     div,
     fsum,
@@ -113,18 +114,7 @@ def _exact(values) -> bool:
     return not any(isinstance(v, float) for v in values)
 
 
-def _over_common_denominator(values) -> Tuple[Iterator[int], int]:
-    """Exact (int or Fraction) values as integer numerators over one common
-    denominator d: the numerators, lazily, and d. Integer sums of them
-    equal the Fraction sums exactly, at one gcd in the end instead of one
-    per addition."""
-    denominators = {v.denominator for v in values}
-    d = math.lcm(*denominators)
-    scale = {den: d // den for den in denominators}
-    return (v.numerator * scale[v.denominator] for v in values), d
-
-
-def _integer_moments(total: int, squares: int, count: int, d: int, exact: bool = True):
+def _integer_moments(total: int, squares: int, count: int, d: int, exact: bool):
     """Mean and population variance of count values whose integer
     numerators over d sum to total and their squares to squares, each formed
     once from its exact numerator and denominator by core._ratio."""
@@ -132,21 +122,27 @@ def _integer_moments(total: int, squares: int, count: int, d: int, exact: bool =
             _ratio(count * squares - total * total, (count * d) ** 2, exact))
 
 
+def _has_exact_values(values, exact: bool) -> bool:
+    # A float infinity or NaN has no exact value; its statistics fail
+    # closed. Only floats are tested: an int or Fraction beyond the float
+    # range is exact, and its statistics read inf (core._ratio).
+    return exact or all(math.isfinite(v) for v in values if isinstance(v, float))
+
+
 def moments(values) -> Tuple[Scalar, Scalar]:
-    """Mean and population variance of a non-empty value sequence: exact for
-    int/Fraction values, accumulated with math.fsum when any is a float.
-    A float sum that fsum cannot form is NaN, so the checks reading it fail."""
+    """Mean and population variance of a non-empty value sequence, each
+    formed once from the values' integer numerators over one common
+    denominator (core._integer_values) by core._ratio: exact for int/Fraction
+    values, the correctly rounded float when any is a float. A non-finite
+    float gives the fsum mean and a NaN variance, so the checks reading them
+    fail."""
     count = len(values)
-    if not _exact(values):
-        mean = fsum(values) / count
-        # Squared by multiplication: a float ** 2 raises on overflow, * gives inf.
-        return mean, fsum((v - mean) * (v - mean) for v in values) / count
-    numerators, d = _over_common_denominator(values)
-    total = squares = 0
-    for num in numerators:
-        total += num
-        squares += num * num
-    return _integer_moments(total, squares, count, d)
+    exact = _exact(values)
+    if not _has_exact_values(values, exact):
+        return fsum(values) / count, math.nan
+    numerators, d = _integer_values(values)
+    return _integer_moments(sum(numerators), sum(map(mul, numerators, numerators)),
+                            count, d, exact)
 
 
 class _Residual:
@@ -168,14 +164,15 @@ class _Residual:
 
 
 def _neighborhood_mean(values, n: int) -> Scalar:
-    """Mean of one value per swap neighbor of a size-n permutation: exact
-    over one common denominator for int/Fraction values, else a float sum
-    taken left to right in the order given."""
+    """Mean of one value per swap neighbor of a size-n permutation, formed
+    as moments forms its mean, so a float mean is correctly rounded whatever
+    the neighbor order."""
     size = neighborhood_size(n)
-    if not _exact(values):
-        return reduce(add, values, 0) / size
-    numerators, d = _over_common_denominator(values)
-    return Fraction(sum(numerators), d * size)
+    exact = _exact(values)
+    if not _has_exact_values(values, exact):
+        return fsum(values) / size
+    numerators, d = _integer_values(values)
+    return _ratio(sum(numerators), d * size, exact)
 
 
 def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
@@ -194,19 +191,6 @@ def space_points(n: int):
     """All permutations of size n in lexicographic order."""
     for t in permutations(range(n)):
         yield Permutation._wrap(t)
-
-
-def lexicographic_point(n: int, rank: int) -> Permutation:
-    """The permutation at this 0-based rank of space_points(n), decoded
-    digit by digit in the factorial number system."""
-    if not 0 <= rank < math.factorial(n):
-        raise ValueError(f"rank {rank} out of range 0..{math.factorial(n) - 1}")
-    items = list(range(n))
-    mapping = []
-    for k in range(n - 1, -1, -1):
-        digit, rank = divmod(rank, math.factorial(k))
-        mapping.append(items.pop(digit))
-    return Permutation._wrap(tuple(mapping))
 
 
 def heap_swaps(n: int) -> Iterator[Tuple[int, int]]:

@@ -52,7 +52,6 @@ from .oracle import (
     _neighborhood_mean,
     _Residual,
     evaluate_points,
-    lexicographic_point,
     neighbor_rows,
     space_moments,
 )
@@ -135,13 +134,11 @@ def run_verification(
     # from the streamed table for n <= 6, and otherwise from the sums at the
     # wave point plus each swap's O(n) update; each column is summed once.
     # The prediction side decomposes x in full, so the two sides stay
-    # separate evaluations. Within the cap, sampled wave points are drawn as
-    # lexicographic ranks of the whole space.
+    # separate evaluations.
     if wave_exhaustive:
         wave_points = [Permutation._wrap(mapping) for mapping in table]
     elif whole_space:
-        ranks = rng.sample(range(math.factorial(n)), 20)
-        wave_points = [lexicographic_point(n, rank) for rank in ranks]
+        wave_points = [Permutation.random(n, rng) for _ in range(20)]
     else:
         wave_points = rng.sample(points, 20)
     wave_detail = (base_detail if wave_exhaustive

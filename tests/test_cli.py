@@ -229,6 +229,19 @@ class TestAvg:
         assert payload["results"]["wave"] == payload["results"]["brute"]
         assert payload["residuals"]["neighborhood_average"] == "0"
 
+    def test_size_limit_for_instance_file(self, capsys, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("avg ran past its size limit")
+
+        path = tmp_path / "n201.dat"
+        path.write_text(serialize_qaplib(generate_instance(201, 0, 0, 9)))
+        monkeypatch.setattr(cli, "neighborhood_avg_wave", refuse)
+        monkeypatch.setattr(cli, "neighborhood_avg_brute", refuse)
+        identity = ",".join(map(str, range(201)))
+        code, out, err = run(capsys, "avg", "--instance", str(path), "--perm", identity)
+        assert code == 1 and out == ""
+        assert "limit 200" in err
+
 
 class TestVerify:
     def test_clean_build_exits_zero(self, capsys):

@@ -15,7 +15,7 @@ from qaplandscape import (
     neighborhood_avg_wave,
     variance_triple,
 )
-from qaplandscape.core import neighborhood_size
+from qaplandscape.core import _integer_values, neighborhood_size
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
     component_value,
@@ -23,7 +23,6 @@ from qaplandscape.decomposition import (
 )
 from qaplandscape.oracle import (
     _neighborhood_mean,
-    _over_common_denominator,
     enumerate_space,
     moments,
     population_variance,
@@ -245,7 +244,8 @@ class TestCrossChecks:
         mean, variance = moments([1, 2, 4])
         assert (mean, variance) == (Fraction(7, 3), Fraction(14, 9))
         assert isinstance(mean, Fraction) and isinstance(variance, Fraction)
-        # fsum: a plain left-to-right sum loses the first 1.0 and gives 0.25.
+        # Exact before rounding: a plain left-to-right sum loses the first
+        # 1.0 and gives 0.25.
         mean, variance = moments([1e16, 1.0, -1e16, 1.0])
         assert mean == 0.5
         assert isinstance(variance, float)
@@ -281,7 +281,7 @@ class TestCrossChecks:
     # denominator; each numerator over it must give back its value.
     def test_mixed_denominators_share_one_denominator(self):
         values = [Fraction(1, 4), Fraction(-5, 6), 3, Fraction(7, 10), -2]
-        numerators, d = _over_common_denominator(values)
+        numerators, d = _integer_values(values)
         assert d == 60
         assert [Fraction(num, d) for num in numerators] == values
         mean = _neighborhood_mean(values, 5)  # 10 neighbors at n = 5
@@ -289,18 +289,53 @@ class TestCrossChecks:
         assert type(mean) is Fraction
         assert _neighborhood_mean([1, 2, 4], 3) == Fraction(7, 3)
 
-    # Float neighborhood means sum left to right, bit for bit as a running
-    # total: here the 1.0 is lost, where math.fsum would keep it.
-    def test_float_neighborhood_mean_sums_left_to_right(self):
-        values = [1e16, 1.0, -1e16]
-        assert _neighborhood_mean(values, 3) == 0.0
-        assert math.fsum(values) / 3 != 0.0
-        values = [0.1, 2, 0.7, Fraction(1, 2), 1e-17, 0.3]
-        total = 0
-        for v in values:
-            total = total + v
-        got = _neighborhood_mean(values, 4)  # 6 neighbors at n = 4
-        assert type(got) is float and got == total / 6
+    # A float mean or variance is the exact one of the values, rounded
+    # once: bit for bit the correctly rounded Fraction result, whatever the
+    # order of the values.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.floats(-1e100, 1e100, allow_nan=False), min_size=1, max_size=40),
+        st.lists(st.one_of(
+            st.integers(-10**12, 10**12),
+            st.fractions(min_value=-100, max_value=100, max_denominator=50),
+        ), max_size=10),
+    )
+    def test_float_means_are_the_rounded_exact_means(self, floats, others):
+        values = floats + others
+        count = len(values)
+        mean = sum(map(Fraction, values)) / count
+        variance = sum((Fraction(v) - mean) ** 2 for v in values) / count
+        # 15 neighbors at n = 6, whatever the number of values.
+        neighborhood = sum(map(Fraction, values)) / neighborhood_size(6)
+        want = [float(mean).hex(), float(variance).hex(), float(neighborhood).hex()]
+        for order in (values, values[::-1]):
+            got = [*moments(order), _neighborhood_mean(order, 6)]
+            assert all(type(v) is float for v in got)
+            assert [v.hex() for v in got] == want
+
+    # A float with no exact value fails closed: the mean is the fsum
+    # quotient, the variance NaN.
+    @pytest.mark.parametrize("values,mean", [
+        ([1.0, math.inf, 2], math.inf),
+        ([Fraction(1, 2), -math.inf, 1.5], -math.inf),
+        ([math.inf, 1.0, -math.inf], math.nan),
+        ([0.5, math.nan, 3], math.nan),
+    ])
+    def test_non_finite_values_give_non_finite_results(self, values, mean):
+        got_mean, variance = moments(values)
+        neighborhood = _neighborhood_mean(values, 3)
+        assert math.isnan(variance)
+        if math.isnan(mean):
+            assert math.isnan(got_mean) and math.isnan(neighborhood)
+        else:
+            assert got_mean == neighborhood == mean
+
+    # An int beyond the float range among floats is exact: its mean and
+    # variance are the exact ones, read as inf beyond the float range.
+    def test_exact_values_beyond_the_float_range_read_inf(self):
+        values = [1.5, -10**400, 2.0]
+        assert moments(values) == (-math.inf, math.inf)
+        assert _neighborhood_mean(values, 3) == -math.inf
 
     def test_population_variance_helper(self):
         assert population_variance([1, 1, 1]) == 0

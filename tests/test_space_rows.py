@@ -26,7 +26,6 @@ from qaplandscape.oracle import (
     _full_row,
     evaluate_points,
     heap_swaps,
-    lexicographic_point,
     neighbor_rows,
     space_moments,
     space_points,
@@ -204,14 +203,3 @@ def test_tensor_neighbor_rows_are_full_rows():
         (y, _full_row(tensor, y)) for y in x.neighbors()
     ]
 
-
-@pytest.mark.parametrize("n", range(3, 7))
-def test_decoded_rank_is_the_lexicographic_point(n):
-    for rank, x in enumerate(space_points(n)):
-        assert lexicographic_point(n, rank) == x
-
-
-def test_rank_out_of_range_is_refused():
-    for rank in (-1, 24):
-        with pytest.raises(ValueError, match="rank"):
-            lexicographic_point(4, rank)
