@@ -35,6 +35,7 @@ from .verification import _whole_space, run_verification
 MAX_CAP = 9  # 9! = 362,880 enumerated permutations
 MAX_GENERATED_SIZE = 200  # 2 n^2 generated entries
 MAX_STEPS = 1_000_000
+MAX_LAG = 1_000  # the estimator costs O(steps * max_lag)
 
 DEFAULT_MAX_LAG = 5
 
@@ -95,6 +96,8 @@ def _check_args(args) -> None:
         # csv writes the walk series alone, so there only a --max-lag that
         # was given is checked; json and text check the default too.
         given = args.max_lag is not None
+        if given and args.max_lag > MAX_LAG:
+            raise CliError(f"--max-lag {args.max_lag} exceeds the limit {MAX_LAG}")
         if not given:
             args.max_lag = DEFAULT_MAX_LAG
         if given or args.fmt != "csv":
@@ -159,8 +162,8 @@ def build_parser() -> _Parser:
     p.add_argument("--steps", type=int, default=10000, help="walk length")
     p.add_argument("--walk-seed", type=int, default=0, dest="walk_seed")
     p.add_argument("--max-lag", type=int, dest="max_lag",
-                   help=f"largest lag reported (default {DEFAULT_MAX_LAG}); "
-                        "must stay below steps/10")
+                   help=f"largest lag reported (default {DEFAULT_MAX_LAG}, "
+                        f"at most {MAX_LAG}); must stay below steps/10")
 
     sub.add_parser("stats", parents=[common],
                    help="closed-form component means and enumerated moments")

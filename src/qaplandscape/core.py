@@ -15,7 +15,7 @@ import random
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import mul, sub
-from typing import Iterable, Iterator, Sequence, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
 
@@ -66,11 +66,6 @@ def neighborhood_size(n: int) -> int:
     return n * (n - 1) // 2
 
 
-def div(value: Scalar, divisor: Scalar, exact: bool) -> Scalar:
-    """value / divisor: a Fraction in exact (rational) mode, else a float."""
-    return Fraction(value, divisor) if exact else value / divisor
-
-
 def _ratio(num: int, den: int, exact: bool) -> Scalar:
     """The one rule that forms every statistic of the whole instance, from
     its exact integer numerator and denominator (den > 0): a Fraction in
@@ -117,10 +112,12 @@ def _entries_are_exact(rows) -> bool:
     return not any(issubclass(t, float) for t in types)
 
 
-def _integer_values(values) -> Tuple[Sequence[int], int]:
-    """A sequence of int, Fraction or finite float values as integers over
-    one common denominator, and that denominator d: each value times d,
-    exactly. Plain ints come back as they are, with d = 1.
+def _integer_values(values) -> Optional[Tuple[Sequence[int], int, bool]]:
+    """A sequence of int, Fraction or float values as integers over one
+    common denominator d, with d and whether the values are exact (no float
+    among them): each value times d, exactly. Plain ints come back as they
+    are, with d = 1. None when some float is an infinity or NaN, which has
+    no exact value.
 
     Values are scaled through their as_integer_ratio. Floats take the power
     of two that makes the smallest nonzero magnitude, and hence every value,
@@ -129,19 +126,24 @@ def _integer_values(values) -> Tuple[Sequence[int], int]:
     """
     types = set(map(type, values))
     if types == {int}:
-        return values, 1
+        return values, 1, True
     if types == {float}:
         if all(map(float.is_integer, values)):
-            return list(map(math.trunc, values)), 1
+            return list(map(math.trunc, values)), 1, False
+        if not all(map(math.isfinite, values)):
+            return None
         shift = 53 - math.frexp(min(map(abs, filter(None, values))))[1]
         try:
             scaled = map(mul, values, repeat(2.0 ** shift))
-            return list(map(math.trunc, scaled)), 1 << shift
+            return list(map(math.trunc, scaled)), 1 << shift, False
         except OverflowError:  # the values span beyond the float range
             pass
+    exact = not any(issubclass(t, float) for t in types)
+    if not (exact or all(math.isfinite(v) for v in values if isinstance(v, float))):
+        return None
     ratios = [v.as_integer_ratio() for v in values]
     d = math.lcm(*{den for _, den in ratios})
-    return [num * (d // den) for num, den in ratios], d
+    return [num * (d // den) for num, den in ratios], d, exact
 
 
 class Permutation:
@@ -471,13 +473,14 @@ class GeneralTensor:
                 (psi[i][i][p][p] for i in range(self.n) for p in range(self.n)),
                 exact,
             )
+            # Each off-diagonal block's rows without their diagonal entry.
             off = sum_of(
-                (
-                    v
+                chain.from_iterable(
+                    part
                     for i, block in enumerate(psi)
                     for j, plane in enumerate(block) if j != i
                     for p, row in enumerate(plane)
-                    for q, v in enumerate(row) if q != p
+                    for part in (row[:p], row[p + 1:])
                 ),
                 exact,
             )
@@ -508,8 +511,8 @@ def _scaled(problem):
     n = problem.n
     if isinstance(problem, QapInstance):
         r_flat, w_flat = problem._r_flat, tuple(chain.from_iterable(problem.w))
-        r, dr = _integer_values(r_flat)
-        w, dw = _integer_values(w_flat)
+        r, dr, _ = _integer_values(r_flat)
+        w, dw, _ = _integer_values(w_flat)
         if r is r_flat and w is w_flat:
             return problem, 1
         return QapInstance(_rows(r, n), _rows(w, n)), dr * dw
@@ -519,7 +522,7 @@ def _scaled(problem):
         index = "][".join(str(k // n**e % n) for e in (3, 2, 1, 0))
         raise ValueError(
             f"tensor coefficient psi[{index}] is {flat[k]}: it has no exact value")
-    ints, d = _integer_values(flat)
+    ints, d, _ = _integer_values(flat)
     if ints is flat:
         return problem, 1
     return GeneralTensor(_rows(_rows(_rows(ints, n), n), n)), d

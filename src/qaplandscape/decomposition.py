@@ -44,7 +44,6 @@ from .core import (
     Scalar,
     _integer_scaled,
     _ratio,
-    div,
     neighborhood_size,
     sum_of,
 )
@@ -314,11 +313,12 @@ def _components(problem: Problem, sums) -> Tuple[Scalar, Scalar, Scalar]:
     exact = problem.exact
     lcm, (r1, r2, r3) = _numerator_rows(problem.n)
     values = (*sums, _coefficient_sums(problem)[0])
-    return (
-        div(sum_of(map(mul, r1, values), exact), lcm, exact),
-        div(sum_of(map(mul, r2, values), exact), lcm, exact),
-        div(sum_of(map(mul, r3, values), exact), lcm, exact),
-    )
+    c1 = sum_of(map(mul, r1, values), exact)
+    c2 = sum_of(map(mul, r2, values), exact)
+    c3 = sum_of(map(mul, r3, values), exact)
+    if exact:
+        return Fraction(c1, lcm), Fraction(c2, lcm), Fraction(c3, lcm)
+    return c1 / lcm, c2 / lcm, c3 / lcm
 
 
 def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar:
@@ -416,7 +416,7 @@ def _wave_means(problem: Problem, x: Permutation,
     f = problem.fitness(x)
     means = []
     for m, mean, c in zip((1, 2, 3), averages, t):
-        correction = div(KIND_CONSTANTS[m](n).k, d, problem.exact) * (mean - c)
+        correction = _ratio(KIND_CONSTANTS[m](n).k, d, problem.exact) * (mean - c)
         means.append(c + correction)
         f = f + correction
     return ComponentTriple(*means, f)

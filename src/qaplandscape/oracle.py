@@ -24,11 +24,13 @@ wave claims, and its components by the same rule as decompose. Both are
 tested against the literal oracles. Every order is fixed, so float-mode
 reductions are deterministic.
 
-The literal means and variances (moments, the neighborhood mean) take
-their values' integer numerators over one common denominator from
-core._integer_values and are formed once by core._ratio in both modes, so
-a float result is the exact one correctly rounded, whatever the order of
-the values.
+The literal means and variances (moments, and through it the neighborhood
+mean) and the least-squares fit of check_elementary take their values'
+integer numerators over one common denominator from core._integer_values,
+run in Python ints, and form each result once by core._ratio in both
+modes, so a float result is the exact one correctly rounded, whatever the
+order of the values. A float infinity or NaN has no integer numerator, and
+every statistic of values that hold one fails closed.
 """
 
 from __future__ import annotations
@@ -46,11 +48,9 @@ from .core import (
     _integer_scaled,
     _integer_values,
     _ratio,
-    div,
     fsum,
     neighborhood_size,
     passes,
-    sum_of,
 )
 from .decomposition import (
     ComponentTriple,
@@ -98,8 +98,9 @@ class ElementarityReport:
     """Outcome of fitting the wave equation to a function by least squares.
 
     fitted_k is the recovered characteristic constant, present only when
-    the fit is exact. A constant function satisfies the equation trivially
-    but leaves k undefined; that case is flagged with constant=True.
+    the function is elementary. A constant function satisfies the equation
+    trivially but leaves k undefined; that case is flagged with
+    constant=True.
     """
 
     is_elementary: bool
@@ -107,11 +108,6 @@ class ElementarityReport:
     max_residual: Scalar
     worst_point: Optional[Permutation]
     constant: bool = False
-
-
-def _exact(values) -> bool:
-    # evalfn results carry no mode flag, so the oracles read it off the values.
-    return not any(isinstance(v, float) for v in values)
 
 
 def _integer_moments(total: int, squares: int, count: int, d: int, exact: bool):
@@ -122,13 +118,6 @@ def _integer_moments(total: int, squares: int, count: int, d: int, exact: bool):
             _ratio(count * squares - total * total, (count * d) ** 2, exact))
 
 
-def _has_exact_values(values, exact: bool) -> bool:
-    # A float infinity or NaN has no exact value; its statistics fail
-    # closed. Only floats are tested: an int or Fraction beyond the float
-    # range is exact, and its statistics read inf (core._ratio).
-    return exact or all(math.isfinite(v) for v in values if isinstance(v, float))
-
-
 def moments(values) -> Tuple[Scalar, Scalar]:
     """Mean and population variance of a non-empty value sequence, each
     formed once from the values' integer numerators over one common
@@ -137,10 +126,10 @@ def moments(values) -> Tuple[Scalar, Scalar]:
     float gives the fsum mean and a NaN variance, so the checks reading them
     fail."""
     count = len(values)
-    exact = _exact(values)
-    if not _has_exact_values(values, exact):
+    integer = _integer_values(values)
+    if integer is None:
         return fsum(values) / count, math.nan
-    numerators, d = _integer_values(values)
+    numerators, d, exact = integer
     return _integer_moments(sum(numerators), sum(map(mul, numerators, numerators)),
                             count, d, exact)
 
@@ -163,21 +152,9 @@ class _Residual:
                 self.scale = a
 
 
-def _neighborhood_mean(values, n: int) -> Scalar:
-    """Mean of one value per swap neighbor of a size-n permutation, formed
-    as moments forms its mean, so a float mean is correctly rounded whatever
-    the neighbor order."""
-    size = neighborhood_size(n)
-    exact = _exact(values)
-    if not _has_exact_values(values, exact):
-        return fsum(values) / size
-    numerators, d = _integer_values(values)
-    return _ratio(sum(numerators), d * size, exact)
-
-
 def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
-    """Literal mean of evalfn over all swap neighbors of x."""
-    return _neighborhood_mean([evalfn(y) for y in x.neighbors()], x.n)
+    """Literal mean of evalfn over all swap neighbors of x (moments)."""
+    return moments([evalfn(y) for y in x.neighbors()])[0]
 
 
 def _check_cap(n: int, cap: int) -> None:
@@ -352,48 +329,44 @@ def check_elementary(
     A function is elementary exactly when the fit leaves zero residual
     everywhere; the characteristic constant is then k = d (1 - a). In float
     mode "zero" means max residual <= FLOAT_TOLERANCE * max(1, max |f|).
+
+    The fit is exact in both modes: it runs on the values' integer
+    numerators over one common denominator (core._integer_values), and
+    max_residual and fitted_k are each formed once by core._ratio, so a
+    float result is the exact fit of the float values, correctly rounded.
+    A float infinity or NaN has no exact value: such a function is never
+    elementary, and its residual is NaN.
     """
     _check_cap(n, cap)
     points = list(space_points(n))
-    value_of = {x.mapping: evalfn(x) for x in points}
-    averages = [
-        neighborhood_avg_brute(lambda y: value_of[y.mapping], x) for x in points
-    ]
-    values = [value_of[x.mapping] for x in points]
-    exact = _exact(values)
-    count = len(points)
-    # Constancy is read off the values: the float moments of a constant
-    # function need not cancel to zero.
-    constant = min(values) == max(values)
-    if constant:
-        # The equation holds for every a and k is undefined; a = 1, b = 0
-        # measures how far the neighbor means stray from the value.
-        a, b = 1, 0
-    else:
-        # Least squares on centred values, whose squares stay positive
-        # where float raw moments can cancel.
-        mean = div(sum_of(values, exact), count, exact)
-        mean_avg = div(sum_of(averages, exact), count, exact)
-        dev = [v - mean for v in values]
-        dev_avg = [g - mean_avg for g in averages]
-        a = div(sum_of(map(mul, dev, dev_avg), exact),
-                sum_of(map(mul, dev, dev), exact), exact)
-        b = mean_avg - a * mean
-
-    max_residual = 0
-    worst = points[0]
-    for x, v, g in zip(points, values, averages):
-        residual = abs(g - (a * v + b))
-        if residual > max_residual or residual != residual:  # keep a NaN
-            max_residual = residual
-            worst = x
-
-    scale = max(1, max(abs(v) for v in values))
+    integer = _integer_values([evalfn(x) for x in points])
+    if integer is None:
+        return ElementarityReport(False, None, math.nan, None)
+    values, den, exact = integer
+    index = {x.mapping: i for i, x in enumerate(points)}
+    # Each point's neighbor sum: d times its neighbor mean, over den.
+    sums = [sum(values[index[y.mapping]] for y in x.neighbors()) for x in points]
+    count, d = len(points), neighborhood_size(n)
+    total, total_sums = sum(values), sum(sums)
+    # count^2 den^2 times the variance of f, and count^2 den^2 d times its
+    # covariance with the neighbor mean, so a = cov / (d var).
+    var = count * sum(map(mul, values, values)) - total * total
+    cov = count * sum(map(mul, values, sums)) - total * total_sums
+    if var == 0:
+        # A constant function: each neighbor mean equals the value, the
+        # equation holds for every a, and k is undefined.
+        return ElementarityReport(True, None, _ratio(0, 1, exact), None, constant=True)
+    # Each residual g - (a f + b), times count var d den.
+    offset = var * total_sums - cov * total
+    residuals = [abs(count * (var * s - cov * v) - offset) for v, s in zip(values, sums)]
+    worst = max(residuals)
+    max_residual = _ratio(worst, count * var * d * den, exact)
+    scale = max(1, _ratio(max(map(abs, values)), den, exact))
     elementary = passes(max_residual, scale, exact)
-    if constant:
-        return ElementarityReport(elementary, None, max_residual, None, constant=True)
-    fitted_k = neighborhood_size(n) * (1 - a) if elementary else None
-    return ElementarityReport(elementary, fitted_k, max_residual, worst)
+    # k = d (1 - a) = (d var - cov) / var.
+    fitted_k = _ratio(d * var - cov, var, exact) if elementary else None
+    return ElementarityReport(elementary, fitted_k, max_residual,
+                              points[residuals.index(worst)])
 
 
 def population_variance(values) -> Scalar:

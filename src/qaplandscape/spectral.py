@@ -40,7 +40,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
-from .core import Permutation, Scalar, _ratio, div, fsum, neighborhood_size, sum_of
+from .core import Permutation, Scalar, _ratio, fsum, neighborhood_size, sum_of
 from .decomposition import KIND_CONSTANTS, Problem, _variance_numerators
 
 
@@ -190,15 +190,12 @@ def _wave_constants(n: int) -> List[int]:
 def decay_rates(n: int, exact: bool = True) -> Tuple[Scalar, Scalar, Scalar]:
     """Per-step retention factors 1 - k_m/d of the three components."""
     d = neighborhood_size(n)
-    return tuple(1 - div(k, d, exact) for k in _wave_constants(n))
+    return tuple(1 - _ratio(k, d, exact) for k in _wave_constants(n))
 
 
-def _predicted_autocorr(weights, n: int, exact: bool, max_lag: int) -> List[Scalar]:
+def _predicted_autocorr(weights, n: int, exact: bool, lags) -> List[Scalar]:
     lams = decay_rates(n, exact=exact)
-    return [
-        sum_of((wv * lam**s for wv, lam in zip(weights, lams)), exact)
-        for s in range(max_lag + 1)
-    ]
+    return [sum_of((wv * lam**s for wv, lam in zip(weights, lams)), exact) for s in lags]
 
 
 def theoretical_autocorr(problem: Problem, max_lag: int) -> List[Scalar]:
@@ -207,7 +204,7 @@ def theoretical_autocorr(problem: Problem, max_lag: int) -> List[Scalar]:
     if max_lag < 0:
         raise ValueError("max_lag must be nonnegative")
     weights = component_weights(problem)
-    return _predicted_autocorr(weights, problem.n, problem.exact, max_lag)
+    return _predicted_autocorr(weights, problem.n, problem.exact, range(max_lag + 1))
 
 
 def autocorr_coefficient(problem: Problem) -> CoefficientBounds:
@@ -223,19 +220,21 @@ def analyze_autocorr(
     max_lag: int,
 ) -> Tuple[AutocorrReport, WalkSeries]:
     """Walk from a random start and report the empirical against the
-    predicted r(s). The prediction is formed first, so that a refused one
-    costs no walk: a zero-variance objective, every walk of which is
-    constant, and in rational mode an r(max_lag) with more digits than
-    Python writes as text (sys.get_int_max_str_digits(), 0 for no limit)."""
+    predicted r(s). What the prediction refuses costs no walk: a
+    zero-variance objective, every walk of which is constant, and in
+    rational mode an r(max_lag) with more digits than Python writes as text
+    (sys.get_int_max_str_digits(), 0 for no limit). That r(max_lag) is
+    formed alone, before r(1..max_lag-1)."""
     check_max_lag(max_lag, steps)
     weights, coeff = _weights_and_coefficient(
         problem, "series is constant; autocorrelation is undefined")
-    theoretical = _predicted_autocorr(weights, problem.n, problem.exact, max_lag)
+    n, exact = problem.n, problem.exact
+    last = _predicted_autocorr(weights, n, exact, [max_lag])
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    last = theoretical[-1]
-    if problem.exact and limit and max(abs(last.numerator), last.denominator) >= 10**limit:
+    if exact and limit and max(abs(last[0].numerator), last[0].denominator) >= 10**limit:
         raise ValueError(f"the exact predicted r({max_lag}) has more than {limit} "
                          "digits, too many to print; use float mode (--mode float)")
+    theoretical = _predicted_autocorr(weights, n, exact, range(max_lag)) + last
     series = random_walk(problem, steps, walk_seed)
     report = AutocorrReport(
         empirical=empirical_autocorr(series, max_lag),

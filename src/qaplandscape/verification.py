@@ -49,9 +49,9 @@ from .decomposition import (
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    _neighborhood_mean,
     _Residual,
     evaluate_points,
+    moments,
     neighbor_rows,
     space_moments,
 )
@@ -153,7 +153,7 @@ def run_verification(
             rows = [row for _, row in neighbor_rows(problem, x)]
         predicted = _wave_means(problem, x, averages)
         for res, column, want in zip(wave, zip(*rows), predicted):
-            res.add(_neighborhood_mean(column, n), want)
+            res.add(moments(column)[0], want)
     names = ("wave_component_1", "wave_component_2", "wave_component_3",
              "neighborhood_average")
     for name, res in zip(names, wave):

@@ -516,8 +516,11 @@ class TestAutocorr:
         assert weights == list(component_weights(generate_instance(9, 1, 0, 9)))
 
     # At n = 200 each lag adds about four digits to the exact predicted
-    # r(s): r(1100) has about 4,410, more than Python writes as text
-    # (4,300 by default), and is refused before the walk; r(900) prints.
+    # r(s); entries up to 10**100 add more, and r(1000) there has 4,409
+    # digits, more than Python writes as text (4,300 by default). It is
+    # refused before the walk, and formed alone before the other lags.
+    UNPRINTABLE = ["--gen", f"200,0,0,{10**100}", "--steps", "10001", "--max-lag", "1000"]
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_unprintable_exact_lag_is_refused_before_the_walk(
         self, capsys, monkeypatch, fmt
@@ -525,13 +528,19 @@ class TestAutocorr:
         def refuse(*args, **kwargs):
             raise AssertionError("the walk ran for an unprintable --max-lag")
 
+        lags = []
+        real = spectral._predicted_autocorr
+
+        def record(weights, n, exact, wanted):
+            lags.append(list(wanted))
+            return real(weights, n, exact, wanted)
+
         monkeypatch.setattr(spectral, "random_walk", refuse)
-        code, out, err = run(
-            capsys, "autocorr", "--n", "200", "--steps", "12000",
-            "--max-lag", "1100", "--format", fmt,
-        )
+        monkeypatch.setattr(spectral, "_predicted_autocorr", record)
+        code, out, err = run(capsys, "autocorr", *self.UNPRINTABLE, "--format", fmt)
         assert code == 1 and out == ""
-        assert "r(1100) has more than" in err and "--mode float" in err
+        assert "r(1000) has more than" in err and "--mode float" in err
+        assert lags == [[1000]]
 
     def test_printable_exact_lag_still_prints(self, capsys):
         code, out, err = run(
@@ -544,12 +553,23 @@ class TestAutocorr:
         assert len(theoretical[900].split("/")[1]) > 3000
 
     def test_float_mode_is_never_refused_a_lag(self, capsys):
-        code, out, err = run(
-            capsys, "autocorr", "--n", "200", "--steps", "12000",
-            "--max-lag", "1100", "--mode", "float", "--format", "json",
-        )
+        code, out, err = run(capsys, "autocorr", *self.UNPRINTABLE,
+                             "--mode", "float", "--format", "json")
         assert code == 2 and err == ""
-        assert len(json.loads(out)["results"]["theoretical"]) == 1101
+        assert len(json.loads(out)["results"]["theoretical"]) == 1001
+
+    # The estimator costs O(steps * max_lag): --max-lag is bounded in every
+    # format, before any instance is built, even where steps/10 allows more.
+    @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+    def test_max_lag_limit(self, capsys, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built beyond the --max-lag limit")
+
+        monkeypatch.setattr(cli, "generate_instance", refuse)
+        code, out, err = run(capsys, "autocorr", "--n", "6", "--steps", "1000000",
+                             "--max-lag", str(cli.MAX_LAG + 1), "--format", fmt)
+        assert code == 1 and out == ""
+        assert f"--max-lag {cli.MAX_LAG + 1} exceeds the limit {cli.MAX_LAG}" in err
 
     # Every distance equal makes the objective constant. The float twin's
     # walk repeats one value exactly and is refused like the integer one.

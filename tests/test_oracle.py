@@ -1,5 +1,6 @@
 import math
 from fractions import Fraction
+from itertools import cycle
 
 import pytest
 from hypothesis import given, settings
@@ -15,20 +16,27 @@ from qaplandscape import (
     neighborhood_avg_wave,
     variance_triple,
 )
-from qaplandscape.core import _integer_values, neighborhood_size
+from qaplandscape.core import _integer_values, neighborhood_size, passes
 from qaplandscape.decomposition import (
     KIND_CONSTANTS,
     component_value,
     omega,
 )
 from qaplandscape.oracle import (
-    _neighborhood_mean,
     enumerate_space,
     moments,
     population_variance,
     space_points,
 )
 from conftest import all_perms, seeded_instance, single_entry_tensor
+
+
+def brute_mean(values, n):
+    """neighborhood_avg_brute of a function that takes the values, in turn
+    and repeated as needed, on the swap neighbors of the size-n identity."""
+    x = Permutation.identity(n)
+    table = dict(zip((y.mapping for y in x.neighbors()), cycle(values)))
+    return neighborhood_avg_brute(lambda y: table[y.mapping], x)
 
 
 class TestNeighborhoodAvgBrute:
@@ -106,15 +114,16 @@ class TestCheckElementary:
         assert report.fitted_k is None
         assert report.max_residual == 0
 
-    # Float sums of a constant need not cancel; constancy is read off the values.
+    # Float sums of a constant need not cancel; the exact variance of a
+    # constant, float or not, is zero.
     @pytest.mark.parametrize("value", [0.1, 0.7, 3])
     def test_constant_values_are_flagged(self, value):
         report = check_elementary(lambda x: value, 4)
         assert report.is_elementary and report.constant
         assert report.fitted_k is None
 
-    # Raw float moments of values 1 ulp apart cancel to zero; the fit must
-    # neither call the function constant nor divide by that zero.
+    # Raw float moments of values 1 ulp apart cancel to zero; their exact
+    # variance does not, so the function is not called constant.
     def test_values_one_ulp_apart_are_not_constant(self):
         report = check_elementary(lambda x: 1e8 + 1e-8 * (x(0) == 0), 4)
         assert not report.constant
@@ -147,6 +156,66 @@ class TestCheckElementary:
             assert report.fitted_k == pytest.approx(
                 {1: 8, 2: 6, 3: 4}[m], rel=1e-6
             )
+
+    # The exact fit of float components, rounded once, is the exact k: a
+    # fit in float arithmetic read 7.999999999999998 for c2 at n = 5 and
+    # 14.000000000000002 for c1 at n = 7.
+    @pytest.mark.parametrize("n", [5, 7])
+    def test_float_components_fit_the_exact_k(self, n):
+        inst = seeded_instance(n, 42).as_float()
+        for m, k in zip((1, 2, 3), (2 * n, 2 * (n - 1), n)):
+            report = check_elementary(lambda x, m=m: component_value(inst, m, x), n)
+            assert report.is_elementary
+            assert type(report.fitted_k) is float and report.fitted_k == k
+
+    # Float and mixed float/int/Fraction functions: the report is the exact
+    # least-squares fit over the values' Fractions, correctly rounded. Each
+    # function is a weighted assignment (elementary, k = n) plus, when
+    # noise is drawn, a pair indicator that is not elementary.
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_fit_is_the_rounded_exact_fit(self, data):
+        n = data.draw(st.integers(4, 6))
+        entry = data.draw(st.sampled_from([
+            st.floats(-1e6, 1e6, allow_nan=False),
+            st.one_of(
+                st.floats(-1e6, 1e6, allow_nan=False),
+                st.integers(-10**6, 10**6),
+                st.fractions(min_value=-100, max_value=100, max_denominator=50),
+            ),
+        ]))
+        weights = data.draw(st.lists(
+            st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+        noise = data.draw(st.one_of(st.just(0), entry))
+
+        def f(x):
+            value = sum(row[p] for row, p in zip(weights, x.mapping))
+            return value + noise * (x(0) == 1 and x(1) == 0)
+
+        points = list(space_points(n))
+        raw = [f(x) for x in points]
+        values = list(map(Fraction, raw))
+        report = check_elementary(f, n)
+        if len(set(values)) == 1:
+            assert report.constant and report.is_elementary
+            return
+        index = {x.mapping: i for i, x in enumerate(points)}
+        d = neighborhood_size(n)
+        means = [sum(values[index[y.mapping]] for y in x.neighbors()) / d for x in points]
+        count = len(points)
+        mean, mean_g = sum(values) / count, sum(means) / count
+        var = sum((v - mean) ** 2 for v in values)
+        a = sum((v - mean) * (g - mean_g) for v, g in zip(values, means)) / var
+        b = mean_g - a * mean
+        residual = max(abs(g - a * v - b) for v, g in zip(values, means))
+        exact = not any(isinstance(v, float) for v in raw)
+        rounded = (lambda q: q) if exact else float
+        scale = max(1, rounded(max(map(abs, values))))
+        elementary = passes(rounded(residual), scale, exact)
+        assert not report.constant and report.is_elementary is elementary
+        assert repr(report.max_residual) == repr(rounded(residual))
+        want_k = rounded(d * (1 - a)) if elementary else None
+        assert repr(report.fitted_k) == repr(want_k)
 
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
@@ -281,13 +350,16 @@ class TestCrossChecks:
     # denominator; each numerator over it must give back its value.
     def test_mixed_denominators_share_one_denominator(self):
         values = [Fraction(1, 4), Fraction(-5, 6), 3, Fraction(7, 10), -2]
-        numerators, d = _integer_values(values)
-        assert d == 60
+        numerators, d, exact = _integer_values(values)
+        assert d == 60 and exact
         assert [Fraction(num, d) for num in numerators] == values
-        mean = _neighborhood_mean(values, 5)  # 10 neighbors at n = 5
-        assert mean == sum(map(Fraction, values)) / 10
+        mean = moments(values)[0]
+        assert mean == sum(map(Fraction, values)) / 5
         assert type(mean) is Fraction
-        assert _neighborhood_mean([1, 2, 4], 3) == Fraction(7, 3)
+        mean = brute_mean(values, 5)  # each value twice over 10 neighbors
+        assert mean == sum(map(Fraction, values)) / 5
+        assert type(mean) is Fraction
+        assert brute_mean([1, 2, 4], 3) == Fraction(7, 3)
 
     # A float mean or variance is the exact one of the values, rounded
     # once: bit for bit the correctly rounded Fraction result, whatever the
@@ -305,13 +377,16 @@ class TestCrossChecks:
         count = len(values)
         mean = sum(map(Fraction, values)) / count
         variance = sum((Fraction(v) - mean) ** 2 for v in values) / count
-        # 15 neighbors at n = 6, whatever the number of values.
-        neighborhood = sum(map(Fraction, values)) / neighborhood_size(6)
-        want = [float(mean).hex(), float(variance).hex(), float(neighborhood).hex()]
+        want = [float(mean).hex(), float(variance).hex()]
         for order in (values, values[::-1]):
-            got = [*moments(order), _neighborhood_mean(order, 6)]
+            got = moments(order)
             assert all(type(v) is float for v in got)
             assert [v.hex() for v in got] == want
+        # The 15 neighbors at n = 6 take the values in turn.
+        shown = [v for v, _ in zip(cycle(values), range(neighborhood_size(6)))]
+        neighborhood = brute_mean(values, 6)
+        assert type(neighborhood) is float
+        assert neighborhood.hex() == float(sum(map(Fraction, shown)) / len(shown)).hex()
 
     # A float with no exact value fails closed: the mean is the fsum
     # quotient, the variance NaN.
@@ -323,7 +398,7 @@ class TestCrossChecks:
     ])
     def test_non_finite_values_give_non_finite_results(self, values, mean):
         got_mean, variance = moments(values)
-        neighborhood = _neighborhood_mean(values, 3)
+        neighborhood = brute_mean(values, 3)
         assert math.isnan(variance)
         if math.isnan(mean):
             assert math.isnan(got_mean) and math.isnan(neighborhood)
@@ -335,7 +410,7 @@ class TestCrossChecks:
     def test_exact_values_beyond_the_float_range_read_inf(self):
         values = [1.5, -10**400, 2.0]
         assert moments(values) == (-math.inf, math.inf)
-        assert _neighborhood_mean(values, 3) == -math.inf
+        assert brute_mean(values, 3) == -math.inf
 
     def test_population_variance_helper(self):
         assert population_variance([1, 1, 1]) == 0

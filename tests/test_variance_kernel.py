@@ -180,20 +180,56 @@ def test_wrong_kernel_is_caught(monkeypatch, name):
 
 # -- the integer view ---------------------------------------------------------
 
+class MyInt(int):
+    pass
+
+
+class MyFloat(float):
+    pass
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.lists(ANY_FINITE, min_size=1, max_size=12))
 def test_integer_values_of_floats_are_exact(values):
-    ints, d = _integer_values(values)
+    ints, d, exact = _integer_values(values)
     assert d & (d - 1) == 0  # a power of two
     assert [Fraction(v) * d for v in values] == ints
     assert all(type(v) is int for v in ints)
+    assert exact is False
 
 
 def test_integer_values_of_ints_and_fractions():
     ints = (3, -4, 0)
-    assert _integer_values(ints) == (ints, 1)
+    assert _integer_values(ints) == (ints, 1, True)
     assert _integer_values(ints)[0] is ints
-    assert _integer_values([Fraction(1, 6), 2, Fraction(-3, 4)]) == ([2, 24, -9], 12)
+    assert _integer_values([Fraction(1, 6), 2, Fraction(-3, 4)]) == ([2, 24, -9], 12, True)
+
+
+# The values are exact when no float is among them, whatever else they mix.
+@pytest.mark.parametrize("values,exact", [
+    ([3, -1], True),
+    ([True, 2, False], True),
+    ([Fraction(1, 2), True], True),
+    ([MyInt(5), Fraction(-7, 3)], True),
+    ([1.5, -2.0], False),
+    ([4.0, -2.0], False),
+    ([Fraction(1, 3), 0.5, 2, True], False),
+    ([MyFloat(0.25), 1], False),
+    ([], True),
+])
+def test_integer_values_read_exactness(values, exact):
+    ints, d, got = _integer_values(values)
+    assert got is exact
+    assert all(type(v) is int for v in ints) and d >= 1
+    assert [Fraction(v, d) for v in ints] == list(map(Fraction, values))
+
+
+# A float infinity or NaN has no exact value, among any other values.
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("others", [[], [1.5], [2.0, 3.0], [1, Fraction(1, 3)], [10**400]])
+def test_integer_values_of_non_finite_floats_are_none(bad, others):
+    assert _integer_values(others + [bad]) is None
+    assert _integer_values([bad] + others) is None
 
 
 # -- instance set-up ----------------------------------------------------------
@@ -208,14 +244,6 @@ def test_generate_instance_draws_the_randint_stream(args):
     r = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
     w = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
     assert generate_instance(*args) == QapInstance(r, w)
-
-
-class MyInt(int):
-    pass
-
-
-class MyFloat(float):
-    pass
 
 
 @pytest.mark.parametrize("rows,exact", [
