@@ -36,6 +36,9 @@ MAX_CAP = 9  # 9! = 362,880 enumerated permutations
 MAX_GENERATED_SIZE = 200  # 2 n^2 generated entries
 MAX_STEPS = 1_000_000
 MAX_LAG = 1_000  # the estimator costs O(steps * max_lag)
+# Bound on steps * max_lag, the estimator's (step, lag) terms: about 80 ns
+# each on a 2-core VM with Python 3.11, so some 8 s at the bound.
+MAX_ESTIMATOR_TERMS = 10**8
 
 DEFAULT_MAX_LAG = 5
 
@@ -102,6 +105,10 @@ def _check_args(args) -> None:
             args.max_lag = DEFAULT_MAX_LAG
         if given or args.fmt != "csv":
             check_max_lag(args.max_lag, args.steps)
+        terms = args.steps * args.max_lag
+        if args.fmt != "csv" and terms > MAX_ESTIMATOR_TERMS:
+            raise CliError(f"--steps times --max-lag is {terms} estimator terms, "
+                           f"beyond the limit {MAX_ESTIMATOR_TERMS}")
 
 
 def _check_verify_size(n: int) -> None:
@@ -163,7 +170,9 @@ def build_parser() -> _Parser:
     p.add_argument("--walk-seed", type=int, default=0, dest="walk_seed")
     p.add_argument("--max-lag", type=int, dest="max_lag",
                    help=f"largest lag reported (default {DEFAULT_MAX_LAG}, "
-                        f"at most {MAX_LAG}); must stay below steps/10")
+                        f"at most {MAX_LAG}); must stay below steps/10, and "
+                        f"steps * max-lag at most {MAX_ESTIMATOR_TERMS} "
+                        "unless --format csv")
 
     sub.add_parser("stats", parents=[common],
                    help="closed-form component means and enumerated moments")

@@ -14,7 +14,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import mul, sub
+from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, float]
@@ -325,20 +325,19 @@ class QapInstance:
             [[float(v) for v in row] for row in self.w],
         )
 
+    def _w_at(self, mapping) -> tuple:
+        """w gathered at the mapping: its n^2 entries w[x(i)][x(j)], row by
+        row, in the order of _r_flat."""
+        # n >= MIN_SIZE, so the itemgetter of the mapping returns a tuple.
+        gather = itemgetter(*mapping)
+        return tuple(chain.from_iterable(map(gather, gather(self.w))))
+
     def fitness(self, x: Permutation) -> Scalar:
         """Total assignment cost: sum over all ordered pairs (i, j), the
         diagonal i = j included, of r[i][j] * w[x(i)][x(j)]."""
         if x.n != self.n:
             raise ValueError(f"permutation size {x.n} != instance size {self.n}")
-        xm = x.mapping
-        return sum_of(
-            (
-                a * wrow[b]
-                for ri, wrow in zip(self.r, map(self.w.__getitem__, xm))
-                for a, b in zip(ri, xm)
-            ),
-            self.exact,
-        )
+        return sum_of(map(mul, self._r_flat, self._w_at(x.mapping)), self.exact)
 
     def swap_delta(self, mapping: Sequence[int], u: int, v: int) -> Scalar:
         """fitness(x.swap(u, v)) - fitness(x) for the permutation x with this

@@ -170,14 +170,14 @@ def _raw_sums(inst: QapInstance, mapping):
 
     Every sum is a dot product with the instance's cached flat rows: w is
     gathered once at the mapping into its n^2 entries w_{x(i)x(j)}, row by
-    row, and dotted with the flat r (_r_flat) for f_same and with the flat
-    transpose of r (_rt_flat) for f_swapped; the diagonal and the marginal
-    pairings gather the cached diagonal and marginals of w the same way.
+    row (QapInstance._w_at, as fitness gathers it), and dotted with the flat
+    r (_r_flat) for f_same and with the flat transpose of r (_rt_flat) for
+    f_swapped; the diagonal and the marginal pairings gather the cached
+    diagonal and marginals of w the same way.
     """
     exact = inst.exact
-    # n >= MIN_SIZE, so the itemgetter of the mapping returns a tuple.
     gather = itemgetter(*mapping)
-    permuted = tuple(chain.from_iterable(map(gather, gather(inst.w))))
+    permuted = inst._w_at(mapping)
     row_off_r, col_off_r = inst._row_off_r, inst._col_off_r
     row_off_wx, col_off_wx = gather(inst._row_off_w), gather(inst._col_off_w)
     return (

@@ -18,11 +18,11 @@ rows of decomposition._numerator_rows, c1 + c2 + c3 = f is checked as an
 integer identity, and the sums and sums of squares of the numerators are
 Python ints. Each mean and variance is formed once at the end by
 core._ratio, as are the closed forms: a Fraction in rational mode, the
-correctly rounded float in float mode. neighbor_rows builds each swap
-neighbor's five sums from those at one point the same way, for verify's
-wave claims, and its components by the same rule as decompose. Both are
-tested against the literal oracles. Every order is fixed, so float-mode
-reductions are deterministic.
+correctly rounded float in float mode. neighbor_means, behind verify's wave
+claims, totals the five sums of a point's swap neighbors on the same twin,
+each from those at the point plus the swap's O(n) update, and forms each
+neighborhood mean once by the same rows and the same rule. Both are tested
+against the literal oracles.
 
 The literal means and variances (moments, and through it the neighborhood
 mean) and the least-squares fit of check_elementary take their values'
@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
-from operator import add, mul
+from operator import mul
 from typing import Callable, Iterable, Iterator, List, Optional, Tuple
 
 from .core import (
@@ -56,7 +56,6 @@ from .decomposition import (
     ComponentTriple,
     Problem,
     _coefficient_sums,
-    _components,
     _numerator_rows,
     _raw_sums,
     _sums,
@@ -192,24 +191,22 @@ def _full_row(problem: Problem, x: Permutation) -> Tuple[Scalar, ...]:
 
 
 def _space_sums(problem: Problem):
-    """Every permutation's mapping with its five sums of
-    decomposition._sums, (f_same, f_swapped, diag, P, Q), and its objective
-    value, once each.
+    """The five sums of decomposition._sums, (f_same, f_swapped, diag, P, Q),
+    and the objective value of every permutation, once each.
 
     For a QapInstance the permutations come in Heap's order from the
     identity: the five sums are evaluated in full once, and then carried
-    from point to point by decomposition._swap_sum_deltas in O(n). The
-    mapping is the pass's own list, changed in place at the next step. A
+    from point to point by decomposition._swap_sum_deltas in O(n). A
     GeneralTensor's sums are evaluated in full at each point, in
     lexicographic order.
     """
     if not isinstance(problem, QapInstance):
         for x in space_points(problem.n):
-            yield (x.mapping, *_sums(problem, x), problem.fitness(x))
+            yield (*_sums(problem, x), problem.fitness(x))
         return
     mapping = list(range(problem.n))
     same, swapped, diag, p, q = _raw_sums(problem, mapping)
-    yield mapping, same, swapped, diag, p, q, same
+    yield same, swapped, diag, p, q, same
     for u, v in heap_swaps(problem.n):
         d_same, d_swapped, d_diag, dp, dq = _swap_sum_deltas(problem, mapping, u, v)
         mapping[u], mapping[v] = mapping[v], mapping[u]
@@ -218,37 +215,37 @@ def _space_sums(problem: Problem):
         diag += d_diag
         p += dp
         q += dq
-        yield mapping, same, swapped, diag, p, q, same
+        yield same, swapped, diag, p, q, same
 
 
-def neighbor_rows(
-    problem: Problem, x: Permutation
-) -> Iterator[Tuple[Permutation, Tuple[Scalar, ...]]]:
-    """Every swap neighbor y of x with its row (c1, c2, c3, f), in
-    x.neighbors() order.
+def neighbor_means(problem: Problem, x: Permutation) -> ComponentTriple:
+    """Literal means of (c1, c2, c3, f) over the swap neighbors of x, on the
+    integer twin (core._integer_scaled) in both modes: the neighbors' five
+    sums, for a QapInstance those at x plus decomposition._swap_sum_deltas
+    of each swap, for a GeneralTensor each evaluated in full, are totalled
+    and dotted with the rows of decomposition._numerator_rows, and each mean
+    is formed once by core._ratio."""
+    scaled, d = _integer_scaled(problem)
+    n, count = problem.n, neighborhood_size(problem.n)
+    if isinstance(problem, QapInstance):
+        deltas = zip(*(_swap_sum_deltas(scaled, x.mapping, u, v)
+                       for u, v in combinations(range(n), 2)))
+        totals = [count * s + sum(c) for s, c in zip(_sums(scaled, x), deltas)]
+    else:
+        totals = [sum(c) for c in zip(*(_sums(scaled, y) for y in x.neighbors()))]
+    lcm, rows = _numerator_rows(n)
+    values = (*totals, count * _coefficient_sums(scaled)[0])
+    exact = problem.exact
+    return ComponentTriple(
+        *(_ratio(sum(map(mul, row, values)), lcm * d * count, exact) for row in rows),
+        _ratio(totals[0], d * count, exact),
+    )
 
-    For a QapInstance the five sums of decomposition._raw_sums are
-    evaluated in full at x, and each neighbor's sums are those plus
-    decomposition._swap_sum_deltas of its swap, in O(n) per neighbor:
-    rational rows equal _full_row exactly, float rows agree with it to
-    FLOAT_TOLERANCE. A GeneralTensor is evaluated in full at each neighbor.
-    """
-    if not isinstance(problem, QapInstance):
-        for y in x.neighbors():
-            yield y, _full_row(problem, y)
-        return
-    mapping = x.mapping
-    sums = _raw_sums(problem, mapping)
-    for y, (u, v) in zip(x.neighbors(), combinations(range(problem.n), 2)):
-        moved = tuple(map(add, sums, _swap_sum_deltas(problem, mapping, u, v)))
-        yield y, (*_components(problem, moved), moved[0])
 
-
-def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoments:
+def space_moments(problem: Problem) -> SpaceMoments:
     """Means, variances and the decomposition_sum residual of (c1, c2, c3, f)
     over all n! permutations, from one pass over the points of _space_sums,
-    in its order; each point's row is also stored under its mapping in
-    table, when one is given. The caller checks the enumeration cap.
+    in its order. The caller checks the enumeration cap.
 
     The pass runs on the problem's integer twin, scaled by d
     (_integer_scaled), in both modes, and each component is its integer
@@ -256,10 +253,10 @@ def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoment
     rows of decomposition._numerator_rows, where L is the least common
     multiple of the three kinds' weight denominators. At each point the
     numerators are checked to add up to L times f, and their sums and sums
-    of squares are accumulated as ints; no value is kept. Every mean,
-    variance and table value is formed once from its integer numerator and
-    denominator by core._ratio: a Fraction in rational mode, the correctly
-    rounded float in float mode (inf of its sign beyond the float range).
+    of squares are accumulated as ints; no value is kept. Every mean and
+    variance is formed once from its integer numerator and denominator by
+    core._ratio: a Fraction in rational mode, the correctly rounded float in
+    float mode (inf of its sign beyond the float range).
     """
     exact = problem.exact
     lcm, rows = _numerator_rows(problem.n)
@@ -275,7 +272,7 @@ def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoment
     # numerators over L d.
     t1 = t2 = t3 = tf = s1 = s2 = s3 = sf = 0
     worst = top = lo = hi = 0
-    for mapping, same, swapped, diag, p, q, f in _space_sums(scaled):
+    for same, swapped, diag, p, q, f in _space_sums(scaled):
         c1 = a1 * same + b1 * swapped + d1 * diag + g1 * p + e1 * q + z1
         c2 = a2 * same + b2 * swapped + d2 * diag + g2 * p + e2 * q + z2
         c3 = a3 * same + b3 * swapped + d3 * diag + g3 * p + e3 * q + z3
@@ -296,8 +293,6 @@ def space_moments(problem: Problem, table: Optional[dict] = None) -> SpaceMoment
         if got != lf:
             worst = max(worst, abs(got - lf))
             top = max(top, abs(got))
-        if table is not None:
-            table[tuple(mapping)] = tuple(_ratio(c, den, exact) for c in (c1, c2, c3, lf))
     top = max(top, lcm * hi, -lcm * lo)
     count = math.factorial(problem.n)
     means, variances = zip(*(

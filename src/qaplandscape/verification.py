@@ -13,10 +13,9 @@ the full space skip.
 Each wave point is evaluated once, and each neighborhood visited once:
 one evaluation of the point, with the closed-form means formed once per
 run, gives the wave-equation predictions of all four neighborhood means
-(c1, c2, c3, f). The brute-force side lists the neighbors' rows
-(c1, c2, c3, f) once, from the streamed table for n <= 6 and otherwise
-from the point's five sums plus each swap's O(n) update
-(oracle.neighbor_rows), and sums each column once.
+(c1, c2, c3, f). The brute-force side is oracle.neighbor_means at every
+wave point: the literal means of the four over the point's swap
+neighbors, on the integer twin, each formed once.
 
 The five-case family behind the components also obeys two lemmas in n
 alone: the closed-form neighbor sum in each case and the space mean of
@@ -51,9 +50,9 @@ from .oracle import (
     DEFAULT_ENUMERATION_CAP,
     _Residual,
     evaluate_points,
-    moments,
-    neighbor_rows,
+    neighbor_means,
     space_moments,
+    space_points,
 )
 
 # Random permutations drawn beyond the enumeration cap; a space of at most
@@ -110,14 +109,12 @@ def run_verification(
     results: List[ClaimResult] = []
 
     whole_space = _whole_space(n, cap)
-    # Whole-space values come from one streamed pass in Heap's order; the
-    # wave claims read them back from a table for n <= 6.
+    # On a whole space the wave claims run at every point for n <= 6.
     wave_exhaustive = whole_space and n <= 6
     # Components must add up to the objective at every point: the streamed
     # pass checks it on the whole space, alongside the moments.
-    table = {}
     if whole_space:
-        space = space_moments(problem, table if wave_exhaustive else None)
+        space = space_moments(problem)
         base_detail = f"all {space.count} permutations"
         residual, scale = space.residual, space.scale
     else:
@@ -129,14 +126,12 @@ def run_verification(
         residual, scale = res.max, res.scale
     results.append(_claim("decomposition_sum", residual, scale, exact, base_detail))
 
-    # Wave equation per component and for the composite objective. Each
-    # neighborhood is listed once: (c1, c2, c3, f) at each neighbor comes
-    # from the streamed table for n <= 6, and otherwise from the sums at the
-    # wave point plus each swap's O(n) update; each column is summed once.
+    # Wave equation per component and for the composite objective, against
+    # the literal neighborhood means of (c1, c2, c3, f) (neighbor_means).
     # The prediction side decomposes x in full, so the two sides stay
     # separate evaluations.
     if wave_exhaustive:
-        wave_points = [Permutation._wrap(mapping) for mapping in table]
+        wave_points = space_points(n)
     elif whole_space:
         wave_points = [Permutation.random(n, rng) for _ in range(20)]
     else:
@@ -147,13 +142,9 @@ def run_verification(
     averages = average_triple(problem)
     wave = [_Residual() for _ in range(4)]
     for x in wave_points:
-        if wave_exhaustive:
-            rows = [table[y.mapping] for y in x.neighbors()]
-        else:
-            rows = [row for _, row in neighbor_rows(problem, x)]
         predicted = _wave_means(problem, x, averages)
-        for res, column, want in zip(wave, zip(*rows), predicted):
-            res.add(moments(column)[0], want)
+        for res, got, want in zip(wave, neighbor_means(problem, x), predicted):
+            res.add(got, want)
     names = ("wave_component_1", "wave_component_2", "wave_component_3",
              "neighborhood_average")
     for name, res in zip(names, wave):

@@ -12,7 +12,7 @@ from qaplandscape.decomposition import (
     _sums,
     _swap_sum_deltas,
 )
-from qaplandscape.oracle import heap_swaps, space_points
+from qaplandscape.oracle import heap_swaps, moments, space_points
 from qaplandscape.qaplib import generate_instance
 
 
@@ -82,12 +82,22 @@ def two_decimal_tensor(n, seed):
     ])
 
 
-def exact_twin(inst):
-    """The same entries as Fractions: the instance in rational mode."""
+def exact_twin(problem):
+    """The same entries as Fractions: the instance or tensor in rational
+    mode."""
+    if isinstance(problem, GeneralTensor):
+        return GeneralTensor([[[[Fraction(v) for v in row] for row in plane]
+                               for plane in block] for block in problem.psi])
     return QapInstance(
-        [[Fraction(v) for v in row] for row in inst.r],
-        [[Fraction(v) for v in row] for row in inst.w],
+        [[Fraction(v) for v in row] for row in problem.r],
+        [[Fraction(v) for v in row] for row in problem.w],
     )
+
+
+def neighborhood_means(row_of, x):
+    """The means (oracle.moments) of the rows (c1, c2, c3, f) that row_of
+    gives the swap neighbors of x."""
+    return tuple(moments(column)[0] for column in zip(*map(row_of, x.neighbors())))
 
 
 def rounded(q):

@@ -571,6 +571,34 @@ class TestAutocorr:
         assert code == 1 and out == ""
         assert f"--max-lag {cli.MAX_LAG + 1} exceeds the limit {cli.MAX_LAG}" in err
 
+    # The estimator's steps * max_lag terms are bounded where it runs, in
+    # json and text, before any instance is built.
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_estimator_terms_limit(self, capsys, monkeypatch, fmt):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an instance was built beyond the estimator limit")
+
+        monkeypatch.setattr(cli, "generate_instance", refuse)
+        code, out, err = run(capsys, "autocorr", "--n", "6", "--steps", "1000000",
+                             "--max-lag", "1000", "--format", fmt)
+        assert code == 1 and out == ""
+        assert f"beyond the limit {cli.MAX_ESTIMATOR_TERMS}" in err
+
+    # csv writes the walk alone, so the bound does not apply there; a product
+    # at the bound itself is served.
+    @pytest.mark.parametrize("fmt, steps, code", [
+        ("json", 2001, 1), ("text", 2001, 1), ("csv", 2001, 0),
+        ("json", 2000, 0), ("text", 2000, 0),
+    ])
+    def test_estimator_terms_limit_by_format(self, capsys, monkeypatch, fmt, steps, code):
+        monkeypatch.setattr(cli, "MAX_ESTIMATOR_TERMS", 10_000)
+        got, out, err = run(capsys, "autocorr", "--n", "5", "--steps", str(steps),
+                            "--max-lag", "5", "--format", fmt)
+        assert got == code
+        assert ("beyond the limit 10000" in err) == (code == 1)
+        if fmt == "csv":
+            assert len(out.strip().split("\n")) == steps + 2
+
     # Every distance equal makes the objective constant. The float twin's
     # walk repeats one value exactly and is refused like the integer one.
     @pytest.mark.parametrize("distance", ["1", "0.1"])

@@ -4,13 +4,18 @@
 The pass keeps no values: the entries are scaled to integers, each
 component is an integer numerator over one denominator, formed from five
 carried sums by the fixed rows of decomposition._numerator_rows, and only
-the sums and sums of squares of the numerators are carried. Its moments and
-table must equal those of the literal columns of evaluate_points, and
+the sums and sums of squares of the numerators are carried. Its moments
+must equal those of the literal columns of evaluate_points, and
 variance_triple, exactly, on integer and Fraction entries, on a tensor that
 is not of product form, and on entries far beyond any machine integer. Float
-mode runs the same pass on the exact values of the float entries: every
-mean, variance and table value must be the correctly rounded float of the
-exact one, bit for bit.
+mode runs the same pass on the exact values of the float entries: every mean
+and variance must be the correctly rounded float of the exact one, bit for
+bit.
+
+The wave claims of `verify` read no table of the pass: at every point of a
+space taken whole, for n <= 6, they take the neighborhood means from
+oracle.neighbor_means, which must equal the means of the literal rows and
+of the streamed ones at every point.
 """
 
 import json
@@ -30,9 +35,9 @@ from qaplandscape.decomposition import (
     _sums,
 )
 from qaplandscape.oracle import (
-    _full_row,
     evaluate_points,
     moments,
+    neighbor_means,
     space_moments,
     space_points,
 )
@@ -41,6 +46,7 @@ from conftest import (
     fraction_instance,
     general_tensor,
     huge_instance,
+    neighborhood_means,
     perturb_kind,
     rounded,
     seeded_instance,
@@ -82,12 +88,16 @@ def test_streamed_moments_equal_the_literal_columns(kind, n):
     assert space.residual == 0
 
 
+# The streamed rows of tests/conftest.py, in the problem's own arithmetic,
+# carried from point to point in Heap's order.
 @pytest.mark.parametrize("kind", sorted(PROBLEMS))
 def test_table_rows_equal_space_rows(kind):
     problem = PROBLEMS[kind](5)
-    table = {}
-    space_moments(problem, table)
-    assert list(table.items()) == list(space_rows(problem))
+    rows = dict(space_rows(problem))
+    for mapping in rows:
+        x = Permutation(mapping)
+        want = neighborhood_means(lambda y: rows[y.mapping], x)
+        assert neighbor_means(problem, x) == want
 
 
 def literal_table(problem):
@@ -96,18 +106,20 @@ def literal_table(problem):
     return dict(zip((x.mapping for x in points), zip(*evaluate_points(problem, points))))
 
 
-# A tensor point is evaluated in full, in O(n^4), on both sides: the tensor
-# stops at n = 5.
+# The neighborhood means of every point, as verify's wave claims take them
+# for n <= 6. A tensor point is evaluated in full, in O(n^4), on both
+# sides: the tensor stops at n = 5.
 @pytest.mark.parametrize("kind, n", [
     (kind, n) for kind in ("natural", "integer", "fraction", "tensor")
     for n in range(3, 8) if kind != "tensor" or n <= 5
 ])
 def test_table_equals_the_literal_rows(kind, n):
     problem = seeded_instance(n, n, 0, 9) if kind == "natural" else PROBLEMS[kind](n)
-    table = {}
-    space = space_moments(problem, table)
-    assert table == literal_table(problem)
-    assert space.count == len(table)
+    table = literal_table(problem)
+    for x in space_points(n):
+        means = neighbor_means(problem, x)
+        assert means == neighborhood_means(lambda y: table[y.mapping], x)
+        assert all(type(v) is Fraction for v in means)
 
 
 # The rows against the case-value weighting of tests/five_case.py, on the
@@ -127,22 +139,19 @@ def test_numerator_rows_equal_the_case_mass_rule(n, seed, data):
 
 
 # Float mode runs the integer pass on the exact values of the float entries
-# and rounds each result once: bit for bit the correctly rounded moments and
-# rows of the exact twin, from the literal columns.
+# and rounds each result once: bit for bit the correctly rounded moments of
+# the exact twin, from the literal columns.
 @pytest.mark.parametrize("n", range(3, 8))
 def test_float_moments_are_the_rounded_exact_moments(n):
     problem = two_decimal_instance(n, n)
     twin = exact_twin(problem)
     columns = evaluate_points(twin, space_points(n))
     want = [tuple(map(rounded, t)) for t in zip(*map(moments, columns))]
-    table = {}
-    space = space_moments(problem, table)
+    space = space_moments(problem)
     got = [space.means, space.variances]
     assert [[v.hex() for v in t] for t in got] == [[v.hex() for v in t] for t in want]
     assert space.residual == 0 and type(space.residual) is float
     assert space.count == len(columns[0])
-    for mapping, row in table.items():
-        assert row == tuple(map(rounded, _full_row(twin, Permutation(mapping))))
 
 
 MIXED_INFINITIES = ("3\n0 0 0\n0 -1e154 0\n0 0 0\n"

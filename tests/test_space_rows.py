@@ -1,14 +1,16 @@
 """The five-sum update behind the streamed whole-space pass of `stats` and
-`verify` (space_rows, the reference for oracle.space_moments' table), and
-the neighbor rows of verify's wave claims (oracle.neighbor_rows), against
+`verify` (space_rows, the reference for oracle.space_moments), and the
+neighborhood means of verify's wave claims (oracle.neighbor_means), against
 the literal oracles.
 
 space_rows visits the permutations in Heap's order and carries five sums
 from point to point through decomposition._swap_sum_deltas. Its rows must
 equal evaluate_points exactly in rational mode and stay within the float
-tolerance of it in float mode. neighbor_rows adds each swap's update of the
-same five sums to those at one point, and its rows are held to a full
-evaluation of each neighbor by the same standard.
+tolerance of it in float mode. neighbor_means adds each swap's update of
+the same five sums to those at one point, on the integer twin, and forms
+each mean once: exactly the means of a full evaluation of each neighbor in
+rational mode, and in float mode the exact means of the float entries,
+correctly rounded.
 """
 
 import math
@@ -26,16 +28,20 @@ from qaplandscape.oracle import (
     _full_row,
     evaluate_points,
     heap_swaps,
-    neighbor_rows,
+    neighbor_means,
     space_moments,
     space_points,
 )
 from conftest import (
     exact_twin,
+    general_tensor,
+    neighborhood_means,
     random_perms,
+    rounded,
     seeded_instance,
     space_rows,
     two_decimal_instance,
+    two_decimal_tensor,
 )
 
 
@@ -149,16 +155,21 @@ def test_float_rows_stay_within_tolerance_at_n8():
     assert worst > 0
 
 
-# The neighbor rows of verify's wave claims beyond n = 6: the sums at x
-# plus each swap's update, against a full evaluation of every neighbor.
+def literal_means(problem, x):
+    """The means of the rows of the swap neighbors of x, each evaluated in
+    full."""
+    return neighborhood_means(lambda y: _full_row(problem, y), x)
+
+
+# The neighborhood means of verify's wave claims: the sums at x plus each
+# swap's update, against the means of a full evaluation of every neighbor.
 @pytest.mark.parametrize("n", range(3, 9))
 def test_neighbor_rows_equal_full_rows(n):
     inst = seeded_instance(n, n, -5, 9)
     for x in [Permutation.identity(n)] + random_perms(n, 3, n):
-        pairs = list(neighbor_rows(inst, x))
-        assert [y for y, _ in pairs] == list(x.neighbors())
-        for y, row in pairs:
-            assert row == _full_row(inst, y)
+        means = neighbor_means(inst, x)
+        assert means == literal_means(inst, x)
+        assert all(type(v) is Fraction for v in means)
 
 
 @settings(max_examples=40, deadline=None)
@@ -166,40 +177,70 @@ def test_neighbor_rows_equal_full_rows(n):
 def test_neighbor_rows_equal_full_rows_on_fractions(data):
     inst = data.draw(asymmetric_instances())
     x = Permutation(data.draw(st.permutations(range(inst.n))))
-    for y, row in neighbor_rows(inst, x):
-        assert row == _full_row(inst, y)
+    assert neighbor_means(inst, x) == literal_means(inst, x)
 
 
+# Float means are the exact means of the float entries, rounded once, and so
+# within the float tolerance of the means of the float rows.
 @pytest.mark.parametrize("n", [4, 7, 12])
 def test_float_neighbor_rows_stay_within_tolerance(n):
     inst = decimal_instance(n, n)
     for x in random_perms(n, 3, n):
-        for y, row in neighbor_rows(inst, x):
-            want = _full_row(inst, y)
-            scale = max(1.0, abs(want[3]))
-            for got, expected in zip(row, want):
-                assert abs(got - expected) <= FLOAT_TOLERANCE * scale
+        got = neighbor_means(inst, x)
+        assert got == tuple(map(rounded, neighbor_means(exact_twin(inst), x)))
+        want = literal_means(inst, x)
+        scale = max(1.0, abs(want[3]))
+        for mean, expected in zip(got, want):
+            assert abs(mean - expected) <= FLOAT_TOLERANCE * scale
 
 
-# Float decompose and float neighbor rows against the exact components of
-# the same float entries, on entries that are no short binary fractions:
-# each value within FLOAT_TOLERANCE of the largest magnitude compared.
+@st.composite
+def problems(draw):
+    """An instance with nonzero diagonals and an asymmetric pair, or a
+    tensor not of product form, entries of both signs, n = 3..6; in
+    rational or float mode."""
+    decimal = draw(st.booleans())
+    if draw(st.booleans()):
+        inst = draw(asymmetric_instances())
+        return inst.as_float() if decimal else inst
+    n, seed = draw(st.integers(3, 6)), draw(st.integers(0, 999))
+    return two_decimal_tensor(n, seed) if decimal else general_tensor(n, seed, (1, 2, 3))
+
+
+# Rational means equal the means of the full rows; float means are those of
+# the same entries taken as exact Fractions, rounded once.
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_neighbor_means_are_the_literal_means_rounded_once(data):
+    problem = data.draw(problems())
+    x = Permutation(data.draw(st.permutations(range(problem.n))))
+    exact = exact_twin(problem)
+    want = neighbor_means(exact, x)
+    assert want == literal_means(exact, x)
+    got = neighbor_means(problem, x)
+    if problem.exact:
+        assert got == want
+    else:
+        assert [v.hex() for v in got] == [rounded(q).hex() for q in want]
+
+
+# Float decompose at a point and at each of its neighbors against the exact
+# components of the same float entries, on entries that are no short binary
+# fractions: each value within FLOAT_TOLERANCE of the largest magnitude
+# compared.
 @pytest.mark.parametrize("n", range(3, 13))
 def test_float_components_stay_within_tolerance_of_the_exact_ones(n):
     inst = two_decimal_instance(n, n)
     twin = exact_twin(inst)
     for x in random_perms(n, 3, n):
-        for y, row in [(x, _full_row(inst, x)), *neighbor_rows(inst, x)]:
+        for y in [x, *x.neighbors()]:
             want = _full_row(twin, y)
             scale = max(1, *map(abs, want))
-            for got, exact in zip(row, want):
+            for got, exact in zip(_full_row(inst, y), want):
                 assert abs(Fraction(got) - exact) <= FLOAT_TOLERANCE * scale
 
 
 def test_tensor_neighbor_rows_are_full_rows():
     tensor = random_tensor(5, 2)
     x = Permutation([2, 0, 4, 1, 3])
-    assert list(neighbor_rows(tensor, x)) == [
-        (y, _full_row(tensor, y)) for y in x.neighbors()
-    ]
-
+    assert neighbor_means(tensor, x) == literal_means(tensor, x)

@@ -14,8 +14,8 @@ def _failed(results):
     return {r.name for r in results if not r.skipped and not r.passed}
 
 
-# n=5 reads neighbour values from the enumerated columns; n=7 beyond cap 4
-# evaluates each sampled point's neighbours.
+# n=5 checks every permutation's neighbourhood; n=7 beyond cap 4 checks 20
+# sampled points' neighbourhoods.
 @pytest.mark.parametrize("n, cap", [(5, DEFAULT_ENUMERATION_CAP), (7, 4)])
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
@@ -24,15 +24,18 @@ def test_wave_claims_catch_a_wrong_constant(monkeypatch, n, cap, m):
     assert failed == {f"wave_component_{m}", "neighborhood_average"}
 
 
-# Each wave point's neighborhood is listed once (one neighbors() call) and
-# its components come from one _sums call; the whole space comes from the
-# streamed pass and the neighbor rows beyond n = 6 from the O(n) swap update,
-# which make none. fast_vs_reference adds 20 points each on the instance and
-# its tensor. The closed-form means are formed once per run.
+# Each wave point is decomposed once (one decomposition._sums call) and its
+# neighborhood visited once: one oracle._sums call at the point and one O(n)
+# update per swap, so no neighbor permutation is listed. The whole space
+# comes from the streamed pass, n! - 1 updates from the identity.
+# fast_vs_reference adds 20 points each on the instance and its tensor. The
+# closed-form means are formed once per run.
 def _wave_calls(monkeypatch, n):
-    """Calls of _sums, Permutation.neighbors and average_triple made by one
-    passing run_verification at size n."""
-    calls = {"sums": 0, "neighbors": 0, "averages": 0}
+    """Calls of decomposition._sums, oracle._sums, oracle._swap_sum_deltas,
+    Permutation.neighbors and average_triple made by one passing
+    run_verification at size n."""
+    calls = {"sums": 0, "neighbor_sums": 0, "updates": 0, "neighbors": 0,
+             "averages": 0}
 
     def counted(name, real):
         def wrapper(*args):
@@ -41,6 +44,9 @@ def _wave_calls(monkeypatch, n):
         return wrapper
 
     monkeypatch.setattr(decomposition, "_sums", counted("sums", decomposition._sums))
+    monkeypatch.setattr(oracle, "_sums", counted("neighbor_sums", oracle._sums))
+    monkeypatch.setattr(oracle, "_swap_sum_deltas",
+                        counted("updates", oracle._swap_sum_deltas))
     monkeypatch.setattr(Permutation, "neighbors",
                         counted("neighbors", Permutation.neighbors))
     average_triple = counted("averages", decomposition.average_triple)
@@ -53,15 +59,16 @@ def _wave_calls(monkeypatch, n):
 
 def test_each_wave_point_is_evaluated_once(monkeypatch):
     assert _wave_calls(monkeypatch, 5) == {
-        "sums": 120 + 2 * 20, "neighbors": 120, "averages": 1,
+        "sums": 120 + 2 * 20, "neighbor_sums": 120, "updates": 119 + 120 * 10,
+        "neighbors": 0, "averages": 1,
     }
 
 
-# At n=7 the 20 wave points are sampled and their neighbor rows built by
-# the O(n) update.
+# At n=7 the space is still taken whole, but the 20 wave points are sampled.
 def test_each_sampled_wave_point_is_evaluated_once(monkeypatch):
     assert _wave_calls(monkeypatch, 7) == {
-        "sums": 20 + 2 * 20, "neighbors": 20, "averages": 1,
+        "sums": 20 + 2 * 20, "neighbor_sums": 20, "updates": 5039 + 20 * 21,
+        "neighbors": 0, "averages": 1,
     }
 
 
@@ -131,7 +138,7 @@ def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, target, n, cap
 
 # The components (and whether f) that move when one term of the five-sum
 # update (decomposition._swap_sum_deltas) is dropped from the streamed pass
-# and the wave claims' neighbor rows: one whole sum's change, or one of the
+# and the wave claims' neighborhood means: one whole sum's change, or one of the
 # two products that each of P's and Q's changes adds up (p1 and p2 pair the
 # marginal differences of r and w row with row and column with column, q1
 # and q2 row with column and column with row).
@@ -166,9 +173,10 @@ def dropped_change(term, inst, mapping, u, v):
             "q1": (4, row_r * col_w), "q2": (4, col_r * row_w)}[term]
 
 
-# At n=5 the wave claims read the streamed table; at n=7 they build each
-# sampled point's neighbor rows by the same update, and at n=9, beyond cap 8,
-# they are the only claims that run it.
+# At n=5 the wave claims run the update at every point's neighbors, and the
+# streamed pass runs it from point to point; at n=7 the wave claims run it
+# at 20 sampled points, and at n=9, beyond cap 8, they are the only claims
+# that run it.
 @pytest.mark.parametrize("n", [5, 7, 9])
 @pytest.mark.parametrize("term", DROPPED_TERMS)
 def test_every_term_of_the_streamed_update_is_caught(monkeypatch, capsys, n, term):
