@@ -18,7 +18,7 @@ from fractions import Fraction
 from functools import cache
 from pathlib import Path
 
-from .core import MAX_TENSOR_SIZE, Permutation, QapInstance, passes
+from .core import MAX_TENSOR_SIZE, Permutation, QapInstance, passes, worst
 from .decomposition import (
     average_triple,
     component_variances,
@@ -333,13 +333,7 @@ def _cmd_autocorr(problem, args) -> int:
         sys.stdout.write(series.to_csv())
         return 0
     report, series = analyze_autocorr(problem, args.steps, args.walk_seed, args.max_lag)
-    diffs = [
-        abs(e - float(t))
-        for e, t in zip(report.empirical[1:], report.theoretical[1:])
-    ]
-    residual = max(diffs, default=0.0)
-    if any(math.isnan(v) for v in diffs):  # max() drops a NaN that is not first
-        residual = math.nan
+    residual, _ = worst(zip(report.empirical[1:], map(float, report.theoretical[1:])))
     # Estimator standard error scales as 1/sqrt(steps); 0.02 at 1e5 steps.
     tol = 0.02 * math.sqrt(100000 / args.steps)
     ok = residual <= tol

@@ -43,6 +43,21 @@ def passes(residual: Scalar, scale: Scalar, exact: bool) -> bool:
     return residual <= tolerance(scale, exact) < math.inf
 
 
+def worst(pairs: Iterable[Tuple[Scalar, Scalar]],
+          scale: Scalar = 1) -> Tuple[Scalar, Scalar]:
+    """The residual and the magnitude scale of a comparison, as passes reads
+    them: the largest |got - want| over the (got, want) pairs, in the values'
+    own arithmetic (0.0 for floats, an exact zero for exact values, 0.0 for
+    no pairs), and the largest of scale and every |value|, NaN ignored.
+    Fails closed: once a difference is NaN, the residual is NaN."""
+    diffs = []
+    for got, want in pairs:
+        diffs.append(abs(got - want))
+        scale = max(scale, abs(got), abs(want))
+    # A NaN ranks above every number, so max never drops it.
+    return max(diffs, key=lambda d: (d != d, d), default=0.0), scale
+
+
 def fsum(values) -> float:
     """math.fsum, or NaN where it raises: on infinities of both signs, or on
     an intermediate overflow. Correctly rounded, so independent of order and

@@ -133,24 +133,6 @@ def moments(values) -> Tuple[Scalar, Scalar]:
                             count, d, exact)
 
 
-class _Residual:
-    """Tracks the worst absolute deviation and the magnitude scale seen,
-    starting from the given scale."""
-
-    def __init__(self, scale: Scalar = 1) -> None:
-        self.max: Scalar = 0
-        self.scale: Scalar = scale
-
-    def add(self, got: Scalar, want: Scalar) -> None:
-        diff = abs(got - want)
-        if diff > self.max or diff != diff:  # a NaN compares false; keep it
-            self.max = diff
-        for v in (got, want):
-            a = abs(v)
-            if a > self.scale:
-                self.scale = a
-
-
 def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
     """Literal mean of evalfn over all swap neighbors of x (moments)."""
     return moments([evalfn(y) for y in x.neighbors()])[0]

@@ -2,13 +2,16 @@
 depends on the instance is replayed against literal enumeration on that
 instance and reported as a named residual.
 
-In rational mode every residual must be literally zero; in float mode a
-claim passes when its residual stays within 1e-9 of the magnitude of the
-values compared. Exhaustive enumeration is used up to the configured cap
-and seeded sampling beyond it, except that a space of at most SAMPLE_SIZE
-points is always taken whole (_whole_space, the rule stats shares). On a
-space taken whole every claim runs; on a sampled one the claims that need
-the full space skip.
+Every claim reduces the (got, want) pairs it compares by one rule,
+core.worst: the residual is the worst difference in the values' own
+arithmetic, a NaN difference makes it NaN and fails the claim, and the
+scale is the largest magnitude compared, at least 1. In rational mode
+every residual must be literally zero; in float mode a claim passes when
+its residual stays within 1e-9 times the scale (core.passes). Exhaustive
+enumeration is used up to the configured cap and seeded sampling beyond
+it, except that a space of at most SAMPLE_SIZE points is always taken
+whole (_whole_space, the rule stats shares). On a space taken whole every
+claim runs; on a sampled one the claims that need the full space skip.
 
 Each wave point is evaluated once, and each neighborhood visited once:
 one evaluation of the point, with the closed-form means formed once per
@@ -38,6 +41,7 @@ from .core import (
     Scalar,
     passes,
     tolerance,
+    worst,
 )
 from .decomposition import (
     Problem,
@@ -48,8 +52,6 @@ from .decomposition import (
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
-    _Residual,
-    evaluate_points,
     neighbor_means,
     space_moments,
     space_points,
@@ -101,7 +103,10 @@ def run_verification(
     """Check every decomposition identity that depends on the instance.
 
     Returns one ClaimResult per identity; callers decide what a failure
-    means (the CLI exits with status 2).
+    means (the CLI exits with status 2). A GeneralTensor has no O(n)
+    swap update, so its wave claims evaluate each neighbor's five sums in
+    full, O(n^3) each: about 1 s at n = 6 on a 2-core VM, where every
+    point is a wave point. No command builds a tensor input.
     """
     n = problem.n
     exact = problem.exact
@@ -119,11 +124,9 @@ def run_verification(
         residual, scale = space.residual, space.scale
     else:
         points = [Permutation.random(n, rng) for _ in range(SAMPLE_SIZE)]
-        res = _Residual()
-        for c1, c2, c3, f in zip(*evaluate_points(problem, points)):
-            res.add(c1 + c2 + c3, f)
+        residual, scale = worst(
+            (decompose(problem, x).total, problem.fitness(x)) for x in points)
         base_detail = f"{len(points)} sampled permutations"
-        residual, scale = res.max, res.scale
     results.append(_claim("decomposition_sum", residual, scale, exact, base_detail))
 
     # Wave equation per component and for the composite objective, against
@@ -140,35 +143,27 @@ def run_verification(
                    else f"{len(wave_points)} sampled permutations")
 
     averages = average_triple(problem)
-    wave = [_Residual() for _ in range(4)]
-    for x in wave_points:
-        predicted = _wave_means(problem, x, averages)
-        for res, got, want in zip(wave, neighbor_means(problem, x), predicted):
-            res.add(got, want)
+    # One (got, want) pair list per column (c1, c2, c3, f).
+    wave = zip(*(zip(neighbor_means(problem, x), _wave_means(problem, x, averages))
+                 for x in wave_points))
     names = ("wave_component_1", "wave_component_2", "wave_component_3",
              "neighborhood_average")
-    for name, res in zip(names, wave):
-        results.append(_claim(name, res.max, res.scale, exact, wave_detail))
+    for name, pairs in zip(names, wave):
+        results.append(_claim(name, *worst(pairs), exact, wave_detail))
 
     # Closed-form means and variance additivity need the full space.
     if whole_space:
         var1, var2, var3, var_f = space.variances
-        for m, mean, closed_mean in zip((1, 2, 3), space.means, averages):
-            res = _Residual()
-            res.add(mean, closed_mean)
-            results.append(_claim(f"closed_form_mean_{m}", res.max, res.scale,
+        for m, pair in zip((1, 2, 3), zip(space.means, averages)):
+            results.append(_claim(f"closed_form_mean_{m}", *worst([pair]),
                                   exact, base_detail))
         # Scaled by Var(f): a component's variance may be tiny beside it.
         closed = component_variances(problem)
-        for m, var in zip((1, 2, 3), (var1, var2, var3)):
-            res = _Residual(scale=max(1, abs(var_f)))
-            res.add(var, closed[m - 1])
-            results.append(_claim(f"closed_form_variance_{m}", res.max, res.scale,
-                                  exact, base_detail))
-        res = _Residual()
-        res.add(var1 + var2 + var3, var_f)
-        results.append(_claim("variance_orthogonality", res.max, res.scale,
-                              exact, base_detail))
+        for m, pair in zip((1, 2, 3), zip(space.variances, closed)):
+            results.append(_claim(f"closed_form_variance_{m}",
+                                  *worst([pair], max(1, abs(var_f))), exact, base_detail))
+        results.append(_claim("variance_orthogonality",
+                              *worst([(var1 + var2 + var3, var_f)]), exact, base_detail))
     else:
         why = f"n={n} beyond enumeration cap {cap}"
         for claim in ("closed_form_mean", "closed_form_variance"):
@@ -189,11 +184,9 @@ def run_verification(
     else:
         tensor = GeneralTensor.from_qap(problem)
         xs = [Permutation.identity(n)] + [Permutation.random(n, rng) for _ in range(19)]
-        res = _Residual()
-        for x in xs:
-            for fast, ref in zip(decompose(problem, x)[:3], decompose(tensor, x)[:3]):
-                res.add(fast, ref)
-        results.append(_claim("fast_vs_reference", res.max, res.scale, exact,
+        pairs = [pair for x in xs
+                 for pair in zip(decompose(problem, x)[:3], decompose(tensor, x)[:3])]
+        results.append(_claim("fast_vs_reference", *worst(pairs), exact,
                               f"{len(xs)} permutations, all components"))
 
     return results

@@ -273,6 +273,13 @@ class TestVerify:
         )
         assert code == 0
 
+    # A float residual prints as a float, zero too, as the JSON writes it.
+    def test_float_text_prints_zero_residuals_as_floats(self, capsys):
+        code, out, _ = run(capsys, "verify", "--gen", "5,1,0,9", "--mode", "float")
+        assert code == 0
+        assert "residual 0.0 (" in out
+        assert "residual 0 (" not in out
+
     def test_perturbed_coefficient_fails(self, capsys, monkeypatch):
         perturb_kind(
             monkeypatch, 2, "params",
@@ -474,6 +481,19 @@ class TestAutocorr:
         assert res["theoretical"][0] == "1"
         assert Fraction(res["xi_bounds"][0]) == 1
         assert "autocorr_max_abs_diff" in payload["residuals"]
+
+    # An empty comparison, lags 1..0, reads zero and passes.
+    @pytest.mark.parametrize("fmt, line", [
+        ("json", '"autocorr_max_abs_diff": 0.0'),
+        ("text", "over lags 1..0: 0.000000 (tol"),
+    ])
+    def test_max_lag_zero_compares_nothing(self, capsys, fmt, line):
+        code, out, _ = run(
+            capsys, "autocorr", "--gen", "5,3,0,9",
+            "--steps", "2000", "--walk-seed", "1", "--max-lag", "0", "--format", fmt,
+        )
+        assert code == 0
+        assert line in out
 
     def test_max_lag_validation(self, capsys):
         code, _, err = run(

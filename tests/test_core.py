@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 
 from qaplandscape import GeneralTensor, Permutation, QapInstance
-from qaplandscape.core import FLOAT_TOLERANCE, neighborhood_size, passes, tolerance
+from qaplandscape.core import (
+    FLOAT_TOLERANCE, neighborhood_size, passes, tolerance, worst,
+)
 from conftest import all_perms, random_perms, seeded_instance, single_entry_tensor
 
 
@@ -27,6 +29,47 @@ class TestPassRule:
     ])
     def test_fails_closed(self, residual, scale):
         assert not passes(residual, scale, False)
+
+
+class TestWorst:
+    @pytest.mark.parametrize("at", [0, 1, 2])
+    def test_a_nan_difference_is_kept(self, at):
+        pairs = [(1.0, 1.0), (2.0, 2.5), (3.0, 3.0)]
+        pairs[at] = (math.nan, 1.0)
+        # A later, larger finite difference does not replace the NaN.
+        residual, scale = worst(pairs + [(100.0, 0.0)])
+        assert math.isnan(residual)
+        assert scale == 100.0
+        assert not passes(residual, scale, False)
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    def test_an_infinite_value_never_passes(self, value):
+        pairs = [(1.0, 1.0), (value, 2.0)]
+        residual, scale = worst(pairs)
+        assert scale == math.inf
+        assert not passes(*worst(pairs), False)
+        assert not passes(*worst([(value, value)]), False)
+
+    def test_zero_residual_keeps_the_values_arithmetic(self):
+        residual, _ = worst([(0.5, 0.5), (2.0, 2.0)])
+        assert type(residual) is float and residual == 0.0
+        assert str(residual) == "0.0"
+        residual, _ = worst([(Fraction(1, 3), Fraction(1, 3)), (2, 2)])
+        assert type(residual) is not float and residual == 0
+        assert str(residual) == "0"
+        assert worst([]) == (0.0, 1)
+
+    def test_residual_is_the_largest_difference(self):
+        assert worst([(1, 2), (Fraction(7, 2), 1), (0, -2)])[0] == Fraction(5, 2)
+        assert worst([(0.25, 1.0), (3.0, 3.0)])[0] == 0.75
+
+    def test_scale_is_the_largest_magnitude(self):
+        assert worst([(0.5, -0.25)]) == (0.75, 1)
+        assert worst([(0.5, -0.25)], scale=Fraction(1, 4))[1] == 0.5
+        assert worst([(3.0, -7.0), (2.0, 1.0)], scale=5) == (10.0, 7.0)
+        assert worst([(3.0, 2.0)], scale=50) == (1.0, 50)
+        # A NaN magnitude is ignored.
+        assert worst([(math.nan, -4.0)], scale=2)[1] == 4.0
 
 
 class TestPermutation:

@@ -1,4 +1,4 @@
-"""Golden CLI outputs: every command and format on four instance sources,
+"""Golden CLI outputs: every command and format on five instance sources,
 replayed byte for byte.
 
 The files under tests/golden/ hold the stdout of each case and
@@ -24,28 +24,37 @@ import qaplandscape
 from qaplandscape.cli import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
-DECIMAL_FILE = "decimal5.dat"
+# Instance files the sources name, written from decimal_instance_text(n).
+INSTANCE_FILES = {"decimal5.dat": 5, "decimal7.dat": 7}
 
 # name -> (source arguments, permutation for decompose/avg)
 SOURCES = {
     "gen5": (["--gen", "5,1,0,9"], "3,1,4,0,2"),
     "gen5-float": (["--gen", "5,1,0,9", "--mode", "float"], "3,1,4,0,2"),
     "gen6-cap4": (["--gen", "6,2,0,9", "--cap", "4"], "5,3,1,0,2,4"),
-    "decimal5": (["--instance", DECIMAL_FILE], "1,4,0,2,3"),
+    "decimal5": (["--instance", "decimal5.dat"], "1,4,0,2,3"),
+    # 7! = 5040 points beyond the cap: every sampled path on float entries.
+    "decimal7-cap4": (["--instance", "decimal7.dat", "--cap", "4"], "6,4,2,0,1,3,5"),
 }
 
 WALK = ["--steps", "2000", "--walk-seed", "3", "--max-lag", "3"]
 
 
-def decimal_instance_text() -> str:
-    """An n=5 instance whose entries carry two decimals (float mode)."""
+def decimal_instance_text(n: int = 5) -> str:
+    """A seeded size-n instance whose entries carry two decimals (float
+    mode)."""
     rng = random.Random(2011)
-    lines = ["5", ""]
+    lines = [str(n), ""]
     for _ in range(2):
-        for _ in range(5):
-            lines.append(" ".join(f"{rng.randint(0, 999) / 100:.2f}" for _ in range(5)))
+        for _ in range(n):
+            lines.append(" ".join(f"{rng.randint(0, 999) / 100:.2f}" for _ in range(n)))
         lines.append("")
     return "\n".join(lines)
+
+
+def write_instances(directory: Path) -> None:
+    for name, n in INSTANCE_FILES.items():
+        (directory / name).write_text(decimal_instance_text(n))
 
 
 def cases():
@@ -66,8 +75,8 @@ def cases():
     return out
 
 
-def run_case(argv, instance_path: Path):
-    argv = [str(instance_path) if a == DECIMAL_FILE else a for a in argv]
+def run_case(argv, instance_dir: Path):
+    argv = [str(instance_dir / a) if a in INSTANCE_FILES else a for a in argv]
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         code = run_cli(argv)
@@ -75,10 +84,10 @@ def run_case(argv, instance_path: Path):
 
 
 @pytest.fixture(scope="module")
-def instance_path(tmp_path_factory):
-    path = tmp_path_factory.mktemp("golden") / DECIMAL_FILE
-    path.write_text(decimal_instance_text())
-    return path
+def instance_dir(tmp_path_factory):
+    directory = tmp_path_factory.mktemp("golden")
+    write_instances(directory)
+    return directory
 
 
 @pytest.fixture(scope="module")
@@ -90,8 +99,8 @@ CASES = cases()
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[name for name, _ in CASES])
-def test_golden_output(name, argv, instance_path, exit_codes):
-    code, out = run_case(argv, instance_path)
+def test_golden_output(name, argv, instance_dir, exit_codes):
+    code, out = run_case(argv, instance_dir)
     assert code == exit_codes[name]
     assert out == (GOLDEN / f"{name}.txt").read_text()
 
@@ -124,7 +133,7 @@ def test_compensated_sum_differs_from_the_plain_sum():
     assert compensated_sum([1, Fraction(1, 3)]) == Fraction(4, 3)
 
 
-def test_goldens_hold_under_compensated_sum(instance_path, exit_codes, monkeypatch):
+def test_goldens_hold_under_compensated_sum(instance_dir, exit_codes, monkeypatch):
     """Every golden replays byte for byte when each library module's sum is
     the compensated one of Python 3.12 and later: no output depends on how
     the interpreter sums floats."""
@@ -134,22 +143,22 @@ def test_goldens_hold_under_compensated_sum(instance_path, exit_codes, monkeypat
     for module in modules:
         monkeypatch.setattr(module, "sum", compensated_sum, raising=False)
     for name, argv in CASES:
-        code, out = run_case(argv, instance_path)
+        code, out = run_case(argv, instance_dir)
         assert code == exit_codes[name], name
         assert out == (GOLDEN / f"{name}.txt").read_text(), name
 
 
 def _record() -> None:
     GOLDEN.mkdir(exist_ok=True)
-    instance = GOLDEN / DECIMAL_FILE
-    instance.write_text(decimal_instance_text())
+    write_instances(GOLDEN)
     codes = {}
     try:
         for name, argv in CASES:
-            codes[name], out = run_case(argv, instance)
+            codes[name], out = run_case(argv, GOLDEN)
             (GOLDEN / f"{name}.txt").write_text(out)
     finally:
-        instance.unlink()
+        for name in INSTANCE_FILES:
+            (GOLDEN / name).unlink()
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=1) + "\n")
 
 
