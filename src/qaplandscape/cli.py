@@ -336,7 +336,9 @@ def _cmd_autocorr(problem, args) -> int:
     residual, _ = worst(zip(report.empirical[1:], map(float, report.theoretical[1:])))
     # Estimator standard error scales as 1/sqrt(steps); 0.02 at 1e5 steps.
     tol = 0.02 * math.sqrt(100000 / args.steps)
-    ok = residual <= tol
+    # Fails closed on an overflowed walk, whose every r(s) is NaN, also
+    # where no lag beyond 0 is compared.
+    ok = residual <= tol and all(map(math.isfinite, report.empirical))
     lo, hi = report.bounds
     in_bounds = lo <= report.coefficient <= hi
     results = {

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, islice, repeat
 from operator import itemgetter, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -93,6 +93,17 @@ def _ratio(num: int, den: int, exact: bool) -> Scalar:
         return num / den
     except OverflowError:
         return math.inf if num > 0 else -math.inf
+
+
+def _below(rng: random.Random, width: int, count: int) -> Iterator[int]:
+    """count draws uniform on 0..width-1 (width >= 1): the values, in order,
+    that count calls rng.randrange(width) return, from the same stream words,
+    at C speed. randrange draws getrandbits(k), k = width.bit_length(), until
+    a value falls below width (Random._randbelow_with_getrandbits, the same
+    from Python 3.10 to 3.13); this filters one stream of such words.
+    tests/test_streams.py pins both callers to randrange replays."""
+    words = map(rng.getrandbits, repeat(width.bit_length()))
+    return islice(filter(width.__gt__, words), count)
 
 
 def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
@@ -238,17 +249,17 @@ class QapInstance:
     No symmetry or zero diagonal is assumed. Instances whose entries are all
     int or Fraction run in exact rational mode; any float entry switches the
     whole instance to float mode. Precomputed once for the O(n^2) kernels:
-    r flattened row by row (_r_flat), its transpose flattened the same way
-    (_rt_flat), the diagonals of r and w, and the off-diagonal row/column
-    marginals of both. The entry differences that the O(n) update of a
-    whole-space or neighbor pass reads are tabulated on first use
-    (_swap_differences), in O(n^3), and the integer twin on first use too
-    (_integer_scaled).
+    r and w flattened row by row (_r_flat, _w_flat), the transpose of r
+    flattened the same way (_rt_flat), the diagonals of r and w, and the
+    off-diagonal row/column marginals of both. The entry differences that
+    the O(n) update of a whole-space or neighbor pass reads are tabulated on
+    first use (_swap_differences), in O(n^3), and the integer twin on first
+    use too (_integer_scaled).
     """
 
     __slots__ = (
-        "n", "r", "w", "exact", "_r_flat", "_rt_flat", "_r_diag", "_w_diag",
-        "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
+        "n", "r", "w", "exact", "_r_flat", "_w_flat", "_rt_flat", "_r_diag",
+        "_w_diag", "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
         "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
         "_swap_tables", "_twin",
     )
@@ -274,6 +285,7 @@ class QapInstance:
         self.exact = exact
 
         self._r_flat = tuple(chain.from_iterable(rt))
+        self._w_flat = tuple(chain.from_iterable(wt))
         self._rt_flat = tuple(chain.from_iterable(zip(*rt)))
         self._r_diag = r_diag = tuple(rt[i][i] for i in range(n))
         self._w_diag = w_diag = tuple(wt[p][p] for p in range(n))
@@ -524,7 +536,7 @@ def _integer_scaled(problem):
 def _scaled(problem):
     n = problem.n
     if isinstance(problem, QapInstance):
-        r_flat, w_flat = problem._r_flat, tuple(chain.from_iterable(problem.w))
+        r_flat, w_flat = problem._r_flat, problem._w_flat
         r, dr, _ = _integer_values(r_flat)
         w, dw, _ = _integer_values(w_flat)
         if r is r_flat and w is w_flat:

@@ -584,7 +584,7 @@ def _instance_variances(inst: QapInstance) -> Tuple[int, int, int]:
     n = inst.n
     nr211, nr22, gr = _pair_terms(inst._r_flat, inst._r_diag,
                                   inst._row_off_r, inst._col_off_r, n)
-    nw211, nw22, gw = _pair_terms(tuple(chain.from_iterable(inst.w)), inst._w_diag,
+    nw211, nw22, gw = _pair_terms(inst._w_flat, inst._w_diag,
                                   inst._row_off_w, inst._col_off_w, n)
     m = ((n - 1, 1, 0), (1, n - 1, 0), (0, 0, KIND_CONSTANTS[3](n).den))
     terms = [(x, y, v) for x, row in enumerate(m) for y, v in enumerate(row) if v]

@@ -12,13 +12,13 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import repeat
 
-from .core import MIN_SIZE, QapInstance
+from .core import MIN_SIZE, QapInstance, _below
 
 _TOKEN = re.compile(r"\S+")
 # ASCII digits only: \d, int() and float() also read other scripts' digits.
 _INT = re.compile(r"[+-]?[0-9]+\Z")
+_NEGATIVE_ZERO = re.compile(r"(?<!\S)-0+(?!\S)")
 
 
 class ParseError(ValueError):
@@ -44,13 +44,36 @@ def _parse_number(token: str, offset: int):
     return value
 
 
-def parse_qaplib(text: str, flow_first: bool = False) -> QapInstance:
-    """Read one instance: INT n, then 2 n^2 numeric tokens.
+def _split(text: str):
+    """The size and entries of well-formed ASCII text without "_", read at
+    C speed from one split, with the values the scanner reads; None wherever
+    there is any doubt, for the scanner to read or refuse. In such text int()
+    takes exactly the tokens _INT matches, so all-integer text becomes ints.
+    Other text becomes floats, which equal the scanner's ints and floats once
+    QapInstance floats a mixed instance's ints, except an integer token "-0"
+    (0, hence 0.0, not -0.0), which is left to the scanner too."""
+    tokens = text.split()
+    if not (tokens and _INT.match(tokens[0]) and text.isascii() and "_" not in text):
+        return None
+    try:
+        n = int(tokens[0])
+        if n < MIN_SIZE or len(tokens) != 1 + 2 * n * n:
+            return None
+        try:
+            return n, list(map(int, tokens[1:]))
+        except ValueError:  # a token that is not an integer
+            pass
+        if "-0" in text and _NEGATIVE_ZERO.search(text):
+            return None
+        entries = list(map(float, tokens[1:]))
+    except ValueError:  # a float() failure, or an int beyond the digit limit
+        return None
+    return (n, entries) if all(map(math.isfinite, entries)) else None
 
-    The first matrix is taken as distances unless flow_first is set.
-    Anything other than exactly 1 + 2 n^2 tokens is an error; every error
-    names the byte offset where it was detected.
-    """
+
+def _scan(text: str):
+    """The size and entries of instance text, token by token: the reader
+    that names the byte offset of every fault."""
     tokens = _TOKEN.finditer(text)
     try:
         head = next(tokens)
@@ -76,7 +99,19 @@ def parse_qaplib(text: str, flow_first: bool = False) -> QapInstance:
             f"expected {1 + need} tokens, found {1 + len(entries)}; input ended early",
             len(text),
         )
+    return n, entries
 
+
+def parse_qaplib(text: str, flow_first: bool = False) -> QapInstance:
+    """Read one instance: INT n, then 2 n^2 numeric tokens.
+
+    The first matrix is taken as distances unless flow_first is set.
+    Anything other than exactly 1 + 2 n^2 tokens is an error; every error
+    names the byte offset where it was detected. Well-formed text is read
+    from one split (_split); the rest token by token (_scan), which gives
+    the same instance or raises the error.
+    """
+    n, entries = _split(text) or _scan(text)
     first = [entries[i * n:(i + 1) * n] for i in range(n)]
     second = [entries[n * n + i * n:n * n + (i + 1) * n] for i in range(n)]
     if flow_first:
@@ -114,10 +149,12 @@ def serialize_qaplib(inst: QapInstance) -> str:
 def generate_instance(n: int, seed: int, lo: int, hi: int) -> QapInstance:
     """Seeded instance with uniform integer entries in [lo, hi].
 
-    Entries come from random.Random(seed).randrange(lo, hi + 1), which is
-    what randint(lo, hi) draws, filling the distance matrix row by row and
-    then the flow matrix row by row; the stream is platform-independent, so
-    identical arguments always yield the identical instance.
+    Entries are the values of random.Random(seed).randrange(lo, hi + 1),
+    which is what randint(lo, hi) draws, filling the distance matrix row by
+    row and then the flow matrix row by row. They are drawn at C speed from
+    the same stream words (core._below); tests/test_streams.py pins them to
+    that randrange replay. The stream is platform-independent, so identical
+    arguments always yield the identical instance.
     """
     if n < MIN_SIZE:
         raise ValueError(f"instance size must be at least {MIN_SIZE}, got {n}")
@@ -125,7 +162,8 @@ def generate_instance(n: int, seed: int, lo: int, hi: int) -> QapInstance:
         raise ValueError("entry bounds must be integers")
     if lo > hi:
         raise ValueError(f"empty entry range [{lo}, {hi}]")
-    rng = random.Random(seed)
-    draws = map(rng.randrange, repeat(lo, 2 * n * n), repeat(hi + 1))
+    draws = _below(random.Random(seed), hi - lo + 1, 2 * n * n)
+    if lo:
+        draws = map(lo.__add__, draws)
     rows = tuple(zip(*[draws] * n))
     return QapInstance(rows[:n], rows[n:])

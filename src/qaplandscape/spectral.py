@@ -26,6 +26,12 @@ each swap's change (`swap_delta`). In float mode the recorded values are
 that running sum, which agrees with a full recompute to 1e-9 relative
 rather than bit for bit.
 
+The walk's stream is fixed: random.Random(seed) shuffles the start
+(Permutation.random), unless one is given, and then each step takes the pair
+that rng.randrange(d) would index, read at C speed from the same stream
+words (core._below). tests/test_streams.py pins the start and every value
+to that randrange replay, in both modes.
+
 The estimator's sums (the mean, the denominator, each lag) are correctly
 rounded by math.fsum, so r(s) is the same on every platform and
 interpreter, and for a series and its reversal.
@@ -40,7 +46,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import List, NamedTuple, Optional, Tuple
 
-from .core import Permutation, Scalar, _ratio, fsum, neighborhood_size, sum_of
+from .core import (
+    Permutation, Scalar, _below, _ratio, fsum, neighborhood_size, sum_of,
+)
 from .decomposition import KIND_CONSTANTS, Problem, _variance_numerators
 
 
@@ -88,9 +96,10 @@ def random_walk(
     """Walk `steps` uniform random swaps from x0, recording the objective.
 
     Each step draws one of the d = n(n-1)/2 position pairs uniformly from a
-    generator seeded with `seed` (pairs indexed in lexicographic order).
-    When x0 is omitted the start is a uniform random permutation drawn from
-    the same seed stream. Identical arguments replay identical series.
+    generator seeded with `seed` (pairs indexed in lexicographic order, the
+    index being what randrange(d) returns; core._below). When x0 is omitted
+    the start is a uniform random permutation drawn first from the same seed
+    stream. Identical arguments replay identical series.
 
     The objective is evaluated in full once, at the start; each step then
     adds the swap's change, `problem.swap_delta`, in O(n). Rational values
@@ -113,8 +122,7 @@ def random_walk(
     value = problem.fitness(x)
     values = [value]
     delta = problem.swap_delta
-    for _ in range(steps):
-        u, v = pairs[rng.randrange(len(pairs))]
+    for u, v in map(pairs.__getitem__, _below(rng, len(pairs), steps)):
         value += delta(mapping, u, v)
         mapping[u], mapping[v] = mapping[v], mapping[u]
         values.append(value)

@@ -424,6 +424,21 @@ class TestFailClosed:
         assert code == status and err == ""
         assert ("nan" in out) == (fmt != "csv")
 
+    # --max-lag 0 compares no lag beyond 0, and read OK with exit 0 on an
+    # overflowed walk; its NaN r(0) now fails.
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("source", ["square_overflow", "mixed_infinities", "huge_ints"])
+    def test_autocorr_max_lag_zero_overflow_fails(self, capsys, tmp_path, source, fmt):
+        if source == "huge_ints":
+            args = ["--gen", f"5,1,0,{10**200}", "--steps", "200"]
+        else:
+            path = tmp_path / f"{source}.dat"
+            path.write_text(getattr(self, source.upper()))
+            args = ["--instance", str(path)]
+        code, out, err = run(capsys, "autocorr", *args, "--max-lag", "0", "--format", fmt)
+        assert code == 2 and err == ""
+        assert "nan" in out and (fmt == "json" or "FAIL" in out)
+
     def test_autocorr_nan_at_later_lag_fails(self, capsys, monkeypatch):
         def fake(problem, steps, walk_seed, max_lag, **kwargs):
             _, series = real(problem, steps, walk_seed, max_lag, **kwargs)
