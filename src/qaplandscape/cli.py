@@ -25,10 +25,15 @@ from .decomposition import (
     decompose,
     neighborhood_avg_wave,
 )
-from .oracle import DEFAULT_ENUMERATION_CAP, neighborhood_avg_brute, space_moments
+from .oracle import (
+    DEFAULT_ENUMERATION_CAP,
+    _whole_space,
+    neighborhood_avg_brute,
+    space_moments,
+)
 from .qaplib import generate_instance, parse_qaplib
 from .spectral import analyze_autocorr, check_max_lag, random_walk
-from .verification import _whole_space, run_verification
+from .verification import run_verification, space_checks
 
 
 # Resource limits on flag values, checked before any instance is built.
@@ -247,17 +252,12 @@ def _emit_json(command: str, problem, results: dict, residuals: dict) -> None:
     print(json.dumps(payload, indent=2, allow_nan=False))
 
 
-def _passes(problem, residual, *values) -> bool:
-    """The library's pass rule, scaled by the largest of 1 and |values|."""
-    return passes(residual, max(1, *map(abs, values)), problem.exact)
-
-
 def _cmd_decompose(problem, args) -> int:
     x = _parse_perm(args.perm, problem.n)
     f = problem.fitness(x)
     t = decompose(problem, x)
-    residual = abs(t.total - f)
-    ok = _passes(problem, residual, f)
+    residual, scale = worst([(t.total, f)])
+    ok = passes(residual, scale, problem.exact)
     results = {"f": f, "c1": t.c1, "c2": t.c2, "c3": t.c3, "total": t.total}
     residuals = {"decomposition_sum": residual}
     if args.fmt == "json":
@@ -281,8 +281,8 @@ def _cmd_avg(problem, args) -> int:
     x = _parse_perm(args.perm, problem.n)
     wave = neighborhood_avg_wave(problem, x)
     brute = neighborhood_avg_brute(problem.fitness, x)
-    residual = abs(wave - brute)
-    ok = _passes(problem, residual, wave, brute)
+    residual, scale = worst([(wave, brute)])
+    ok = passes(residual, scale, problem.exact)
     results = {"wave": wave, "brute": brute}
     residuals = {"neighborhood_average": residual}
     if args.fmt == "json":
@@ -397,15 +397,9 @@ def _cmd_stats(problem, args) -> int:
         results["enumerated_means"] = dict(zip(keys, space.means))
         results["enumerated_variances"] = dict(zip(keys, space.variances))
         results["count"] = _Count(space.count)
-        for key, mean, closed in zip(keys, space.means, a):
-            residuals[f"mean_{key}"] = abs(mean - closed)
-        for key, var, closed in zip(keys, space.variances, v):
-            residuals[f"var_{key}"] = abs(var - closed)
-        if not all(
-            _passes(problem, residuals[f"{stat}_{k}"], closed.total)
-            for stat, closed in (("mean", a), ("var", v))
-            for k in keys
-        ):
+        checks = space_checks(space, a, v)
+        residuals = {name: residual for name, (residual, _) in checks.items()}
+        if not all(passes(*check, problem.exact) for check in checks.values()):
             exit_code = 2
 
     if args.fmt == "json":

@@ -83,10 +83,11 @@ def neighborhood_size(n: int) -> int:
 
 def _ratio(num: int, den: int, exact: bool) -> Scalar:
     """The one rule that forms every statistic of the whole instance, from
-    its exact integer numerator and denominator (den > 0): a Fraction in
-    exact mode, else the float nearest num / den, since int / int true
-    division rounds correctly. A quotient beyond the float range reads inf
-    of its sign."""
+    its exact integer numerator and denominator (den > 0), and each
+    component at a point, from its numerator in the problem's own
+    arithmetic: a Fraction in exact mode, else the float nearest num / den,
+    since int / int true division rounds correctly. A quotient beyond the
+    float range reads inf of its sign."""
     if exact:
         return Fraction(num, den)
     try:

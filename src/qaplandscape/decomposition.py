@@ -316,9 +316,7 @@ def _components(problem: Problem, sums) -> Tuple[Scalar, Scalar, Scalar]:
     c1 = sum_of(map(mul, r1, values), exact)
     c2 = sum_of(map(mul, r2, values), exact)
     c3 = sum_of(map(mul, r3, values), exact)
-    if exact:
-        return Fraction(c1, lcm), Fraction(c2, lcm), Fraction(c3, lcm)
-    return c1 / lcm, c2 / lcm, c3 / lcm
+    return _ratio(c1, lcm, exact), _ratio(c2, lcm, exact), _ratio(c3, lcm, exact)
 
 
 def component_value_ref(tensor: GeneralTensor, m: int, x: Permutation) -> Scalar:

@@ -3,9 +3,8 @@ a generic elementarity checker.
 
 Nothing here uses the closed forms it is used to validate: the wave
 equation and the component means and variances. The literal oracles
-(space_points, evaluate_points, variance_triple, check_elementary) walk
-permutations in lexicographic order and evaluate each point in full;
-evaluate_points and variance_triple do so through decompose and fitness.
+(space_points, enumerate_space, check_elementary) walk permutations in
+lexicographic order and evaluate each point in full.
 
 The streamed pass behind `stats` and `verify` (space_moments) walks them
 in Heap's order instead, where consecutive permutations differ by one
@@ -21,8 +20,9 @@ core._ratio, as are the closed forms: a Fraction in rational mode, the
 correctly rounded float in float mode. neighbor_means, behind verify's wave
 claims, totals the five sums of a point's swap neighbors on the same twin,
 each from those at the point plus the swap's O(n) update, and forms each
-neighborhood mean once by the same rows and the same rule. Both are tested
-against the literal oracles.
+neighborhood mean once by the same rows and the same rule. variance_triple
+reads the same pass. Every whole-space oracle takes a space whole by one
+rule, _whole_space.
 
 The literal means and variances (moments, and through it the neighborhood
 mean) and the least-squares fit of check_elementary take their values'
@@ -39,7 +39,7 @@ import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
 from operator import mul
-from typing import Callable, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 from .core import (
     Permutation,
@@ -60,11 +60,15 @@ from .decomposition import (
     _raw_sums,
     _sums,
     _swap_sum_deltas,
-    decompose,
+    decompose,  # bound here for qapbench's tracer, which wraps every binding
 )
 
 # 8! = 40320 points; anything larger must opt in explicitly.
 DEFAULT_ENUMERATION_CAP = 8
+
+# Random permutations that verify draws beyond the enumeration cap; a space
+# of at most this many points is taken whole instead, at any cap.
+SAMPLE_SIZE = 200
 
 EvalFn = Callable[[Permutation], Scalar]
 
@@ -138,8 +142,15 @@ def neighborhood_avg_brute(evalfn: EvalFn, x: Permutation) -> Scalar:
     return moments([evalfn(y) for y in x.neighbors()])[0]
 
 
+def _whole_space(n: int, cap: int) -> bool:
+    """Whether a space of size n is taken whole under this enumeration cap:
+    the one rule of every oracle over the whole space, stats and verify."""
+    return n <= cap or math.factorial(n) <= SAMPLE_SIZE
+
+
 def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
+    """Refuse a space that _whole_space does not take whole."""
+    if not _whole_space(n, cap):
         raise ValueError(
             f"full enumeration of {n}! permutations exceeds the cap {cap}"
         )
@@ -165,11 +176,6 @@ def heap_swaps(n: int) -> Iterator[Tuple[int, int]]:
         else:
             c[i] = 0
             i += 1
-
-
-def _full_row(problem: Problem, x: Permutation) -> Tuple[Scalar, ...]:
-    """The row (c1, c2, c3, f) at x, evaluated in full."""
-    return decompose(problem, x)[:3] + (problem.fitness(x),)
 
 
 def _space_sums(problem: Problem):
@@ -351,27 +357,12 @@ def population_variance(values) -> Scalar:
     return moments(values)[1]
 
 
-def evaluate_points(
-    problem: Problem, points: Iterable[Permutation]
-) -> Tuple[List[Scalar], List[Scalar], List[Scalar], List[Scalar]]:
-    """Columns (c1, c2, c3, f) of the components and the objective, one
-    entry per point, in the order the points come; each point is
-    evaluated in full."""
-    columns = ([], [], [], [])
-    for x in points:
-        for col, v in zip(columns, _full_row(problem, x)):
-            col.append(v)
-    return columns
-
-
 def variance_triple(
     problem: Problem, cap: int = DEFAULT_ENUMERATION_CAP
 ) -> ComponentTriple:
     """Population variances of the three components and of the objective by
-    full enumeration of all n! permutations: the brute-force oracle for
+    full enumeration of all n! permutations, from the streamed pass
+    (space_moments): the brute-force oracle for
     decomposition.component_variances."""
     _check_cap(problem.n, cap)
-    return ComponentTriple(*(
-        population_variance(col)
-        for col in evaluate_points(problem, space_points(problem.n))
-    ))
+    return space_moments(problem).variances

@@ -10,8 +10,10 @@ every residual must be literally zero; in float mode a claim passes when
 its residual stays within 1e-9 times the scale (core.passes). Exhaustive
 enumeration is used up to the configured cap and seeded sampling beyond
 it, except that a space of at most SAMPLE_SIZE points is always taken
-whole (_whole_space, the rule stats shares). On a space taken whole every
-claim runs; on a sampled one the claims that need the full space skip.
+whole (oracle._whole_space, the rule of every whole-space oracle). On a
+space taken whole every claim runs; on a sampled one the claims that need
+the full space skip. The closed-form means and variances are compared with
+the enumerated ones by space_checks, which `stats` shares.
 
 Each wave point is evaluated once, and each neighborhood visited once:
 one evaluation of the point, with the closed-form means formed once per
@@ -28,10 +30,9 @@ the test suite checks them exhaustively (tests/five_case.py).
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .core import (
     MAX_TENSOR_SIZE,
@@ -52,20 +53,13 @@ from .decomposition import (
 )
 from .oracle import (
     DEFAULT_ENUMERATION_CAP,
+    SAMPLE_SIZE,
+    SpaceMoments,
+    _whole_space,
     neighbor_means,
     space_moments,
     space_points,
 )
-
-# Random permutations drawn beyond the enumeration cap; a space of at most
-# this many points is taken whole instead.
-SAMPLE_SIZE = 200
-
-
-def _whole_space(n: int, cap: int) -> bool:
-    """Whether a space of size n is taken whole under this enumeration cap:
-    the one rule of stats and verify."""
-    return n <= cap or math.factorial(n) <= SAMPLE_SIZE
 
 
 @dataclass(frozen=True)
@@ -88,6 +82,20 @@ def _claim(name: str, residual: Scalar, scale: Scalar, exact: bool,
         name, residual, tolerance(scale, exact), passes(residual, scale, exact),
         detail=detail,
     )
+
+
+def space_checks(space: SpaceMoments, means, variances) -> Dict[str, Tuple[Scalar, Scalar]]:
+    """The residual and scale (core.worst) of each enumerated mean and
+    variance of (c1, c2, c3, f) against its closed form, keyed mean_c1 ...
+    var_total. A variance is scaled by at least max(1, |Var(f)|) of the
+    enumeration: a component's variance may be tiny beside it."""
+    var_f = max(1, abs(space.variances.total))
+    return {
+        f"{stat}_{key}": worst([pair], scale)
+        for stat, got, want, scale in (("mean", space.means, means, 1),
+                                       ("var", space.variances, variances, var_f))
+        for key, pair in zip(("c1", "c2", "c3", "total"), zip(got, want))
+    }
 
 
 def _skipped(name: str, why: str) -> ClaimResult:
@@ -153,15 +161,12 @@ def run_verification(
 
     # Closed-form means and variance additivity need the full space.
     if whole_space:
+        checks = space_checks(space, averages, component_variances(problem))
+        for claim, stat in (("closed_form_mean", "mean"), ("closed_form_variance", "var")):
+            for m in (1, 2, 3):
+                results.append(_claim(f"{claim}_{m}", *checks[f"{stat}_c{m}"],
+                                      exact, base_detail))
         var1, var2, var3, var_f = space.variances
-        for m, pair in zip((1, 2, 3), zip(space.means, averages)):
-            results.append(_claim(f"closed_form_mean_{m}", *worst([pair]),
-                                  exact, base_detail))
-        # Scaled by Var(f): a component's variance may be tiny beside it.
-        closed = component_variances(problem)
-        for m, pair in zip((1, 2, 3), zip(space.variances, closed)):
-            results.append(_claim(f"closed_form_variance_{m}",
-                                  *worst([pair], max(1, abs(var_f))), exact, base_detail))
         results.append(_claim("variance_orthogonality",
                               *worst([(var1 + var2 + var3, var_f)]), exact, base_detail))
     else:

@@ -11,6 +11,7 @@ from qaplandscape.decomposition import (
     _raw_sums,
     _sums,
     _swap_sum_deltas,
+    decompose,
 )
 from qaplandscape.oracle import heap_swaps, moments, space_points
 from qaplandscape.qaplib import generate_instance
@@ -92,6 +93,22 @@ def exact_twin(problem):
         [[Fraction(v) for v in row] for row in problem.r],
         [[Fraction(v) for v in row] for row in problem.w],
     )
+
+
+def full_row(problem, x):
+    """The row (c1, c2, c3, f) at x, evaluated in full."""
+    return decompose(problem, x)[:3] + (problem.fitness(x),)
+
+
+def evaluate_points(problem, points):
+    """The literal columns (c1, c2, c3, f), one entry per point, in the
+    order the points come, each point evaluated in full: the oracle of the
+    streamed pass, oracle.space_moments, and so of variance_triple."""
+    columns = ([], [], [], [])
+    for x in points:
+        for column, v in zip(columns, full_row(problem, x)):
+            column.append(v)
+    return columns
 
 
 def neighborhood_means(row_of, x):

@@ -17,7 +17,9 @@ from qaplandscape import (
 )
 from qaplandscape.cli import run_cli
 from qaplandscape.spectral import AutocorrReport, component_weights
+from qaplandscape.decomposition import OmegaParams
 from conftest import perturb_kind
+from test_golden import decimal_instance_text
 
 SAMPLE = "3\n0 1 2\n1 0 3\n2 3 0\n0 5 5\n5 0 5\n5 5 0\n"
 
@@ -647,6 +649,35 @@ class TestAutocorr:
         assert "series is constant" in err
 
 
+# The residuals of `stats --n 5` that go nonzero when one column of one
+# kind's row of KIND_CONSTANTS is off by one, on a space taken whole, as
+# (column, change, caught(m)). A wrong case value moves the enumerated c_m
+# alone: f is evaluated in full, and the closed forms read no case value. A
+# wrong weight denominator scales the enumerated c_m and its closed-form
+# mean alike, and moves the closed-form mean of f; the closed-form Var(c_m)
+# reads it for m = 3 only, so there Var(f) catches it instead. stats reads
+# no wave constant k (test_a_wrong_wave_constant_is_not_read).
+STATS_MUTATIONS = {
+    **{case: ("params",
+              lambda p, case=case: p._replace(**{case: getattr(p, case) + 1}),
+              lambda m: {f"mean_c{m}", f"var_c{m}"})
+       for case in OmegaParams._fields},
+    "den": ("den", lambda den: den + 1,
+            lambda m: {"mean_total", f"var_c{m}" if m != 3 else "var_total"}),
+    "dim": ("dim", lambda dim: dim + 1, lambda m: {f"var_c{m}", "var_total"}),
+    "mean": ("mean", lambda mean: (mean[0] + 1, mean[1]),
+             lambda m: {f"mean_c{m}", "mean_total"}),
+}
+
+# Sources of the golden outputs whose closed-form checks are compared with
+# those of verify; decimal5.dat is written by the test.
+COMPARED_SOURCES = {
+    "gen5": ["--gen", "5,1,0,9"],
+    "gen5-float": ["--gen", "5,1,0,9", "--mode", "float"],
+    "decimal5": ["--instance", "decimal5.dat"],
+}
+
+
 class TestStats:
     def test_text_within_cap(self, capsys):
         code, out, _ = run(capsys, "stats", "--gen", "4,5,0,9")
@@ -686,6 +717,54 @@ class TestStats:
         payload = json.loads(out)
         res = payload["results"]
         assert res["closed_form_means"] == res["enumerated_means"]
+
+    @pytest.mark.parametrize("name", sorted(STATS_MUTATIONS))
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_every_table_constant_it_reads_is_caught(self, capsys, monkeypatch, name, m):
+        column, change, caught = STATS_MUTATIONS[name]
+        perturb_kind(monkeypatch, m, column, change)
+        code, out, _ = run(capsys, "stats", "--n", "5", "--format", "json")
+        assert code == 2
+        residuals = json.loads(out)["residuals"]
+        assert {key for key, r in residuals.items() if r != "0"} == caught(m)
+
+    # stats reads no wave constant.
+    @pytest.mark.parametrize("m", (1, 2, 3))
+    def test_a_wrong_wave_constant_is_not_read(self, capsys, monkeypatch, m):
+        perturb_kind(monkeypatch, m, "k", lambda k: k + 1)
+        code, out, _ = run(capsys, "stats", "--n", "5", "--format", "json")
+        assert code == 0
+        assert set(json.loads(out)["residuals"].values()) == {"0"}
+
+    # stats and verify compare the closed-form means and variances by one
+    # helper (verification.space_checks): the same residual for each, and
+    # stats fails exactly when some closed-form claim of verify does.
+    @pytest.mark.parametrize("perturbation", [
+        None, *((column, m) for column in ("dim", "mean") for m in (1, 2, 3)),
+    ])
+    @pytest.mark.parametrize("source", sorted(COMPARED_SOURCES))
+    def test_closed_form_checks_equal_those_of_verify(
+        self, capsys, monkeypatch, tmp_path, source, perturbation
+    ):
+        if perturbation is not None:
+            column, m = perturbation
+            change = STATS_MUTATIONS[column][1]
+            perturb_kind(monkeypatch, m, column, change)
+        (tmp_path / "decimal5.dat").write_text(decimal_instance_text(5))
+        argv = [a.replace("decimal5.dat", str(tmp_path / "decimal5.dat"))
+                for a in COMPARED_SOURCES[source]]
+        code, out, _ = run(capsys, "stats", *argv, "--format", "json")
+        stats = json.loads(out)["residuals"]
+        _, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        claims = {c["name"]: c for c in json.loads(out)["results"]["claims"]}
+        failed = False
+        for stat, claim in (("mean", "closed_form_mean"), ("var", "closed_form_variance")):
+            for m in (1, 2, 3):
+                verified = claims[f"{claim}_{m}"]
+                assert stats[f"{stat}_c{m}"] == verified["residual"]
+                failed |= not verified["passed"]
+        assert code == (2 if failed else 0)
+        assert failed == (perturbation is not None)
 
 
 class TestHelp:

@@ -29,9 +29,10 @@ from qaplandscape.decomposition import (
     omega_neighborhood_sum_oracle,
     wave_predict_component,
 )
-from qaplandscape.oracle import evaluate_points, space_points
+from qaplandscape.oracle import space_points
 from conftest import (
     all_perms,
+    evaluate_points,
     general_tensor,
     random_perms,
     rounded,

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from qaplandscape import GeneralTensor, Permutation, parse_qaplib
+from qaplandscape import GeneralTensor, Permutation, parse_qaplib, variance_triple
 from qaplandscape.cli import run_cli
 from qaplandscape.core import _integer_scaled, neighborhood_size
 from qaplandscape.decomposition import (
@@ -116,7 +116,8 @@ def test_stats_prints_the_vanishing_c1_mean_as_zero(tmp_path, capsys):
 def test_infinite_tensor_coefficient_is_refused_by_name():
     tensor = GeneralTensor.from_qap(parse_qaplib(MIXED_INFINITIES))
     assert tensor.psi[1][1][2][1] == -math.inf
-    for statistic in (_integer_scaled, average_triple, component_variances):
+    for statistic in (_integer_scaled, average_triple, component_variances,
+                      variance_triple):
         with pytest.raises(ValueError, match=r"psi\[1\]\[1\]\[2\]\[1\] is -inf"):
             statistic(tensor)
     # The per-point evaluator keeps working: verify's fast_vs_reference

@@ -23,6 +23,8 @@ from qaplandscape.decomposition import (
     omega,
 )
 from qaplandscape.oracle import (
+    DEFAULT_ENUMERATION_CAP,
+    _whole_space,
     enumerate_space,
     moments,
     population_variance,
@@ -76,11 +78,14 @@ class TestEnumerateSpace:
         )
         assert stats.mean == -1
 
+    # Beyond the cap a space of more than 200 points is refused; one of at
+    # most 200 points (n <= 5) is taken whole at any cap.
     def test_cap(self):
         with pytest.raises(ValueError, match="cap"):
             enumerate_space(lambda x: 0, 9)
         with pytest.raises(ValueError, match="cap"):
-            enumerate_space(lambda x: 0, 5, cap=4)
+            enumerate_space(lambda x: 0, 6, cap=5)
+        assert enumerate_space(lambda x: 0, 5, cap=4).count == 120
 
     def test_lexicographic_iteration(self):
         seen = [x.mapping for x in space_points(3)]
@@ -291,6 +296,31 @@ class TestVarianceTriple:
         inst = seeded_instance(9, 3)
         with pytest.raises(ValueError, match="cap"):
             variance_triple(inst, cap=8)
+
+
+# One enumeration rule for every whole-space oracle, the one of stats and
+# verify (oracle._whole_space): within the cap, or at most 200 points at any
+# cap.
+WHOLE_SPACE_ORACLES = {
+    "enumerate_space": lambda n, cap: enumerate_space(lambda x: x(0), n, cap),
+    "check_elementary": lambda n, cap: check_elementary(lambda x: x(0), n, cap),
+    "variance_triple": lambda n, cap: variance_triple(seeded_instance(n, 1), cap),
+}
+
+
+class TestEnumerationRule:
+    @pytest.mark.parametrize("oracle", sorted(WHOLE_SPACE_ORACLES))
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_a_space_of_at_most_200_points_is_taken_whole_at_cap_0(self, oracle, n):
+        assert _whole_space(n, 0)
+        run = WHOLE_SPACE_ORACLES[oracle]
+        assert run(n, 0) == run(n, DEFAULT_ENUMERATION_CAP)
+
+    @pytest.mark.parametrize("oracle", sorted(WHOLE_SPACE_ORACLES))
+    def test_a_larger_space_beyond_the_cap_is_refused(self, oracle):
+        assert not _whole_space(6, 5)
+        with pytest.raises(ValueError, match=r"6! permutations exceeds the cap 5"):
+            WHOLE_SPACE_ORACLES[oracle](6, 5)
 
 
 class TestCrossChecks:

@@ -4,13 +4,13 @@
 The pass keeps no values: the entries are scaled to integers, each
 component is an integer numerator over one denominator, formed from five
 carried sums by the fixed rows of decomposition._numerator_rows, and only
-the sums and sums of squares of the numerators are carried. Its moments
-must equal those of the literal columns of evaluate_points, and
-variance_triple, exactly, on integer and Fraction entries, on a tensor that
-is not of product form, and on entries far beyond any machine integer. Float
-mode runs the same pass on the exact values of the float entries: every mean
-and variance must be the correctly rounded float of the exact one, bit for
-bit.
+the sums and sums of squares of the numerators are carried. Its moments,
+and variance_triple, which reads them, must equal those of the literal
+columns of evaluate_points (tests/conftest.py) exactly, on integer and
+Fraction entries, on a tensor that is not of product form, and on entries
+far beyond any machine integer. Float mode runs the same pass on the exact
+values of the float entries: every mean and variance must be the correctly
+rounded float of the exact one, bit for bit.
 
 The wave claims of `verify` read no table of the pass: at every point of a
 space taken whole, for n <= 6, they take the neighborhood means from
@@ -35,13 +35,13 @@ from qaplandscape.decomposition import (
     _sums,
 )
 from qaplandscape.oracle import (
-    evaluate_points,
     moments,
     neighbor_means,
     space_moments,
     space_points,
 )
 from conftest import (
+    evaluate_points,
     exact_twin,
     fraction_instance,
     general_tensor,
@@ -73,16 +73,17 @@ CASES = [
 ]
 
 
-# variance_triple is the population variance of the same literal columns,
-# from a second enumeration; it is compared where that is cheap.
+# variance_triple runs the pass a second time; it is compared with the
+# literal columns where that is cheap.
 @pytest.mark.parametrize("kind, n", CASES)
 def test_streamed_moments_equal_the_literal_columns(kind, n):
     problem = PROBLEMS[kind](n)
     space = space_moments(problem)
     columns = evaluate_points(problem, space_points(n))
-    assert (space.means, space.variances) == tuple(zip(*map(moments, columns)))
+    literal = tuple(zip(*map(moments, columns)))
+    assert (space.means, space.variances) == literal
     if n <= 6 or kind == "integer":
-        assert space.variances == variance_triple(problem)
+        assert variance_triple(problem) == literal[1]
     assert all(type(v) is Fraction for v in (*space.means, *space.variances))
     assert space.count == len(columns[3])
     assert space.residual == 0

@@ -5,12 +5,12 @@ the literal oracles.
 
 space_rows visits the permutations in Heap's order and carries five sums
 from point to point through decomposition._swap_sum_deltas. Its rows must
-equal evaluate_points exactly in rational mode and stay within the float
-tolerance of it in float mode. neighbor_means adds each swap's update of
-the same five sums to those at one point, on the integer twin, and forms
-each mean once: exactly the means of a full evaluation of each neighbor in
-rational mode, and in float mode the exact means of the float entries,
-correctly rounded.
+equal the literal columns of evaluate_points (tests/conftest.py) exactly in
+rational mode and stay within the float tolerance of them in float mode.
+neighbor_means adds each swap's update of the same five sums to those at
+one point, on the integer twin, and forms each mean once: exactly the means
+of a full evaluation of each neighbor in rational mode, and in float mode
+the exact means of the float entries, correctly rounded.
 """
 
 import math
@@ -25,15 +25,16 @@ from qaplandscape import GeneralTensor, Permutation, QapInstance, variance_tripl
 from qaplandscape.core import FLOAT_TOLERANCE
 from qaplandscape.decomposition import _raw_sums, _sums, _swap_sum_deltas
 from qaplandscape.oracle import (
-    _full_row,
-    evaluate_points,
     heap_swaps,
+    moments,
     neighbor_means,
     space_moments,
     space_points,
 )
 from conftest import (
+    evaluate_points,
     exact_twin,
+    full_row,
     general_tensor,
     neighborhood_means,
     random_perms,
@@ -134,10 +135,14 @@ def test_streamed_rows_equal_evaluate_points(n, kind):
     assert dict(rows) == literal_rows(problem)
 
 
-def test_streamed_moments_equal_variance_triple_at_n8():
+# variance_triple is the streamed pass behind the cap: both against the
+# literal columns, at the default cap.
+def test_streamed_moments_equal_the_literal_columns_at_n8():
     inst = seeded_instance(8, 3, -5, 9)
+    columns = evaluate_points(inst, space_points(8))
+    want = tuple(moments(column)[1] for column in columns)
     variances = space_moments(inst).variances
-    assert variances == variance_triple(inst)
+    assert variances == variance_triple(inst) == want
     assert all(isinstance(v, Fraction) for v in variances)
 
 
@@ -158,7 +163,7 @@ def test_float_rows_stay_within_tolerance_at_n8():
 def literal_means(problem, x):
     """The means of the rows of the swap neighbors of x, each evaluated in
     full."""
-    return neighborhood_means(lambda y: _full_row(problem, y), x)
+    return neighborhood_means(lambda y: full_row(problem, y), x)
 
 
 # The neighborhood means of verify's wave claims: the sums at x plus each
@@ -234,9 +239,9 @@ def test_float_components_stay_within_tolerance_of_the_exact_ones(n):
     twin = exact_twin(inst)
     for x in random_perms(n, 3, n):
         for y in [x, *x.neighbors()]:
-            want = _full_row(twin, y)
+            want = full_row(twin, y)
             scale = max(1, *map(abs, want))
-            for got, exact in zip(_full_row(inst, y), want):
+            for got, exact in zip(full_row(inst, y), want):
                 assert abs(Fraction(got) - exact) <= FLOAT_TOLERANCE * scale
 
 

@@ -2,7 +2,8 @@
 
 decomposition.component_variances must equal oracle.variance_triple exactly
 in rational mode, for product-form instances and for general tensors, and
-agree to 1e-9 of Var(f) in float mode.
+agree to 1e-9 of Var(f) in float mode, where both are the correctly rounded
+exact variances and so agree bit for bit wherever the closed form holds.
 """
 
 import random
@@ -18,12 +19,15 @@ from qaplandscape import (
     average_triple,
     check_elementary,
     component_variances,
+    generate_instance,
+    parse_qaplib,
     variance_triple,
 )
 from qaplandscape.spectral import component_weights
 from qaplandscape import oracle
 from conftest import seeded_instance
 from strategies import DECIMAL_ENTRY, qap_instances, sparse_tensors
+from test_golden import decimal_instance_text
 
 
 @settings(max_examples=40, deadline=None)
@@ -46,6 +50,21 @@ def test_float_closed_form_within_tolerance(inst):
     tol = 1e-9 * max(1.0, abs(want.total))
     assert all(isinstance(v, float) for v in got)
     assert all(abs(a - b) <= tol for a, b in zip(got, want))
+
+
+# The float sources of the golden outputs.
+FLOAT_SOURCES = {
+    "decimal5": lambda: parse_qaplib(decimal_instance_text(5)),
+    "decimal7": lambda: parse_qaplib(decimal_instance_text(7)),
+    "gen5-float": lambda: generate_instance(5, 1, 0, 9).as_float(),
+}
+
+
+@pytest.mark.parametrize("source", sorted(FLOAT_SOURCES))
+def test_float_enumeration_equals_the_closed_form_bit_for_bit(source):
+    inst = FLOAT_SOURCES[source]()
+    want = component_variances(inst)
+    assert [v.hex() for v in variance_triple(inst)] == [v.hex() for v in want]
 
 
 @pytest.mark.parametrize("n", range(3, 9))

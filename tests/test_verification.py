@@ -4,8 +4,8 @@ from qaplandscape import Permutation, decomposition, generate_instance, oracle, 
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaParams
 from conftest import perturb_kind
-from qaplandscape.oracle import DEFAULT_ENUMERATION_CAP
-from qaplandscape.verification import SAMPLE_SIZE, run_verification
+from qaplandscape.oracle import DEFAULT_ENUMERATION_CAP, SAMPLE_SIZE
+from qaplandscape.verification import run_verification
 
 
 def _failed(results):
