@@ -117,18 +117,19 @@ def _check_swap(n: int, mapping: Sequence[int], u: int, v: int) -> None:
         raise ValueError("swap positions must differ")
 
 
-def _entries_are_exact(rows) -> bool:
-    """True when every entry is int or Fraction (or a subclass), False when
-    some are floats. Anything else, a bool included, and any NaN or infinity,
-    is refused. The common cases are settled at C speed: the set of types
-    first, then, for all-float entries, one finiteness pass.
-    """
+def _typed_rows(rows) -> Tuple[tuple, bool]:
+    """The one entry rule of both problem types: the rows, with True when
+    every entry is int or Fraction (or a subclass), or with False when some
+    are floats, and then every entry a float (_float_rows). Anything else, a
+    bool included, and any NaN or infinity, is refused. The common cases are
+    settled at C speed: the set of types, then for all-float rows, which come
+    back as they are, one finiteness pass."""
     rows = tuple(rows)
     types = set(map(type, chain.from_iterable(rows)))
     if types == {int}:
-        return True
+        return rows, True
     if types == {float} and all(map(math.isfinite, chain.from_iterable(rows))):
-        return False
+        return rows, False
     for row in rows:
         for v in row:
             if isinstance(v, float):
@@ -136,7 +137,18 @@ def _entries_are_exact(rows) -> bool:
                     raise ValueError(f"matrix entries must be finite, got {v!r}")
             elif isinstance(v, bool) or not isinstance(v, (int, Fraction)):
                 raise ValueError(f"matrix entries must be numbers, got {v!r}")
-    return not any(issubclass(t, float) for t in types)
+    if any(issubclass(t, float) for t in types):
+        return _float_rows(rows), False
+    return rows, True
+
+
+def _float_rows(rows) -> tuple:
+    """Rows of valid entries, every entry a float; an exact entry beyond the
+    float range, which has no float value, is refused."""
+    try:
+        return tuple(tuple(map(float, row)) for row in rows)
+    except OverflowError:
+        raise ValueError("float mode needs matrix entries within the float range") from None
 
 
 def _integer_values(values) -> Optional[Tuple[Sequence[int], int, bool]]:
@@ -249,20 +261,20 @@ class QapInstance:
 
     No symmetry or zero diagonal is assumed. Instances whose entries are all
     int or Fraction run in exact rational mode; any float entry switches the
-    whole instance to float mode. Precomputed once for the O(n^2) kernels:
-    r and w flattened row by row (_r_flat, _w_flat), the transpose of r
-    flattened the same way (_rt_flat), the diagonals of r and w, and the
-    off-diagonal row/column marginals of both. The entry differences that
-    the O(n) update of a whole-space or neighbor pass reads are tabulated on
-    first use (_swap_differences), in O(n^3), and the integer twin on first
-    use too (_integer_scaled).
+    whole instance to float mode (_typed_rows). Precomputed once, in O(n^2):
+    r and w flattened row by row (_r_flat, _w_flat), r's transpose flattened
+    the same way (_rt_flat), the diagonals (_r_diag, _w_diag), the
+    off-diagonal row and column marginals (_row_off_r, _col_off_r,
+    _row_off_w, _col_off_w) and the coefficient totals (coefficient_sums).
+    The entry differences that the O(n) update of a whole-space or neighbor
+    pass reads are tabulated on first use (_swap_differences), in O(n^3),
+    and the integer twin on first use too (_integer_scaled).
     """
 
     __slots__ = (
         "n", "r", "w", "exact", "_r_flat", "_w_flat", "_rt_flat", "_r_diag",
         "_w_diag", "_row_off_r", "_col_off_r", "_row_off_w", "_col_off_w",
-        "_off_total_r", "_off_total_w", "_r_diag_sum", "_w_diag_sum",
-        "_swap_tables", "_twin",
+        "_sums", "_swap_tables", "_twin",
     )
 
     def __init__(self, r, w) -> None:
@@ -275,11 +287,9 @@ class QapInstance:
             raise ValueError("distance matrix is not square")
         if len(wt) != n or any(len(row) != n for row in wt):
             raise ValueError(f"flow matrix is not {n} x {n}")
-        # Both matrices are validated (&, not and), each on its own fast path.
-        exact = _entries_are_exact(rt) & _entries_are_exact(wt)
-        if not exact:
-            rt = tuple(tuple(map(float, row)) for row in rt)
-            wt = tuple(tuple(map(float, row)) for row in wt)
+        # One mode for both matrices: a float in either floats every entry.
+        rows, exact = _typed_rows(rt + wt)
+        rt, wt = rows[:n], rows[n:]
         self.n = n
         self.r = rt
         self.w = wt
@@ -298,10 +308,11 @@ class QapInstance:
         self._col_off_r = tuple(map(sub, col_r, r_diag))
         self._row_off_w = tuple(map(sub, row_w, w_diag))
         self._col_off_w = tuple(map(sub, col_w, w_diag))
-        self._r_diag_sum = sum_of(r_diag, exact)
-        self._w_diag_sum = sum_of(w_diag, exact)
-        self._off_total_r = sum_of(row_r, exact) - self._r_diag_sum
-        self._off_total_w = sum_of(row_w, exact) - self._w_diag_sum
+        diag_r, diag_w = sum_of(r_diag, exact), sum_of(w_diag, exact)
+        self._sums = (
+            (sum_of(row_r, exact) - diag_r) * (sum_of(row_w, exact) - diag_w),
+            diag_r * diag_w,
+        )
         self._swap_tables = None
         self._twin = None
 
@@ -345,13 +356,17 @@ class QapInstance:
         return f"<QapInstance n={self.n} mode={mode}>"
 
     def as_float(self) -> "QapInstance":
-        """Copy of this instance with every entry coerced to float."""
+        """Copy of this instance with every entry a float (_float_rows)."""
         if not self.exact:
             return self
-        return QapInstance(
-            [[float(v) for v in row] for row in self.r],
-            [[float(v) for v in row] for row in self.w],
-        )
+        rows = _float_rows(self.r + self.w)
+        return QapInstance(rows[:self.n], rows[self.n:])
+
+    def coefficient_sums(self):
+        """(sum of r[i][j] * w[p][q] over i != j and p != q, sum of
+        r[i][i] * w[p][p]), as GeneralTensor.coefficient_sums: products of
+        the off-diagonal and diagonal totals of r and w, formed once."""
+        return self._sums
 
     def _w_at(self, mapping) -> tuple:
         """w gathered at the mapping: its n^2 entries w[x(i)][x(j)], row by
@@ -402,36 +417,21 @@ class GeneralTensor:
     __slots__ = ("n", "psi", "exact", "_sums", "_twin")
 
     def __init__(self, psi) -> None:
-        t = tuple(
-            tuple(tuple(tuple(row) for row in plane) for plane in block)
-            for block in psi
-        )
-        n = len(t)
+        blocks = tuple(map(tuple, psi))
+        n = len(blocks)
         if n < MIN_SIZE:
             raise ValueError(f"tensor size must be at least {MIN_SIZE}, got {n}")
         if n > MAX_TENSOR_SIZE:
             raise ValueError(
                 f"dense tensor storage is limited to n <= {MAX_TENSOR_SIZE}, got {n}"
             )
-        for block in t:
-            if len(block) != n:
-                raise ValueError("tensor is not n x n x n x n")
-            for plane in block:
-                if len(plane) != n or any(len(row) != n for row in plane):
-                    raise ValueError("tensor is not n x n x n x n")
-        exact = _entries_are_exact(
-            row for block in t for plane in block for row in plane
-        )
-        if not exact:
-            t = tuple(
-                tuple(
-                    tuple(tuple(float(v) for v in row) for row in plane)
-                    for plane in block
-                )
-                for block in t
-            )
+        planes = tuple(map(tuple, chain.from_iterable(blocks)))
+        rows = tuple(map(tuple, chain.from_iterable(planes)))
+        if any(len(part) != n for part in chain(blocks, planes, rows)):
+            raise ValueError("tensor is not n x n x n x n")
+        rows, exact = _typed_rows(rows)
         self.n = n
-        self.psi = t
+        self.psi = _nest(rows, n)
         self.exact = exact
         self._sums = None
         self._twin = None
@@ -552,9 +552,15 @@ def _scaled(problem):
     ints, d, _ = _integer_values(flat)
     if ints is flat:
         return problem, 1
-    return GeneralTensor(_rows(_rows(_rows(ints, n), n), n)), d
+    return GeneralTensor(_nest(_rows(ints, n), n)), d
 
 
-def _rows(values, n: int) -> list:
+def _rows(values, n: int) -> tuple:
     """values grouped n at a time, in order."""
-    return list(zip(*[iter(values)] * n))
+    return tuple(zip(*[iter(values)] * n))
+
+
+def _nest(rows, n: int) -> tuple:
+    """The layout of a GeneralTensor's psi[i][j][p] from its n^3 rows in
+    order: n rows to a plane, n planes to a block."""
+    return _rows(_rows(rows, n), n)

@@ -312,7 +312,7 @@ def _components(problem: Problem, sums) -> Tuple[Scalar, Scalar, Scalar]:
     dotted with the sums and T, over L, in the problem's own arithmetic."""
     exact = problem.exact
     lcm, (r1, r2, r3) = _numerator_rows(problem.n)
-    values = (*sums, _coefficient_sums(problem)[0])
+    values = (*sums, problem.coefficient_sums()[0])
     c1 = sum_of(map(mul, r1, values), exact)
     c2 = sum_of(map(mul, r2, values), exact)
     c3 = sum_of(map(mul, r3, values), exact)
@@ -367,14 +367,6 @@ def decompose(problem: Problem, x: Permutation) -> ComponentTriple:
     return ComponentTriple.of(*_components(problem, _sums(problem, x)))
 
 
-def _coefficient_sums(problem: Problem):
-    if isinstance(problem, QapInstance):
-        off = problem._off_total_r * problem._off_total_w
-        diag = problem._r_diag_sum * problem._w_diag_sum
-        return off, diag
-    return problem.coefficient_sums()
-
-
 def component_average(problem: Problem, m: int) -> Scalar:
     """Closed-form mean of component m over all n! permutations: entry
     m - 1 of average_triple."""
@@ -393,7 +385,7 @@ def average_triple(problem: Problem) -> ComponentTriple:
     """
     twin, d = _integer_scaled(problem)
     n = problem.n
-    off, diag = _coefficient_sums(twin)
+    off, diag = twin.coefficient_sums()
     kinds = [KIND_CONSTANTS[m](n) for m in (1, 2, 3)]
     means = [Fraction(off * c.mean[0], c.den * c.mean[1] * d) for c in kinds]
     means[2] += Fraction(diag, n * d)

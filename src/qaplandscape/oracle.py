@@ -55,7 +55,6 @@ from .core import (
 from .decomposition import (
     ComponentTriple,
     Problem,
-    _coefficient_sums,
     _numerator_rows,
     _raw_sums,
     _sums,
@@ -222,7 +221,7 @@ def neighbor_means(problem: Problem, x: Permutation) -> ComponentTriple:
     else:
         totals = [sum(c) for c in zip(*(_sums(scaled, y) for y in x.neighbors()))]
     lcm, rows = _numerator_rows(n)
-    values = (*totals, count * _coefficient_sums(scaled)[0])
+    values = (*totals, count * scaled.coefficient_sums()[0])
     exact = problem.exact
     return ComponentTriple(
         *(_ratio(sum(map(mul, row, values)), lcm * d * count, exact) for row in rows),
@@ -252,7 +251,7 @@ def space_moments(problem: Problem) -> SpaceMoments:
     den = lcm * d
     # Each row's last coefficient multiplies T, the off-diagonal coefficient
     # total, a constant of the problem: fold it in once.
-    off_total = _coefficient_sums(scaled)[0]
+    off_total = scaled.coefficient_sums()[0]
     (a1, b1, d1, g1, e1, z1), (a2, b2, d2, g2, e2, z2), (a3, b3, d3, g3, e3, z3) = (
         (*row[:5], row[5] * off_total) for row in rows
     )

@@ -110,6 +110,29 @@ class TestInstanceLoading:
         assert code == 1 and out == ""
         assert "non-finite" in err and "byte offset 2" in err
 
+    # A first entry of 10**400 has no float value: beside a decimal entry
+    # (read by the scanner, since the split reads it as inf), or in float
+    # mode, it is refused with the message; rational mode runs it.
+    @pytest.mark.parametrize("other, argv", [
+        ("0.5", ["stats"]),
+        ("1", ["stats"]),
+        (None, ["decompose", "--perm", "0,1,2"]),
+    ], ids=["decimal", "float-mode", "gen-float-mode"])
+    def test_entries_beyond_the_float_range_exit_1(self, capsys, tmp_path, other, argv):
+        if other is None:
+            source = ["--gen", f"3,0,0,{10**400}"]
+        else:
+            path = tmp_path / "huge.dat"
+            path.write_text(f"3\n{10**400}" + f" {other}" * 17 + "\n")
+            source = ["--instance", str(path)]
+        mode = [] if other == "0.5" else ["--mode", "float"]
+        code, out, err = run(capsys, *argv, *source, *mode)
+        assert code == 1 and out == ""
+        assert err.startswith("error:") and "within the float range" in err
+        if mode:
+            code, out, err = run(capsys, *argv, *source, "--mode", "rational")
+            assert code == 0 and err == ""
+
     @pytest.mark.parametrize("argv,limit", [
         (["stats", "--gen", "5,1,0,9", "--cap", "12"], "limit 9"),
         (["stats", "--gen", "100000,0,0,9"], "limit 200"),

@@ -4,12 +4,17 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
-from qaplandscape import GeneralTensor, Permutation, QapInstance
+from qaplandscape import GeneralTensor, Permutation, QapInstance, decompose
 from qaplandscape.core import (
-    FLOAT_TOLERANCE, neighborhood_size, passes, tolerance, worst,
+    FLOAT_TOLERANCE, _integer_scaled, neighborhood_size, passes, tolerance, worst,
 )
-from conftest import all_perms, random_perms, seeded_instance, single_entry_tensor
+from conftest import all_perms, random_perms, seeded_instance, single_entry_tensor, zero_psi
+from strategies import DECIMAL_ENTRY, qap_instances
+
+# An exact value with no float: 10**400 is beyond the largest float.
+HUGE = 10**400
 
 
 class TestPassRule:
@@ -219,6 +224,27 @@ class TestQapInstance:
         assert not f.exact
         assert f.r[0][0] == float(inst.r[0][0])
 
+    @pytest.mark.parametrize("huge", [HUGE, -HUGE, Fraction(HUGE, 3)],
+                             ids=["int", "negative", "fraction"])
+    def test_refuses_exact_entries_beyond_the_float_range(self, huge):
+        # Beside a float, in either matrix, an entry with no float value is
+        # refused; as_float refuses it too. Alone it stays exact.
+        with pytest.raises(ValueError, match="within the float range"):
+            QapInstance([[huge, 0.5, 0], [0, 1, 2], [3, 4, 5]], [[1] * 3] * 3)
+        with pytest.raises(ValueError, match="within the float range"):
+            QapInstance([[0.5] * 3] * 3, [[1, 2, 3], [4, huge, 6], [7, 8, 9]])
+        exact = QapInstance([[huge, 0, 0], [0, 1, 2], [3, 4, 5]], [[1, 2, 3]] * 3)
+        with pytest.raises(ValueError, match="within the float range"):
+            exact.as_float()
+        assert exact.exact and exact.r[0][0] == huge
+        x = Permutation.identity(3)
+        assert decompose(exact, x).total == exact.fitness(x)
+
+    def test_all_float_rows_are_kept(self):
+        r = ((0.5, 1.5, 2.5),) * 3
+        inst = QapInstance(r, r)
+        assert all(row is r[0] for row in inst.r + inst.w)
+
     def test_fitness_zero_matrices(self):
         inst = QapInstance([[0] * 3] * 3, [[0] * 3] * 3)
         for x in all_perms(3):
@@ -295,6 +321,42 @@ class TestGeneralTensor:
         with pytest.raises(ValueError):
             GeneralTensor(bad)
 
+    @pytest.mark.parametrize("malform", [
+        lambda psi: psi[1].pop(),           # a short block
+        lambda psi: psi[2][0].pop(),        # a short plane
+        lambda psi: psi[0][2][1].pop(),     # a short row
+        lambda psi: psi[3][3][3].append(0), # a long row
+        # One plane short and one long: n^3 rows, not n x n x n x n.
+        lambda psi: psi[0][1].append(psi[0][0].pop()),
+    ], ids=["block", "plane", "short-row", "long-row", "planes-moved"])
+    def test_malformed_tensor_is_refused(self, malform):
+        psi = zero_psi(4)
+        malform(psi)
+        with pytest.raises(ValueError, match="tensor is not n x n x n x n"):
+            GeneralTensor(psi)
+
+    def test_float_tensor_from_lists(self):
+        inst = seeded_instance(4, 5).as_float()
+        psi = [[[[rij * wpq for wpq in wrow] for wrow in inst.w] for rij in rrow]
+               for rrow in inst.r]
+        t = GeneralTensor(psi)
+        assert not t.exact
+        assert type(t.psi) is tuple
+        assert all(type(block) is tuple for block in t.psi)
+        assert all(type(plane) is tuple for block in t.psi for plane in block)
+        assert all(type(row) is tuple
+                   for block in t.psi for plane in block for row in plane)
+        assert t.psi == GeneralTensor.from_qap(inst).psi
+
+    @pytest.mark.parametrize("huge", [HUGE, Fraction(HUGE, 3)], ids=["int", "fraction"])
+    def test_refuses_exact_coefficients_beyond_the_float_range(self, huge):
+        psi = zero_psi(3)
+        psi[0][1][2][0] = huge
+        assert GeneralTensor(psi).exact
+        psi[1][1][1][1] = 0.5
+        with pytest.raises(ValueError, match="within the float range"):
+            GeneralTensor(psi)
+
     def test_dimension_mismatch(self):
         t = single_entry_tensor(4, 0, 1, 2, 3)
         with pytest.raises(ValueError, match="size"):
@@ -309,3 +371,28 @@ class TestGeneralTensor:
         assert all(
             isinstance(v, (int, Fraction)) for v in (t.c1, t.c2, t.c3, t.total)
         )
+
+
+class TestCoefficientSums:
+    """QapInstance.coefficient_sums has the contract of the tensor method:
+    (sum of r_ij w_pq over i != j and p != q, sum of r_ii w_pp)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(qap_instances(min_n=3, max_n=7))
+    def test_instance_totals_equal_the_tensor_totals(self, inst):
+        assert inst.coefficient_sums() == GeneralTensor.from_qap(inst).coefficient_sums()
+
+    @settings(max_examples=30, deadline=None)
+    @given(qap_instances(min_n=3, max_n=7, entries=DECIMAL_ENTRY))
+    def test_twin_totals_equal_the_tensor_totals(self, inst):
+        twin, _ = _integer_scaled(inst)
+        assert twin.exact
+        assert twin.coefficient_sums() == GeneralTensor.from_qap(twin).coefficient_sums()
+
+    def test_totals_by_hand(self):
+        r = [[1, -2, 3], [4, 5, -6], [7, 8, 9]]
+        w = [[-1, 2, 0], [3, 4, 5], [6, -7, 8]]
+        inst = QapInstance(r, w)
+        off_r = sum(r[i][j] for i in range(3) for j in range(3) if i != j)
+        off_w = sum(w[p][q] for p in range(3) for q in range(3) if p != q)
+        assert inst.coefficient_sums() == (off_r * off_w, (1 + 5 + 9) * (-1 + 4 + 8))

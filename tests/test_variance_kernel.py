@@ -23,11 +23,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qaplandscape import GeneralTensor, QapInstance, decomposition
-from qaplandscape.core import _entries_are_exact, _integer_values
+from qaplandscape.core import _integer_values, _typed_rows
 from qaplandscape.decomposition import component_variances
 from qaplandscape.oracle import variance_triple
 from qaplandscape.qaplib import generate_instance, parse_qaplib
-from conftest import exact_twin, fraction_instance, huge_instance, rounded, seeded_instance
+from conftest import (
+    exact_twin, fraction_instance, huge_instance, rounded, seeded_instance, zero_psi,
+)
 from strategies import DECIMAL_ENTRY, qap_instances
 from test_golden import decimal_instance_text
 
@@ -256,7 +258,10 @@ def test_generate_instance_draws_the_randint_stream(args):
     ([[MyFloat(1.5), 2], [3, 4]], False),
 ])
 def test_entries_are_exact_reads_the_mode(rows, exact):
-    assert _entries_are_exact(rows) is exact
+    typed, mode = _typed_rows(rows)
+    assert mode is exact
+    if not exact:
+        assert all(type(v) is float for row in typed for v in row)
 
 
 @pytest.mark.parametrize("bad,message", [
@@ -270,12 +275,22 @@ def test_entries_are_exact_reads_the_mode(rows, exact):
 @pytest.mark.parametrize("other", [1, 1.5], ids=["int", "float"])
 def test_entries_are_exact_refuses(bad, message, other):
     with pytest.raises(ValueError, match=message):
-        _entries_are_exact([[other, other], [other, bad]])
+        _typed_rows([[other, other], [other, bad]])
     with pytest.raises(ValueError, match=message):
-        _entries_are_exact(iter([[bad, other], [other, other]]))
+        _typed_rows(iter([[bad, other], [other, other]]))
 
 
 def test_mixed_int_and_float_entries_run_in_float_mode():
     inst = QapInstance([[1, 2.5, 3], [4, 5, 6], [7, 8, 9]], [[1, 2, 3]] * 3)
     assert not inst.exact
     assert all(type(v) is float for row in inst.r + inst.w for v in row)
+
+
+def test_mixed_tensor_entries_run_in_float_mode():
+    psi = zero_psi(3)
+    psi[0][1][2][0] = Fraction(1, 3)
+    psi[2][2][1][1] = MyFloat(0.5)
+    t = GeneralTensor(psi)
+    assert not t.exact
+    assert all(type(v) is float
+               for block in t.psi for plane in block for row in plane for v in row)

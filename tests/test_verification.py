@@ -1,6 +1,8 @@
 import pytest
 
-from qaplandscape import Permutation, decomposition, generate_instance, oracle, verification
+from qaplandscape import (
+    Permutation, QapInstance, decomposition, generate_instance, oracle, verification,
+)
 from qaplandscape.cli import run_cli
 from qaplandscape.decomposition import OmegaParams
 from conftest import perturb_kind
@@ -134,6 +136,34 @@ def test_fast_vs_reference_catches_a_wrong_fast_path(monkeypatch, target, n, cap
     monkeypatch.setattr(decomposition, target, lambda *args: p_q_exchanged(real(*args)))
     failed = _failed(run_verification(generate_instance(n, 1, 0, 9), cap=cap))
     assert "fast_vs_reference" in failed
+
+
+# QapInstance.coefficient_sums off by one, on both sides of every claim that
+# reads it; the tensor of fast_vs_reference forms its own totals. T, the
+# off-diagonal total, moves c2 and c3 (decompose, the wave predictions and
+# the closed-form means), but not the enumerated mean of c1 against its
+# closed form: kind 1's zeta value equals its space mean (-1), so a wrong T
+# shifts both sides alike. The diagonal total moves only mean_3, and f's
+# neighborhood prediction through it.
+@pytest.mark.parametrize("total, caught", [
+    pytest.param(0, {"fast_vs_reference", "closed_form_mean_2", "closed_form_mean_3",
+                     "wave_component_2", "wave_component_3"}, id="off-diagonal"),
+    pytest.param(1, {"closed_form_mean_3", "wave_component_3", "neighborhood_average"},
+                 id="diagonal"),
+])
+@pytest.mark.parametrize("mode", ["rational", "float"])
+def test_each_coefficient_total_is_caught(monkeypatch, total, caught, mode):
+    real = QapInstance.coefficient_sums
+
+    def shifted(inst):
+        sums = list(real(inst))
+        sums[total] += 1
+        return tuple(sums)
+
+    monkeypatch.setattr(QapInstance, "coefficient_sums", shifted)
+    inst = generate_instance(5, 1, 0, 9)
+    failed = _failed(run_verification(inst if mode == "rational" else inst.as_float()))
+    assert failed == caught
 
 
 # The components (and whether f) that move when one term of the five-sum
